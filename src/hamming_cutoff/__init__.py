@@ -51,6 +51,7 @@ from .radial import (
     enumerate_tiny,
     kstep_by_squaring,
     kstep_float_powering,
+    kstep_float_trajectory,
     kstep_oracle,
     power_step,
     radial_matrix,

@@ -270,12 +270,14 @@ def minorant_diagnostics(
     i.e. (n-2)(q-1) >= 2; and always tv >= pi(B) - nu_k(B).
     """
     n, q = params.n, params.q
-    if b < 0 or c < 0:
-        raise ParameterError("need b >= 0 and c >= 0")
+    if not (0 <= b < math.inf and 0 <= c < math.inf):
+        raise ParameterError("need finite b >= 0 and c >= 0")
     beta = math.sqrt(q / ((4 * q + b) * (q - 1))) * math.exp(c / 2)
     threshold = beta / math.sqrt(n)
     d = params.degree
-    in_b = [l for l in range(n + 1) if abs(1 - Fraction(l * q, d)) < threshold]
+    # |phi_1(l)| = |d - l q| / d < threshold, compared exactly in integers
+    tn, td = threshold.as_integer_ratio()
+    in_b = [l for l in range(n + 1) if abs(d - l * q) * td < tn * d]
 
     be = resolve_backend(params, backend)
     walk = kstep_distribution(params, k, be)
@@ -286,8 +288,7 @@ def minorant_diagnostics(
     else:
         pi_mass = math.fsum(pi.mass[l] for l in in_b)
         nu_mass = math.fsum(walk.mass[l] for l in in_b)
-    lam1 = float(spectrum(params).lam[1])
-    mean_phi1 = lam1 ** k
+    mean_phi1 = ((d - q) / d) ** k  # E phi_1 = lam[1]**k
     applicable = mean_phi1 >= 2 * threshold and (n - 2) * (q - 1) >= 2
     return MinorantDiagnostics(
         beta=beta,

@@ -13,7 +13,7 @@ import sys
 from . import bounds, verify
 from .krawtchouk import build_table
 from .montecarlo import SimConfig, empirical_tv, simulate
-from .radial import kstep_oracle, power_step, radial_matrix
+from .radial import kstep_float_trajectory, kstep_oracle, power_step, radial_matrix
 from .scheme import (
     ParameterError,
     ResourceBudgetError,
@@ -85,22 +85,8 @@ def _profile_rows(params, ks, backend, b, bit_budget):
             if k in want:
                 rows.append(_profile_row(params, k, float(tv_distance(dist, uni)), b))
     else:
-        # one incremental powering pass over the grid: O(n * k_max) total
-        import numpy as np
-
-        from .radial import float_power_step, float_step_arrays
-
-        down, stay, up = float_step_arrays(params)
-        mass = np.zeros(params.n + 1)
-        mass[0] = 1.0
-        uni_mass = np.asarray(uni.mass)
-        want = set(wanted)
-        for k in range(wanted[-1] + 1):
-            if k:
-                mass = float_power_step(mass, down, stay, up)
-            if k in want:
-                tv = 0.5 * math.fsum(abs(v) for v in (mass - uni_mass))
-                rows.append(_profile_row(params, k, tv, b))
+        for k, dist in kstep_float_trajectory(params, wanted):
+            rows.append(_profile_row(params, k, tv_distance(dist, uni), b))
     return rows
 
 
@@ -162,7 +148,6 @@ def cmd_verify(args) -> int:
             args.n_max or 40,
             tuple(args.c or [0.25 * i for i in range(1, 25)]),
             args.rounding,
-            threads=args.threads,
         )
         _report_failures("majorant", report)
         rc = 0 if report.ok else 1
@@ -174,7 +159,6 @@ def cmd_verify(args) -> int:
             c0=args.c0,
             c=(args.c or [min(args.c0, 3.0)])[0],
             n_grid=verify.default_sweep_grid(1, args.n_max) if args.n_max else None,
-            threads=args.threads,
         )
         for rec in sweep.diagnostic_violations:
             print(
@@ -267,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="-")
     p.add_argument("--b", type=float, default=1.0, help="minorant offset parameter")
     p.add_argument("--bit-budget", dest="bit_budget", type=int, default=10 ** 6)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_profile)
 
     v = sub.add_parser("verify", help="run a bound/lemma verification suite")
@@ -279,7 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--c0", type=float, default=3.0)
     v.add_argument("--b", type=float, default=1.0)
     v.add_argument("--rounding", choices=("ceil", "exact"), default="ceil")
-    v.add_argument("--threads", type=int, default=1)
+    v.add_argument("--threads", type=int, default=1,
+                   help="deprecated and ignored; suites run in one thread")
     v.set_defaults(func=cmd_verify)
 
     s = sub.add_parser("simulate", help="seeded Monte Carlo on the distance chain")

@@ -2,11 +2,13 @@
 
 Walks are simulated on the radial projection (down/stay/up draws per
 step), exploiting the same symmetry as the exact engines.  The random
-stream is counter-based: the uniform driving walk i at step t is element
-i*k + t of the Philox(key=seed) double stream, so results are a pure
-function of (params, k, walks, seed) and bit-identical for any worker
-count.  A literal-graph sampler exists for tiny state spaces purely to
-cross-check the radial sampler.
+stream is counter-based.  Walks run in fixed blocks of 65536; the block
+starting at walk `start` reads the Philox(key=seed) double stream from
+element 4*start*k on (`Philox.advance(m)` skips 4*m doubles), and walk i,
+step t of that block is element (i - start)*k + t of its slice.  Blocks
+never overlap, so results are a pure function of (params, k, walks, seed)
+and bit-identical for any worker count.  A literal-graph sampler exists
+for tiny state spaces purely to cross-check the radial sampler.
 """
 
 import math
@@ -137,9 +139,11 @@ def simulate_literal(cfg: SimConfig, max_states: int = 10 ** 4) -> EmpiricalResu
     """Cross-check sampler on the literal q**n graph (tiny spaces only).
 
     Each step resamples one coordinate to a different letter; one uniform
-    per step encodes both choices.  Stream layout matches `simulate` (walk
-    i, step t -> element i*k + t) but the draws mean different things, so
-    the two samplers agree only in distribution, not pathwise.
+    per step encodes both choices.  Stream layout matches `simulate` (the
+    block at walk `start` reads from element 4*start*k; its walk i, step t
+    is element (i - start)*k + t of that slice) but the draws mean
+    different things, so the two samplers agree only in distribution, not
+    pathwise.
     """
     params = cfg.params
     n, q = params.n, params.q

@@ -196,13 +196,15 @@ def enumerate_tiny(
 
 
 def float_step_arrays(params: SchemeParams):
-    """down/stay/up rows as float64 arrays, for the float powering engine."""
-    m = radial_matrix(params)
-    return (
-        np.array([float(v) for v in m.down]),
-        np.array([float(v) for v in m.stay]),
-        np.array([float(v) for v in m.up]),
-    )
+    """down/stay/up rows as float64 arrays, for the float powering engine.
+
+    Each entry is one correctly rounded division of two exact integers, so
+    it equals the float of the matching `radial_matrix` Fraction.
+    """
+    n, q = params.n, params.q
+    d = params.degree
+    l = np.arange(n + 1)
+    return l / d, l * (q - 2) / d, (n - l) / n
 
 
 def float_power_step(mass: np.ndarray, down, stay, up) -> np.ndarray:
@@ -214,21 +216,35 @@ def float_power_step(mass: np.ndarray, down, stay, up) -> np.ndarray:
     return new
 
 
-def kstep_float_powering(params: SchemeParams, k: int) -> RadialDistribution:
-    """k float steps of the distance chain from the basepoint.
+def kstep_float_trajectory(params: SchemeParams, ks):
+    """Yield (k, float distribution) for each k of ks in one powering pass.
 
-    The cancellation-free float engine: O(n k) work, stable at any (n, k);
-    it backs the float backend wherever spectral summation would lose
-    accuracy (small k or very large n).
+    ks must be sorted and distinct; the pass costs O(n * max(ks)) however
+    many k are requested.  This is the package's one float k-step loop.
     """
-    if k < 0:
+    ks = tuple(ks)
+    if any(k < 0 for k in ks):
         raise ParameterError("step count k must be >= 0")
+    if any(a >= b for a, b in zip(ks, ks[1:])):
+        raise ParameterError("step counts must be sorted and distinct")
     down, stay, up = float_step_arrays(params)
     mass = np.zeros(params.n + 1)
     mass[0] = 1.0
-    for _ in range(k):
-        mass = float_power_step(mass, down, stay, up)
-    return RadialDistribution(params, mass, "float")
+    done = 0
+    for k in ks:
+        for _ in range(k - done):
+            mass = float_power_step(mass, down, stay, up)
+        done = k
+        yield k, RadialDistribution(params, mass, "float")
+
+
+def kstep_float_powering(params: SchemeParams, k: int) -> RadialDistribution:
+    """k float steps of the distance chain from the basepoint.
+
+    The float k-step engine: O(n k) work, stable at any (n, k), because
+    every step only adds nonnegative products.
+    """
+    return next(kstep_float_trajectory(params, (k,)))[1]
 
 
 def reversibility_holds(params: SchemeParams) -> bool:

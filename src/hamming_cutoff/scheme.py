@@ -41,8 +41,9 @@ class SchemeParams:
     q: int
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or not isinstance(self.q, int):
-            raise ParameterError("n and q must be integers")
+        for v in (self.n, self.q):
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise ParameterError("n and q must be integers")
         if self.n < 1:
             raise ParameterError(f"word length n must be >= 1, got {self.n}")
         if self.q < 2:
@@ -92,15 +93,12 @@ class RadialDistribution:
 
     ``mass[l]`` is the total probability carried by the w[l] vertices at
     distance l from the basepoint; entries are Fractions (exact backend)
-    or a read-only float64 array (float backend).  ``clamp_total`` reports
-    how much negative float roundoff mass was clamped to zero (always 0.0
-    on the exact backend).
+    or a read-only float64 array (float backend).
     """
 
     params: SchemeParams
     mass: MassVector
     backend: Backend
-    clamp_total: float = 0.0
 
     def __post_init__(self):
         if self.backend == "float":

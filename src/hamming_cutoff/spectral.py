@@ -9,13 +9,11 @@ transform gives the per-point probability at distance l after k steps,
 with multiplicities d_j = (q-1)**j * C(n, j).  The exact backend evaluates
 this in rationals and must reproduce the radial-chain oracle bit for bit.
 
-The float backend uses the same inversion with log-domain coefficients and
-a compensated (Neumaier) sum over j taken from j = n down to 0 -- but only
-inside its accuracy regime: once any single term of the sum exceeds ~e**3
-the cancellation it must undergo is unrepresentable in float64, and the
-backend falls back to cancellation-free float powering of the radial
-chain, which is stable at every (n, k).  Inside the cutoff window the
-spectral sum engages and stays accurate even for n in the thousands.
+The float backend does not sum this series: its terms alternate in sign
+and grow far past 1 below the cutoff, so float64 loses their cancellation.
+It powers the distance chain instead (`radial.kstep_float_powering`),
+whose steps add only nonnegative products and so stay at roundoff level
+for every (n, k).
 
 The second half of the module carries the moment identities of the
 distance-1 spherical function phi_1: its square linearizes as
@@ -32,9 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
-from . import krawtchouk
+from . import radial
 from .krawtchouk import DEFAULT_TABLE_BUDGET, build_table
 from .scheme import (
     Backend,
@@ -64,86 +60,29 @@ def spectrum(params: SchemeParams) -> SpectrumTable:
     return SpectrumTable(params, lam, mult)
 
 
-_SPECTRAL_TERM_CAP = 3.0  # max log of any summand before cancellation loses bits
-
-
-def _kstep_float(params: SchemeParams, k: int) -> RadialDistribution:
-    from . import radial  # deferred: radial imports scheme only
-
-    n = params.n
-    logpow = None
-    if krawtchouk.float_table_supported(params) and k > 0:
-        psi = krawtchouk._psi_table(params) if n > 2 else None
-        logscale = krawtchouk._logscale(params)
-        lam = krawtchouk._float_lambdas(params)
-        with np.errstate(divide="ignore"):
-            logpow = k * np.log(np.abs(lam))
-        if psi is None:
-            psi = np.array(
-                [[float(v) for v in row] for row in krawtchouk._exact_table(params)]
-            ) * np.exp(logscale)
-        if np.max(logscale.max(axis=1) + logpow) > _SPECTRAL_TERM_CAP:
-            logpow = None
-    if logpow is None:
-        return radial.kstep_float_powering(params, k)
-
-    signs = np.where(lam < 0, -1.0, 1.0) ** (k % 2)
-    terms = psi * np.exp(logscale + logpow[:, None]) * signs[:, None]
-    total = np.zeros(n + 1)
-    comp = np.zeros(n + 1)
-    for j in range(n, -1, -1):  # small |lam**k| first, lam[0] = 1 last
-        term = terms[j]
-        new = total + term
-        comp += np.where(
-            np.abs(total) >= np.abs(term),
-            (total - new) + term,
-            (term - new) + total,
-        )
-        total = new
-    mass = total + comp
-    # clamp negative roundoff whose per-point size is below 1e-15
-    w = class_weights(params).w
-    clamp = 0.0
-    log_eps = math.log(1e-15)
-    for l in range(n + 1):
-        if mass[l] < 0:
-            threshold = log_eps + _log_weight(w[l])
-            if math.log(-mass[l]) < threshold:
-                clamp += -mass[l]
-                mass[l] = 0.0
-    return RadialDistribution(params, mass, "float", clamp_total=clamp)
-
-
-def _log_weight(v: int) -> float:
-    if v.bit_length() <= 900:
-        return math.log(v)
-    shift = v.bit_length() - 900
-    return math.log(v >> shift) + shift * math.log(2.0)
-
-
 def kstep_distribution(
     params: SchemeParams,
     k: int,
     backend: Backend = "exact",
     max_n: int = DEFAULT_TABLE_BUDGET,
 ) -> RadialDistribution:
-    """k-step distribution by spectral inversion.
+    """k-step distribution: spectral inversion on the exact backend.
 
     mass[l] = (w[l]/q**n) * sum_j d_j lam[j]**k phi_j(l); exact Fractions on
     the exact backend (validated against the radial oracle).  The float
-    backend uses the compensated spectral sum inside its accuracy regime
-    and falls back to float radial powering outside it (see module notes).
+    backend is float powering of the distance chain (see module notes);
+    it needs no table, so `max_n` bounds the exact backend only.
     """
     if k < 0:
         raise ParameterError("step count k must be >= 0")
+    if backend == "float":
+        return radial.kstep_float_powering(params, k)
+    if backend != "exact":
+        raise ParameterError(f"unknown backend {backend!r}")
     if params.n > max_n:
         raise ParameterError(
             f"n={params.n} exceeds the configured table budget {max_n}"
         )
-    if backend == "float":
-        return _kstep_float(params, k)
-    if backend != "exact":
-        raise ParameterError(f"unknown backend {backend!r}")
     n = params.n
     spec = spectrum(params)
     phi = build_table(params, "exact").phi
@@ -174,11 +113,9 @@ def expectation_phi_by_sum(params: SchemeParams, j: int, k: int) -> Fraction:
     eigenvalue, so this path is independent of `expectation_phi`; their
     equality is a test.
     """
-    from .radial import kstep_oracle
-
     if not 0 <= j <= params.n:
         raise ParameterError(f"j must lie in 0..{params.n}, got {j}")
-    dist = kstep_oracle(params, k)
+    dist = radial.kstep_oracle(params, k)
     phi = build_table(params, "exact").phi
     return sum(
         (dist.mass[l] * phi[j][l] for l in range(params.n + 1)), Fraction(0)

@@ -13,7 +13,6 @@ as out of a theorem's scope.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -22,7 +21,8 @@ import numpy as np
 
 from . import bounds
 from .krawtchouk import scaled_rows
-from .scheme import class_weights, make_scheme
+from .radial import kstep_float_trajectory
+from .scheme import class_weights, make_scheme, tv_distance, uniform
 from .spectral import linearization_phi1_squared, spectrum
 
 
@@ -101,7 +101,6 @@ def verify_upper(
 
 def _majorant_cell(q: int, n: int, c_values, rounding: str, backend: str):
     params = make_scheme(n, q)
-    out = []
     if rounding == "exact":
         k_lo = math.ceil(bounds.schedule_step(params, min(c_values)))
         k_hi = math.floor(bounds.schedule_step(params, max(c_values)))
@@ -111,13 +110,15 @@ def _majorant_cell(q: int, n: int, c_values, rounding: str, backend: str):
         pairs = [(k, c) for k, c in pairs if c > 0]
     else:
         pairs = [(math.ceil(bounds.schedule_step(params, c)), c) for c in c_values]
+    ks = sorted({k for k, _ in pairs})
+    be = bounds.resolve_backend(params, backend)
+    if be == "float":
+        uni = uniform(params, "float")
+        tvs = {k: tv_distance(dist, uni) for k, dist in kstep_float_trajectory(params, ks)}
+    else:
+        tvs = {k: float(bounds.tv_to_uniform(params, k, be)) for k in ks}
     cap = float(bounds.majorant_constant(q))
-    result = []
-    for k, c in pairs:
-        tv = float(bounds.tv_to_uniform(params, k, backend))
-        bound = cap * math.expm1(math.exp(-c))
-        result.append((k, c, tv, bound))
-    return result
+    return [(k, c, tvs[k], cap * math.expm1(math.exp(-c))) for k, c in pairs]
 
 
 def verify_majorant(
@@ -130,38 +131,26 @@ def verify_majorant(
 ) -> SuiteReport:
     """tv**2 <= regime majorant at scheduled k, over an (q, n, c) grid.
 
-    Cells outside a theorem's scope (q = 3 with n < 3, q = 4 with n < 2)
-    are recorded as skipped, not checked.
+    On the float backend each (q, n) cell powers one trajectory through
+    all its scheduled k.  Cells outside a theorem's scope (q = 3 with n < 3, q = 4 with
+    n < 2) are recorded as skipped, not checked.  `threads` is deprecated
+    and ignored: the cells are GIL-bound, so threads only slowed them.
     """
+    if any(q < 3 for q in q_values):
+        raise bounds.ParameterError("no majorant theorem covers q = 2")
     report = SuiteReport("majorant")
-    cells = []
+    which = {3: "thm-q3", 4: "thm-q4"}
     for q in q_values:
-        if q < 3:
-            raise bounds.ParameterError("no majorant theorem covers q = 2")
         for n in range(1, n_max + 1):
             if (q == 3 and n < 3) or (q == 4 and n < 2):
                 report.skipped.append((n, q))
                 continue
-            cells.append((q, n))
-
-    def run(cell):
-        q, n = cell
-        return cell, _majorant_cell(q, n, c_values, rounding, backend)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = dict(pool.map(run, cells))
-    else:
-        results = dict(run(cell) for cell in cells)
-
-    which = {3: "thm-q3", 4: "thm-q4"}
-    for q, n in cells:
-        for k, c, tv, bound in results[(q, n)]:
-            report.checked += 1
-            if tv * tv > bound:
-                report.violations.append(
-                    Violation(which.get(q, "thm-q5"), n, q, k, c, tv * tv, bound)
-                )
+            for k, c, tv, bound in _majorant_cell(q, n, c_values, rounding, backend):
+                report.checked += 1
+                if tv * tv > bound:
+                    report.violations.append(
+                        Violation(which.get(q, "thm-q5"), n, q, k, c, tv * tv, bound)
+                    )
     return report
 
 
@@ -225,6 +214,7 @@ def minorant_sweep(
     schedule step, plus the Markov/Chebyshev/event diagnostics that are
     unconditional.  n_star is the smallest tested n from which the bound
     held through the end of the grid (None if it failed at the ceiling).
+    `threads` is deprecated and ignored, as in `verify_majorant`.
     """
     if not 0 <= c <= c0:
         raise bounds.ParameterError("need 0 <= c <= c0")
@@ -259,12 +249,7 @@ def minorant_sweep(
             chebyshev_applicable=diag.chebyshev_applicable,
         )
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(run, n_grid))
-    else:
-        records = [run(n) for n in n_grid]
-    records.sort(key=lambda r: r.n)
+    records = [run(n) for n in n_grid]
 
     n_star = None
     for rec in reversed(records):

@@ -7,6 +7,7 @@ from hamming_cutoff import (
     ParameterError,
     check_majorant,
     check_minorant,
+    class_weights,
     cutoff_schedule,
     hora_limit,
     kstep_oracle,
@@ -24,6 +25,7 @@ from hamming_cutoff import (
     uniform,
     upper_bound_lemma_rhs,
 )
+from hamming_cutoff.verify import _int_step
 
 
 def test_schedule_invariants():
@@ -245,3 +247,50 @@ def test_tv_to_uniform_backends_agree():
         assert abs(
             float(tv_to_uniform(p, k, "exact")) - tv_to_uniform(p, k, "float")
         ) < 1e-12
+
+
+def _exact_tvs(p, ks):
+    """Exact TV at each k of ks, from integer numerators over (n(q-1))**k."""
+    n, q, big_q = p.n, p.q, p.size
+    w = class_weights(p).w
+    num, dk, out = [1] + [0] * n, 1, {}
+    for k in range(max(ks) + 1):
+        if k:
+            num = _int_step(num, n, q)
+            dk *= p.degree
+        if k in ks:
+            t = sum(abs(num[l] * big_q - w[l] * dk) for l in range(n + 1))
+            out[k] = Fraction(t, 2 * dk * big_q)
+    return out
+
+
+def test_float_tv_matches_exact_across_window():
+    for n, q in [(200, 3), (300, 5)]:
+        p = make_scheme(n, q)
+        s = cutoff_schedule(p)
+        ks = set(range(math.floor(s.a_n - 4 * s.b_n), math.ceil(s.a_n + 4 * s.b_n) + 1, 7))
+        for k, exact in _exact_tvs(p, ks).items():
+            assert abs(tv_to_uniform(p, k, "float") - float(exact)) < 1e-14, (n, q, k)
+
+
+def test_minorant_event_b_matches_fraction_comparison():
+    for n, q in [(3, 3), (10, 4), (57, 3), (120, 5)]:
+        p = make_scheme(n, q)
+        pi = uniform(p, "float").mass
+        for b in (0.0, 1.0, 2.5):
+            for c in [0.1 * i for i in range(61)]:
+                beta = math.sqrt(q / ((4 * q + b) * (q - 1))) * math.exp(c / 2)
+                threshold = beta / math.sqrt(n)
+                in_b = [
+                    l for l in range(n + 1)
+                    if abs(1 - Fraction(l * q, p.degree)) < threshold
+                ]
+                d = minorant_diagnostics(p, n, b, c, "float")
+                assert d.pi_B == math.fsum(pi[l] for l in in_b), (n, q, b, c)
+
+
+def test_minorant_diagnostics_rejects_non_finite_offsets():
+    p = make_scheme(10, 3)
+    for b, c in [(math.nan, 1.0), (1.0, math.inf), (-1.0, 1.0)]:
+        with pytest.raises(ParameterError):
+            minorant_diagnostics(p, 5, b, c)

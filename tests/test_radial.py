@@ -8,6 +8,7 @@ from hamming_cutoff import (
     enumerate_tiny,
     kstep_by_squaring,
     kstep_float_powering,
+    kstep_float_trajectory,
     kstep_oracle,
     make_scheme,
     point_mass,
@@ -17,6 +18,7 @@ from hamming_cutoff import (
     tv_distance,
     uniform,
 )
+from hamming_cutoff.radial import float_step_arrays
 
 
 def neighbor_census(n, q, base_word):
@@ -165,3 +167,26 @@ def test_mass_invariants_along_trajectories():
             d = power_step(d, m)
             assert all(v >= 0 for v in d.mass)
             assert d.total_mass() == 1
+
+
+def test_float_step_arrays_match_radial_matrix():
+    for n in (1, 2, 7, 30, 119, 300, 1000):
+        for q in (2, 3, 4, 7, 16):
+            p = make_scheme(n, q)
+            m = radial_matrix(p)
+            arrays = float_step_arrays(p)
+            for exact, fl in zip((m.down, m.stay, m.up), arrays):
+                assert fl.tolist() == [float(v) for v in exact]
+
+
+def test_float_trajectory_matches_single_k_powering():
+    p = make_scheme(25, 4)
+    ks = (0, 1, 2, 9, 40, 41, 150)
+    got = list(kstep_float_trajectory(p, ks))
+    assert [k for k, _ in got] == list(ks)
+    for k, dist in got:
+        assert dist.mass.tolist() == kstep_float_powering(p, k).mass.tolist()
+    assert list(kstep_float_trajectory(p, ())) == []
+    for bad in ((3, 2), (4, 4), (-1, 2)):
+        with pytest.raises(ParameterError):
+            list(kstep_float_trajectory(p, bad))

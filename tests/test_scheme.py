@@ -23,7 +23,9 @@ def test_make_scheme_examples():
     assert (p.n, p.q, p.ergodic) == (4, 2, False)
 
 
-@pytest.mark.parametrize("n,q", [(0, 3), (-1, 3), (3, 1), (3, 0), (2, -2)])
+@pytest.mark.parametrize(
+    "n,q", [(0, 3), (-1, 3), (3, 1), (3, 0), (2, -2), (True, 3), (3, True), (2.0, 3)]
+)
 def test_make_scheme_rejects_bad_domain(n, q):
     with pytest.raises(ParameterError):
         make_scheme(n, q)

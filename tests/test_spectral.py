@@ -64,9 +64,17 @@ def test_float_backend_close_to_exact():
             for k in (0, 1, 3, 17, 64):
                 ex = kstep_distribution(p, k)
                 fl = kstep_distribution(p, k, "float")
-                assert fl.clamp_total >= 0
                 err = max(abs(float(a) - b) for a, b in zip(ex.mass, fl.mass))
                 assert err < 1e-12
+
+
+def test_float_backend_needs_no_table_budget():
+    p = make_scheme(5000, 3)
+    d = kstep_distribution(p, 3, "float", max_n=100)
+    assert d.mass[0] == pytest.approx(1 / p.degree ** 2, rel=1e-15)
+    assert d.total_mass() == pytest.approx(1.0, abs=1e-15)
+    with pytest.raises(ParameterError):
+        kstep_distribution(p, 3, "exact", max_n=100)
 
 
 def test_expectation_phi_examples():

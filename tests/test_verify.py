@@ -6,11 +6,13 @@ from hamming_cutoff import (
     make_scheme,
     spectrum,
     tv_distance,
+    tv_to_uniform,
     uniform,
     upper_bound_lemma_rhs,
 )
 from hamming_cutoff.verify import (
     _int_step,
+    _majorant_cell,
     default_sweep_grid,
     minorant_sweep,
     verify_lemma32,
@@ -108,3 +110,14 @@ def test_sweep_records_match_direct_tv():
         p = make_scheme(rec.n, 3)
         tv = float(tv_distance(kstep_oracle(p, rec.k), uniform(p)))
         assert abs(rec.tv - tv) < 1e-10
+
+
+def test_majorant_cells_match_per_cell_tv():
+    cs = (0.25, 1.0, 1.25, 2.5, 6.0)
+    for q, n in [(3, 3), (3, 11), (4, 12), (7, 20), (8, 40)]:
+        p = make_scheme(n, q)
+        for rounding in ("ceil", "exact"):
+            cells = _majorant_cell(q, n, cs, rounding, "float")
+            assert cells
+            for k, c, tv, bound in cells:
+                assert tv == tv_to_uniform(p, k, "float")
