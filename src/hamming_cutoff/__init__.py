@@ -43,6 +43,7 @@ from .montecarlo import (
     EmpiricalTV,
     SimConfig,
     empirical_tv,
+    plugin_tv,
     simulate,
     simulate_literal,
 )
@@ -51,8 +52,9 @@ from .radial import (
     enumerate_tiny,
     kstep_by_squaring,
     kstep_float_powering,
-    kstep_float_trajectory,
+    kstep_numerators,
     kstep_oracle,
+    kstep_trajectory,
     power_step,
     radial_matrix,
     reversibility_holds,

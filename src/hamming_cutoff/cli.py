@@ -12,13 +12,12 @@ import sys
 
 from . import bounds, verify
 from .krawtchouk import build_table
-from .montecarlo import SimConfig, empirical_tv, simulate
-from .radial import kstep_float_trajectory, kstep_oracle, power_step, radial_matrix
+from .montecarlo import SimConfig, plugin_tv, simulate
+from .radial import kstep_oracle, kstep_trajectory
 from .scheme import (
     ParameterError,
     ResourceBudgetError,
     make_scheme,
-    point_mass,
     tv_distance,
     uniform,
 )
@@ -63,40 +62,17 @@ def _profile_row(params, k: int, tv: float, b: float) -> dict:
     }
 
 
-def _profile_rows(params, ks, backend, b, bit_budget):
-    wanted = sorted(set(ks))
-    rows = []
-    uni = uniform(params, backend)
-    if backend == "exact":
-        m = radial_matrix(params)
-        dist = point_mass(params)
-        want = set(wanted)
-        for k in range(wanted[-1] + 1):
-            if k:
-                dist = power_step(dist, m)
-                bits = sum(
-                    v.numerator.bit_length() + v.denominator.bit_length()
-                    for v in dist.mass
-                )
-                if bits > bit_budget:
-                    raise ResourceBudgetError(
-                        f"rational profile exceeded {bit_budget} bits at k={k}"
-                    )
-            if k in want:
-                rows.append(_profile_row(params, k, float(tv_distance(dist, uni)), b))
-    else:
-        for k, dist in kstep_float_trajectory(params, wanted):
-            rows.append(_profile_row(params, k, tv_distance(dist, uni), b))
-    return rows
-
-
 def cmd_profile(args) -> int:
     params = make_scheme(args.n, args.q)
     if args.k_min > args.k_max or args.k_min < 0 or args.k_step < 1:
         raise ParameterError("need 0 <= k-min <= k-max and k-step >= 1")
     backend = bounds.resolve_backend(params, args.backend)
-    ks = list(range(args.k_min, args.k_max + 1, args.k_step))
-    rows = _profile_rows(params, ks, backend, args.b, args.bit_budget)
+    ks = range(args.k_min, args.k_max + 1, args.k_step)
+    uni = uniform(params, backend)
+    rows = [
+        _profile_row(params, k, float(tv_distance(dist, uni)), args.b)
+        for k, dist in kstep_trajectory(params, ks, backend, args.bit_budget)
+    ]
     if args.format == "csv":
         lines = [PROFILE_HEADER]
         for r in rows:
@@ -185,7 +161,7 @@ def cmd_simulate(args) -> int:
     params = make_scheme(args.n, args.q)
     cfg = SimConfig(params, args.k, args.walks, args.seed, args.streams)
     result = simulate(cfg)
-    tv = empirical_tv(cfg)
+    tv = plugin_tv(result)
     exact = None
     try:
         exact = [float(v) for v in kstep_oracle(params, args.k).mass]
@@ -250,7 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default="-")
     p.add_argument("--b", type=float, default=1.0, help="minorant offset parameter")
-    p.add_argument("--bit-budget", dest="bit_budget", type=int, default=10 ** 6)
+    p.add_argument("--bit-budget", dest="bit_budget", type=int, default=10 ** 6,
+                   help="exact backend: cap on the total bits of the integer class-mass "
+                   "numerators over (n(q-1))**k (exit 3 past it)")
     p.set_defaults(func=cmd_profile)
 
     v = sub.add_parser("verify", help="run a bound/lemma verification suite")

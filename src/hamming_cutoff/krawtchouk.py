@@ -66,17 +66,21 @@ def phi_hypergeometric(params: SchemeParams, j: int, l: int) -> Fraction:
     return total
 
 
+def _binomial_sum(n: int, q: int, j: int, l: int) -> int:
+    """phi_j(l) d_j = sum_r (-1)**r C(l,r) C(n-l,j-r) (q-1)**(j-r)."""
+    acc = 0
+    for r in range(j + 1):
+        c = math.comb(l, r) * math.comb(n - l, j - r)
+        if c:
+            acc += (-1) ** r * c * (q - 1) ** (j - r)
+    return acc
+
+
 def phi_binomial(params: SchemeParams, j: int, l: int) -> Fraction:
     """phi_j(l) via the binomial double sum, exact."""
     _check_indices(params, j, l)
     n, q = params.n, params.q
-    acc = 0
-    for r in range(j + 1):
-        c = math.comb(l, r) * math.comb(n - l, j - r)
-        if c == 0:
-            continue
-        acc += (-1) ** r * c * (q - 1) ** (j - r)
-    return Fraction(acc, math.comb(n, j) * (q - 1) ** j)
+    return Fraction(_binomial_sum(n, q, j, l), math.comb(n, j) * (q - 1) ** j)
 
 
 @lru_cache(maxsize=64)
@@ -87,18 +91,9 @@ def scaled_rows(params: SchemeParams) -> tuple:
     integer arithmetic; K[j][l] / d_j reproduces the exact table.
     """
     n, q = params.n, params.q
-    rows = []
-    for j in range(n + 1):
-        row = []
-        for l in range(n + 1):
-            acc = 0
-            for r in range(j + 1):
-                c = math.comb(l, r) * math.comb(n - l, j - r)
-                if c:
-                    acc += (-1) ** r * c * (q - 1) ** (j - r)
-            row.append(acc)
-        rows.append(tuple(row))
-    return tuple(rows)
+    return tuple(
+        tuple(_binomial_sum(n, q, j, l) for l in range(n + 1)) for j in range(n + 1)
+    )
 
 
 @dataclass(frozen=True)

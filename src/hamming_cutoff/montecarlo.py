@@ -28,6 +28,7 @@ from .scheme import (
 
 DEFAULT_DRAW_BUDGET = 10 ** 10
 _BLOCK = 1 << 16  # walks per counter block; fixed so partitioning never matters
+_SUB_BLOCK_DRAWS = 1 << 22  # doubles drawn at once (32 MB); bounds memory only
 
 
 @dataclass(frozen=True)
@@ -69,19 +70,23 @@ def _thresholds(params: SchemeParams):
 
 
 def _block_counts(cfg: SimConfig, start: int, stop: int, t_down, t_stay) -> np.ndarray:
-    """Counts for walks [start, stop), reading the canonical stream slice."""
+    """Counts for walks [start, stop), reading the canonical stream slice.
+
+    One generator draws the slice in row-major sub-blocks of walks, the
+    same doubles as one (stop - start, k) array in bounded memory.
+    """
     n = cfg.params.n
-    size = stop - start
-    state = np.zeros(size, dtype=np.int64)
+    state = np.zeros(stop - start, dtype=np.int64)
     if cfg.k:
         bg = np.random.Philox(key=cfg.seed)
         bg.advance(start * cfg.k)
-        u = np.random.Generator(bg).random((size, cfg.k))
-        for t in range(cfg.k):
-            ut = u[:, t]
-            down = ut < t_down[state]
-            up = ut >= t_stay[state]
-            state = state - down + up
+        gen = np.random.Generator(bg)
+        rows = max(1, _SUB_BLOCK_DRAWS // cfg.k)
+        for sub in np.split(state, range(rows, len(state), rows)):  # views
+            u = gen.random((len(sub), cfg.k))
+            for t in range(cfg.k):
+                ut = u[:, t]
+                sub[:] = sub - (ut < t_down[sub]) + (ut >= t_stay[sub])
     return np.bincount(state, minlength=n + 1)
 
 
@@ -119,13 +124,13 @@ class EmpiricalTV:
     note: str
 
 
-def empirical_tv(cfg: SimConfig, max_draws: int = DEFAULT_DRAW_BUDGET) -> EmpiricalTV:
+def plugin_tv(result: EmpiricalResult) -> EmpiricalTV:
     """Plug-in TV estimate between the empirical walk law and uniform.
 
     The plug-in estimator is positively biased near stationarity (it sees
     sampling noise as distance), hence the attached warning note.
     """
-    result = simulate(cfg, max_draws)
+    cfg = result.config
     cw = class_weights(cfg.params)
     exact = np.array([wl / cw.total for wl in cw.w])
     estimate = 0.5 * math.fsum(np.abs(result.counts / cfg.walks - exact))
@@ -133,6 +138,11 @@ def empirical_tv(cfg: SimConfig, max_draws: int = DEFAULT_DRAW_BUDGET) -> Empiri
         estimate,
         "plug-in TV estimate; positively biased once the walk nears uniform",
     )
+
+
+def empirical_tv(cfg: SimConfig, max_draws: int = DEFAULT_DRAW_BUDGET) -> EmpiricalTV:
+    """Sample `cfg` and return its `plugin_tv`."""
+    return plugin_tv(simulate(cfg, max_draws))
 
 
 def simulate_literal(cfg: SimConfig, max_states: int = 10 ** 4) -> EmpiricalResult:

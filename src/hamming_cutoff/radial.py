@@ -10,14 +10,20 @@ because a vertex at distance l has l neighbours one class down, l(q-2)
 sideways and (n-l)(q-1) one class up, each taken with probability
 1/(n(q-1)).  The counting itself is certified against a brute-force
 enumerator of the literal q**n-vertex graph (`enumerate_tiny`).
+
+Exact powering keeps integer numerators over the common denominator
+(n(q-1))**k (`kstep_numerators`), so no step pays a gcd; `radial_matrix`
+and `power_step` are the Fraction reference for one step.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .scheme import (
+    Backend,
     ParameterError,
     RadialDistribution,
     ResourceBudgetError,
@@ -54,7 +60,7 @@ def power_step(dist: RadialDistribution, m: RadialMatrix) -> RadialDistribution:
     """One convolution step on the distance chain.
 
     mass'[l] = mass[l-1] up[l-1] + mass[l] stay[l] + mass[l+1] down[l+1];
-    exact when the input is exact.
+    exact when the input is exact.  No k-step engine calls it.
     """
     if dist.params != m.params:
         raise ParameterError("distribution and matrix live on different schemes")
@@ -71,75 +77,101 @@ def power_step(dist: RadialDistribution, m: RadialMatrix) -> RadialDistribution:
     return RadialDistribution(dist.params, new, dist.backend)
 
 
-def _mass_bits(mass) -> int:
-    bits = 0
-    for v in mass:
-        bits += v.numerator.bit_length() + v.denominator.bit_length()
-    return bits
+def _sorted_steps(ks) -> tuple:
+    ks = tuple(ks)
+    if any(k < 0 for k in ks):
+        raise ParameterError("step count k must be >= 0")
+    if any(a >= b for a, b in zip(ks, ks[1:])):
+        raise ParameterError("step counts must be sorted and distinct")
+    return ks
+
+
+def int_power_step(num: list, n: int, q: int) -> list:
+    """`power_step` multiplied through by n(q-1): numerators over
+    (n(q-1))**k in, numerators over (n(q-1))**(k+1) out."""
+    out = []
+    for l in range(n + 1):
+        acc = num[l] * (l * (q - 2))
+        if l > 0:
+            acc += num[l - 1] * ((n - l + 1) * (q - 1))
+        if l < n:
+            acc += num[l + 1] * (l + 1)
+        out.append(acc)
+    return out
+
+
+def kstep_numerators(params: SchemeParams, ks, bit_budget=DEFAULT_BIT_BUDGET):
+    """Yield (k, num) for sorted, distinct ks; num[l] = mass[l] (n(q-1))**k.
+
+    The package's one exact k-step loop, max(ks) integer steps in all.
+    Raises `ResourceBudgetError` once the sum of the numerators' bit
+    lengths exceeds `bit_budget` (`math.inf`: no bound).
+    """
+    n, q = params.n, params.q
+    bounded = bit_budget < math.inf  # the bit count costs ~20 % of a step
+    num = [1] + [0] * n
+    done = 0
+    for k in _sorted_steps(ks):
+        for step in range(done + 1, k + 1):
+            num = int_power_step(num, n, q)
+            if bounded and sum(v.bit_length() for v in num) > bit_budget:
+                raise ResourceBudgetError(
+                    f"exact numerators exceeded {bit_budget} bits at n={n}, k={step}"
+                )
+        done = k
+        yield k, num
+
+
+def kstep_trajectory(
+    params: SchemeParams, ks, backend: Backend, bit_budget=DEFAULT_BIT_BUDGET
+):
+    """Yield (k, distribution) for sorted, distinct ks in one pass.
+
+    Exact: Fractions over `kstep_numerators`, bounded by `bit_budget`.
+    Float: the package's one float k-step loop, O(n * max(ks)) work.
+    """
+    if backend == "exact":
+        d = params.degree
+        for k, num in kstep_numerators(params, ks, bit_budget):
+            dk = d ** k
+            mass = tuple(Fraction(v, dk) for v in num)
+            yield k, RadialDistribution(params, mass, "exact")
+        return
+    if backend != "float":
+        raise ParameterError(f"unknown backend {backend!r}")
+    down, stay, up = float_step_arrays(params)
+    mass = point_mass(params, "float").mass
+    done = 0
+    for k in _sorted_steps(ks):
+        for _ in range(k - done):
+            mass = float_power_step(mass, down, stay, up)
+        done = k
+        yield k, RadialDistribution(params, mass, "float")
 
 
 def kstep_oracle(
-    params: SchemeParams, k: int, bit_budget: int = DEFAULT_BIT_BUDGET
+    params: SchemeParams, k: int, bit_budget=DEFAULT_BIT_BUDGET
 ) -> RadialDistribution:
     """k exact steps of the distance chain from the basepoint."""
-    if k < 0:
-        raise ParameterError("step count k must be >= 0")
-    m = radial_matrix(params)
-    dist = point_mass(params)
-    for _ in range(k):
-        dist = power_step(dist, m)
-        if _mass_bits(dist.mass) > bit_budget:
-            raise ResourceBudgetError(
-                f"rational mass vector exceeded {bit_budget} bits at n={params.n}"
-            )
-    return dist
-
-
-def _dense_rows(m: RadialMatrix) -> list:
-    n = m.params.n
-    rows = []
-    for l in range(n + 1):
-        row = [Fraction(0)] * (n + 1)
-        if l > 0:
-            row[l - 1] = m.down[l]
-        row[l] = m.stay[l]
-        if l < n:
-            row[l + 1] = m.up[l]
-        rows.append(row)
-    return rows
-
-
-def _mat_mul(a: list, b: list) -> list:
-    size = len(a)
-    bt = list(zip(*b))
-    return [
-        [sum(x * y for x, y in zip(row, col)) for col in bt]
-        for row in a
-    ]
+    return next(kstep_trajectory(params, (k,), "exact", bit_budget))[1]
 
 
 def kstep_by_squaring(params: SchemeParams, k: int) -> RadialDistribution:
     """Alternative oracle path: exact matrix exponentiation by squaring.
 
-    Rational entries densify under squaring, so this is only sensible for
-    small n; it exists to cross-check the iterative path at large k.
+    Squares the integer matrix n(q-1) * P (`numpy.linalg.matrix_power` on
+    Python integers), whose entries densify under squaring, so this is
+    only sensible for small n; it exists to cross-check the iterative path
+    at large k.
     """
     if k < 0:
         raise ParameterError("step count k must be >= 0")
-    n = params.n
-    result = [
-        [Fraction(1) if i == j else Fraction(0) for j in range(n + 1)]
-        for i in range(n + 1)
-    ]
-    base = _dense_rows(radial_matrix(params))
-    e = k
-    while e:
-        if e & 1:
-            result = _mat_mul(result, base)
-        e >>= 1
-        if e:
-            base = _mat_mul(base, base)
-    return RadialDistribution(params, tuple(result[0]), "exact")
+    n, q = params.n, params.q
+    unit = [[int(i == j) for j in range(n + 1)] for i in range(n + 1)]
+    base = np.array([int_power_step(row, n, q) for row in unit], dtype=object)
+    dk = params.degree ** k
+    mass = tuple(Fraction(v, dk) for v in np.linalg.matrix_power(base, k)[0])
+    return RadialDistribution(params, mass, "exact")
 
 
 def enumerate_tiny_steps(
@@ -216,35 +248,13 @@ def float_power_step(mass: np.ndarray, down, stay, up) -> np.ndarray:
     return new
 
 
-def kstep_float_trajectory(params: SchemeParams, ks):
-    """Yield (k, float distribution) for each k of ks in one powering pass.
-
-    ks must be sorted and distinct; the pass costs O(n * max(ks)) however
-    many k are requested.  This is the package's one float k-step loop.
-    """
-    ks = tuple(ks)
-    if any(k < 0 for k in ks):
-        raise ParameterError("step count k must be >= 0")
-    if any(a >= b for a, b in zip(ks, ks[1:])):
-        raise ParameterError("step counts must be sorted and distinct")
-    down, stay, up = float_step_arrays(params)
-    mass = np.zeros(params.n + 1)
-    mass[0] = 1.0
-    done = 0
-    for k in ks:
-        for _ in range(k - done):
-            mass = float_power_step(mass, down, stay, up)
-        done = k
-        yield k, RadialDistribution(params, mass, "float")
-
-
 def kstep_float_powering(params: SchemeParams, k: int) -> RadialDistribution:
     """k float steps of the distance chain from the basepoint.
 
     The float k-step engine: O(n k) work, stable at any (n, k), because
     every step only adds nonnegative products.
     """
-    return next(kstep_float_trajectory(params, (k,)))[1]
+    return next(kstep_trajectory(params, (k,), "float"))[1]
 
 
 def reversibility_holds(params: SchemeParams) -> bool:

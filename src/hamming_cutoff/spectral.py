@@ -7,7 +7,13 @@ transform gives the per-point probability at distance l after k steps,
     p_k(l) = q**-n * sum_j d_j * lam[j]**k * phi_j(l),
 
 with multiplicities d_j = (q-1)**j * C(n, j).  The exact backend evaluates
-this in rationals and must reproduce the radial-chain oracle bit for bit.
+this in integers: with K[j][l] = d_j phi_j(l) (`krawtchouk.scaled_rows`)
+and d = n(q-1), the class mass is
+
+    mass[l] = w[l] * sum_j K[j][l] (d - jq)**k / (q**n d**k),
+
+and it must reproduce the radial-chain oracle bit for bit without ever
+taking a radial step.
 
 The float backend does not sum this series: its terms alternate in sign
 and grow far past 1 below the cutoff, so float64 loses their cancellation.
@@ -31,7 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import radial
-from .krawtchouk import DEFAULT_TABLE_BUDGET, build_table
+from .krawtchouk import DEFAULT_TABLE_BUDGET, build_table, scaled_rows
 from .scheme import (
     Backend,
     ParameterError,
@@ -68,10 +74,11 @@ def kstep_distribution(
 ) -> RadialDistribution:
     """k-step distribution: spectral inversion on the exact backend.
 
-    mass[l] = (w[l]/q**n) * sum_j d_j lam[j]**k phi_j(l); exact Fractions on
-    the exact backend (validated against the radial oracle).  The float
-    backend is float powering of the distance chain (see module notes);
-    it needs no table, so `max_n` bounds the exact backend only.
+    mass[l] = w[l] * sum_j K[j][l] (n(q-1) - jq)**k / (q**n (n(q-1))**k)
+    over the integer rows K = `scaled_rows`, with one Fraction per class
+    at the end; validated against the radial oracle, which it never calls.
+    The float backend is float powering of the distance chain (see module
+    notes); it needs no table, so `max_n` bounds the exact backend only.
     """
     if k < 0:
         raise ParameterError("step count k must be >= 0")
@@ -83,17 +90,13 @@ def kstep_distribution(
         raise ParameterError(
             f"n={params.n} exceeds the configured table budget {max_n}"
         )
-    n = params.n
-    spec = spectrum(params)
-    phi = build_table(params, "exact").phi
+    n, q, d = params.n, params.q, params.degree
+    rows = scaled_rows(params)
     w = class_weights(params)
-    powers = [v ** k for v in spec.lam]
-    mass = []
-    for l in range(n + 1):
-        s = Fraction(0)
-        for j in range(n + 1):
-            s += spec.mult[j] * powers[j] * phi[j][l]
-        mass.append(Fraction(w.w[l], w.total) * s)
+    powers = [(d - j * q) ** k for j in range(n + 1)]
+    den = w.total * d ** k
+    sums = [sum(r[l] * p for r, p in zip(rows, powers)) for l in range(n + 1)]
+    mass = tuple(Fraction(wl * s, den) for wl, s in zip(w.w, sums))
     return RadialDistribution(params, mass, "exact")
 
 

@@ -2,10 +2,12 @@
 
 The exact suites run on plain integers with the common denominator
 (n(q-1))**k factored out, which is orders of magnitude faster than
-per-entry rationals: class masses become integer numerators, eigenvalue
-powers become integer powers of n(q-1) - j*q, and each inequality reduces
-to one big-integer comparison per grid cell.  Unit tests pin these fast
-paths to the public Fraction-based operations on subgrids.
+per-entry rationals: class masses are the integer numerators of
+`radial.kstep_numerators`, eigenvalue powers become integer powers of
+n(q-1) - j*q, and each inequality reduces to one big-integer comparison
+per grid cell.  Unit tests pin the numerators to the Fraction reference
+`radial.power_step`, and the suites to their Fraction statements, on
+subgrids.
 
 All suite functions return a report with the cells checked, the violations
 found (empty means the inequality held everywhere) and the cells skipped
@@ -21,7 +23,7 @@ import numpy as np
 
 from . import bounds
 from .krawtchouk import scaled_rows
-from .radial import kstep_float_trajectory
+from .radial import kstep_numerators, kstep_trajectory
 from .scheme import class_weights, make_scheme, tv_distance, uniform
 from .spectral import linearization_phi1_squared, spectrum
 
@@ -51,19 +53,6 @@ class SuiteReport:
         return not self.violations
 
 
-def _int_step(num: list, n: int, q: int) -> list:
-    """One radial step on integer numerators over (n(q-1))**k."""
-    out = []
-    for l in range(n + 1):
-        acc = num[l] * (l * (q - 2))
-        if l > 0:
-            acc += num[l - 1] * ((n - l + 1) * (q - 1))
-        if l < n:
-            acc += num[l + 1] * (l + 1)
-        out.append(acc)
-    return out
-
-
 def verify_upper(
     n_max: int = 30,
     q_values: Sequence[int] = (2, 3, 4, 5, 6),
@@ -81,9 +70,8 @@ def verify_upper(
             mult = spectrum(params).mult
             lam_sq = [(d - j * q) ** 2 for j in range(n + 1)]
             powers = [1] * (n + 1)  # lam_num[j]**(2k)
-            num = [1] + [0] * n  # masses over d**k
             dk = 1
-            for k in range(k_max + 1):
+            for k, num in kstep_numerators(params, range(k_max + 1), math.inf):  # over dk
                 t = sum(abs(num[l] * big_q - w[l] * dk) for l in range(n + 1))
                 s = sum(mult[j] * powers[j] for j in range(1, n + 1))
                 report.checked += 1
@@ -92,10 +80,8 @@ def verify_upper(
                     report.violations.append(
                         Violation("upper-lemma", n, q, k, None, tv * tv, s / (4 * dk * dk))
                     )
-                if k < k_max:
-                    num = _int_step(num, n, q)
-                    dk *= d
-                    powers = [p * v for p, v in zip(powers, lam_sq)]
+                dk *= d
+                powers = [p * v for p, v in zip(powers, lam_sq)]
     return report
 
 
@@ -112,11 +98,11 @@ def _majorant_cell(q: int, n: int, c_values, rounding: str, backend: str):
         pairs = [(math.ceil(bounds.schedule_step(params, c)), c) for c in c_values]
     ks = sorted({k for k, _ in pairs})
     be = bounds.resolve_backend(params, backend)
-    if be == "float":
-        uni = uniform(params, "float")
-        tvs = {k: tv_distance(dist, uni) for k, dist in kstep_float_trajectory(params, ks)}
-    else:
-        tvs = {k: float(bounds.tv_to_uniform(params, k, be)) for k in ks}
+    uni = uniform(params, be)
+    tvs = {
+        k: float(tv_distance(dist, uni))
+        for k, dist in kstep_trajectory(params, ks, be, math.inf)
+    }
     cap = float(bounds.majorant_constant(q))
     return [(k, c, tvs[k], cap * math.expm1(math.exp(-c))) for k, c in pairs]
 
@@ -131,9 +117,9 @@ def verify_majorant(
 ) -> SuiteReport:
     """tv**2 <= regime majorant at scheduled k, over an (q, n, c) grid.
 
-    On the float backend each (q, n) cell powers one trajectory through
-    all its scheduled k.  Cells outside a theorem's scope (q = 3 with n < 3, q = 4 with
-    n < 2) are recorded as skipped, not checked.  `threads` is deprecated
+    Each (q, n) cell powers one trajectory through all its scheduled k.
+    Cells outside a theorem's scope (q = 3 with n < 3, q = 4 with n < 2)
+    are recorded as skipped, not checked.  `threads` is deprecated
     and ignored: the cells are GIL-bound, so threads only slowed them.
     """
     if any(q < 3 for q in q_values):
@@ -377,8 +363,7 @@ def verify_lemma43_moments(
             mult = spectrum(params).mult
             lam_num = [d - j * q for j in range(n + 1)]
             powers = [1] * (n + 1)
-            num = [1] + [0] * n
-            for k in range(k_max + 1):
+            for k, num in kstep_numerators(params, range(k_max + 1), math.inf):
                 for j in range(n + 1):
                     s = sum(num[l] * rows[j][l] for l in range(n + 1))
                     report.checked += 1
@@ -387,9 +372,7 @@ def verify_lemma43_moments(
                             Violation("lemma-4.3(1)", n, q, k, float(j),
                                       float(s), float(mult[j] * powers[j]))
                         )
-                if k < k_max:
-                    num = _int_step(num, n, q)
-                    powers = [p * v for p, v in zip(powers, lam_num)]
+                powers = [p * v for p, v in zip(powers, lam_num)]
     return report
 
 
@@ -398,7 +381,11 @@ def verify_lemma43_variance(
     q_values: Sequence[int] = (2, 3, 4, 5, 6),
     k_max: int = 200,
 ) -> SuiteReport:
-    """Var phi_1 <= 1/n after any k steps, wherever (n-2)(q-1) >= 2."""
+    """Var phi_1 <= 1/n after any k steps, wherever (n-2)(q-1) >= 2.
+
+    Integer-scaled: m d**2k Var with m = lcm(n, linearization denominators),
+    d = n(q-1) and lam[i]**k = (d - iq)**k / d**k, compared with m d**2k / n.
+    """
     report = SuiteReport("lemma-4.3(2)")
     for q in q_values:
         for n in range(1, n_max + 1):
@@ -406,22 +393,22 @@ def verify_lemma43_variance(
                 report.skipped.append((n, q))
                 continue
             params = make_scheme(n, q)
-            spec = spectrum(params)
-            a0, a1, a2 = linearization_phi1_squared(params)
-            cap = Fraction(1, n)
-            p1 = Fraction(1)
-            p2 = Fraction(1)
+            d = params.degree
+            coeffs = linearization_phi1_squared(params)
+            m = math.lcm(n, *(a.denominator for a in coeffs))
+            a0, a1, a2 = (int(a * m) for a in coeffs)
+            p1 = p2 = dk = 1
             for k in range(k_max + 1):
-                value = a0 + a1 * p1 + a2 * p2 - p1 * p1
+                value = a0 * dk * dk + (a1 * p1 + a2 * p2) * dk - m * p1 * p1
                 report.checked += 1
-                if value > cap:
+                if value * n > m * dk * dk:
                     report.violations.append(
                         Violation("lemma-4.3(2)", n, q, k, None,
-                                  float(value), float(cap))
+                                  value / (m * dk * dk), 1 / n)
                     )
-                if k < k_max:
-                    p1 *= spec.lam[1]
-                    p2 *= spec.lam[2]
+                p1 *= d - q
+                p2 *= d - 2 * q
+                dk *= d
     return report
 
 

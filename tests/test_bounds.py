@@ -25,7 +25,7 @@ from hamming_cutoff import (
     uniform,
     upper_bound_lemma_rhs,
 )
-from hamming_cutoff.verify import _int_step
+from hamming_cutoff.radial import int_power_step
 
 
 def test_schedule_invariants():
@@ -256,7 +256,7 @@ def _exact_tvs(p, ks):
     num, dk, out = [1] + [0] * n, 1, {}
     for k in range(max(ks) + 1):
         if k:
-            num = _int_step(num, n, q)
+            num = int_power_step(num, n, q)
             dk *= p.degree
         if k in ks:
             t = sum(abs(num[l] * big_q - w[l] * dk) for l in range(n + 1))

@@ -150,6 +150,26 @@ def test_simulate_class1_count_and_exact_join(capsys):
     assert float(row1[4]) == 1.0  # exact mass joined alongside
 
 
+def test_simulate_samples_once(monkeypatch, capsys):
+    import hamming_cutoff.cli as cli_mod
+    import hamming_cutoff.montecarlo as mc_mod
+
+    calls = []
+    real = mc_mod.simulate
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli_mod, "simulate", counted)
+    monkeypatch.setattr(mc_mod, "simulate", counted)
+    code, _, _ = run(
+        ["simulate", "--n", "3", "--q", "3", "--k", "4", "--walks", "500"], capsys
+    )
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_simulate_json(capsys):
     code, out, _ = run(
         ["simulate", "--n", "2", "--q", "3", "--k", "2", "--walks", "5000",

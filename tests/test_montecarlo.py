@@ -10,6 +10,7 @@ from hamming_cutoff import (
     empirical_tv,
     kstep_oracle,
     make_scheme,
+    plugin_tv,
     simulate,
     simulate_literal,
 )
@@ -46,6 +47,19 @@ def test_determinism_across_stream_counts():
         assert np.array_equal(base.counts, again.counts)
 
 
+def test_sub_block_size_leaves_counts_unchanged(monkeypatch):
+    from hamming_cutoff import montecarlo
+
+    p = make_scheme(6, 4)
+    cases = [(10, SimConfig(p, k=3, walks=70_001, seed=13, streams=2)),  # 3 walks each
+             (1, SimConfig(p, k=5, walks=3001, seed=14))]  # fewer doubles than k
+    for draws, cfg in cases:
+        base = simulate(cfg).counts
+        with monkeypatch.context() as m:
+            m.setattr(montecarlo, "_SUB_BLOCK_DRAWS", draws)
+            assert np.array_equal(simulate(cfg).counts, base)
+
+
 def test_seed_sensitivity():
     p = make_scheme(4, 3)
     a = simulate(SimConfig(p, k=5, walks=5000, seed=1))
@@ -75,6 +89,11 @@ def test_literal_graph_sampler_cross_check():
 def test_literal_sampler_budget():
     with pytest.raises(ResourceBudgetError):
         simulate_literal(SimConfig(make_scheme(20, 3), k=1, walks=10, seed=0))
+
+
+def test_plugin_tv_reads_the_given_sample():
+    cfg = SimConfig(make_scheme(5, 3), k=6, walks=4000, seed=8)
+    assert plugin_tv(simulate(cfg)) == empirical_tv(cfg)
 
 
 def test_empirical_tv_k0_exact():

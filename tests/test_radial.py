@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,8 +9,9 @@ from hamming_cutoff import (
     enumerate_tiny,
     kstep_by_squaring,
     kstep_float_powering,
-    kstep_float_trajectory,
+    kstep_numerators,
     kstep_oracle,
+    kstep_trajectory,
     make_scheme,
     point_mass,
     power_step,
@@ -182,11 +184,29 @@ def test_float_step_arrays_match_radial_matrix():
 def test_float_trajectory_matches_single_k_powering():
     p = make_scheme(25, 4)
     ks = (0, 1, 2, 9, 40, 41, 150)
-    got = list(kstep_float_trajectory(p, ks))
-    assert [k for k, _ in got] == list(ks)
-    for k, dist in got:
-        assert dist.mass.tolist() == kstep_float_powering(p, k).mass.tolist()
-    assert list(kstep_float_trajectory(p, ())) == []
-    for bad in ((3, 2), (4, 4), (-1, 2)):
-        with pytest.raises(ParameterError):
-            list(kstep_float_trajectory(p, bad))
+    for backend, single in (("float", kstep_float_powering), ("exact", kstep_oracle)):
+        got = list(kstep_trajectory(p, ks, backend))
+        assert [k for k, _ in got] == list(ks)
+        for k, dist in got:
+            assert dist.backend == backend
+            assert list(dist.mass) == list(single(p, k).mass)
+        assert list(kstep_trajectory(p, (), backend)) == []
+        for bad in ((3, 2), (4, 4), (-1, 2)):
+            with pytest.raises(ParameterError):
+                list(kstep_trajectory(p, bad, backend))
+    with pytest.raises(ParameterError):
+        list(kstep_trajectory(p, ks, "decimal"))
+
+
+def test_bit_budget_trips_exactly_past_the_numerator_bits():
+    p = make_scheme(9, 4)
+    bits = [sum(v.bit_length() for v in num)
+            for _, num in kstep_numerators(p, range(41), math.inf)]
+    for k in (1, 17, 40):
+        peak = max(bits[1:k + 1])
+        first = bits.index(peak, 1)
+        assert kstep_oracle(p, k, bit_budget=peak).mass == kstep_by_squaring(p, k).mass
+        with pytest.raises(ResourceBudgetError, match=f"k={first}$"):
+            kstep_oracle(p, k, bit_budget=peak - 1)
+    # k = 0 takes no step, so no budget applies
+    assert kstep_oracle(p, 0, bit_budget=0).mass == point_mass(p).mass

@@ -57,6 +57,22 @@ def test_keystone_equivalence_small_grid():
                 assert kstep_distribution(p, k).mass == kstep_oracle(p, k).mass
 
 
+def test_exact_backend_takes_no_radial_step(monkeypatch):
+    # the keystone test compares two engines only if this one never steps
+    from hamming_cutoff import radial
+
+    p = make_scheme(7, 4)
+    expected = {k: kstep_oracle(p, k).mass for k in (0, 1, 9, 40)}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("spectral inversion took a radial step")
+
+    monkeypatch.setattr(radial, "int_power_step", refuse)
+    monkeypatch.setattr(radial, "power_step", refuse)
+    for k, mass in expected.items():
+        assert kstep_distribution(p, k, "exact").mass == mass
+
+
 def test_float_backend_close_to_exact():
     for q in (2, 4, 6):
         for n in (1, 2, 5, 9):

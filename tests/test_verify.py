@@ -4,14 +4,18 @@ from fractions import Fraction
 from hamming_cutoff import (
     kstep_oracle,
     make_scheme,
+    point_mass,
+    power_step,
+    radial_matrix,
     spectrum,
     tv_distance,
     tv_to_uniform,
     uniform,
     upper_bound_lemma_rhs,
+    variance_phi1_kstep,
 )
+from hamming_cutoff.radial import int_power_step
 from hamming_cutoff.verify import (
-    _int_step,
     _majorant_cell,
     default_sweep_grid,
     minorant_sweep,
@@ -27,17 +31,19 @@ from hamming_cutoff.verify import (
 
 
 def test_int_step_matches_fraction_oracle():
-    # the suites' integer chain must reproduce the public Fraction oracle
+    # the integer chain must reproduce the public Fraction reference step
     for n, q in [(3, 3), (4, 2), (2, 5)]:
         p = make_scheme(n, q)
+        m = radial_matrix(p)
         d = p.degree
         num = [1] + [0] * n
         dk = 1
+        ref = point_mass(p)
         for k in range(13):
-            oracle = kstep_oracle(p, k)
-            assert [Fraction(v, dk) for v in num] == list(oracle.mass)
-            num = _int_step(num, n, q)
+            assert [Fraction(v, dk) for v in num] == list(ref.mass)
+            num = int_power_step(num, n, q)
             dk *= d
+            ref = power_step(ref, m)
 
 
 def test_int_upper_bound_matches_public_op():
@@ -82,6 +88,20 @@ def test_lemma_suites_reduced():
     r = verify_lemma43_variance(n_max=8, q_values=(2, 3), k_max=40)
     assert r.ok
     assert (1, 2) in r.skipped  # (n-2)(q-1) < 2 is out of the lemma's scope
+
+
+def test_variance_suite_reports_the_fraction_value(monkeypatch):
+    # shift a0 by 1/2 so every cell fails, then check each reported value
+    import hamming_cutoff.verify as verify_mod
+
+    real = verify_mod.linearization_phi1_squared
+    monkeypatch.setattr(verify_mod, "linearization_phi1_squared",
+                        lambda p: (real(p)[0] + Fraction(1, 2),) + real(p)[1:])
+    r = verify_lemma43_variance(n_max=7, q_values=(2, 3, 5), k_max=30)
+    assert r.checked == len(r.violations) > 0
+    for v in r.violations:
+        expect = variance_phi1_kstep(make_scheme(v.n, v.q), v.k).value + Fraction(1, 2)
+        assert (v.lhs, v.rhs) == (float(expect), 1 / v.n)
 
 
 def test_default_sweep_grid_shape():
