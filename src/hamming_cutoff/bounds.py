@@ -24,6 +24,7 @@ satisfied-vacuously rather than dropped, so grids stay informative.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Literal
 
 import numpy as np
@@ -96,12 +97,33 @@ class BoundReport:
     vacuous: bool = False
 
 
+@lru_cache(maxsize=128)
+def _lemma_terms(params: SchemeParams):
+    """log d_j and log|lam[j]| for j = 1..n, as read-only float64 arrays.
+
+    lam[j] = (d - jq)/d is one correctly rounded division of exact
+    integers, so it equals the float of the `spectrum` Fraction.
+    """
+    n, q, d = params.n, params.q, params.degree
+    js = np.arange(1, n + 1, dtype=np.float64)
+    logd = (
+        js * math.log(q - 1)
+        + math.lgamma(n + 1)
+        - np.array([math.lgamma(v + 1) + math.lgamma(n - v + 1) for v in js])
+    )
+    with np.errstate(divide="ignore"):
+        loglam = np.log(np.abs((d - js * q) / d))
+    logd.flags.writeable = False
+    loglam.flags.writeable = False
+    return logd, loglam
+
+
 def upper_bound_lemma_rhs(params: SchemeParams, k: int, backend: Backend = "exact"):
     """(1/4) sum_{j=1}^{n} d_j lam[j]**(2k), the spectral tv**2 bound."""
     if k < 0:
         raise ParameterError("step count k must be >= 0")
-    spec = spectrum(params)
     if backend == "exact":
+        spec = spectrum(params)
         return (
             sum(
                 (spec.mult[j] * spec.lam[j] ** (2 * k) for j in range(1, params.n + 1)),
@@ -111,19 +133,9 @@ def upper_bound_lemma_rhs(params: SchemeParams, k: int, backend: Backend = "exac
         )
     if backend != "float":
         raise ParameterError(f"unknown backend {backend!r}")
-    n, q = params.n, params.q
-    js = np.arange(1, n + 1, dtype=np.float64)
-    logd = (
-        js * math.log(q - 1)
-        + math.lgamma(n + 1)
-        - np.array([math.lgamma(v + 1) + math.lgamma(n - v + 1) for v in js])
-    )
-    lam = np.abs(np.asarray([float(v) for v in spec.lam[1:]]))
-    if k == 0:
-        exponents = logd  # lam**0 = 1 even where lam = 0
-    else:
-        with np.errstate(divide="ignore"):
-            exponents = logd + 2 * k * np.log(lam)
+    logd, loglam = _lemma_terms(params)
+    # lam**0 = 1 even where lam = 0 (log -inf)
+    exponents = logd if k == 0 else logd + 2 * k * loglam
     top = float(np.max(exponents))
     if top == -math.inf:
         return 0.0

@@ -69,24 +69,33 @@ def _thresholds(params: SchemeParams):
     return t_down, t_stay
 
 
-def _block_counts(cfg: SimConfig, start: int, stop: int, t_down, t_stay) -> np.ndarray:
-    """Counts for walks [start, stop), reading the canonical stream slice.
+def _sub_blocks(cfg: SimConfig, start: int, stop: int):
+    """Yield (lo, hi, u): walks [start + lo, start + hi) and their uniforms.
 
-    One generator draws the slice in row-major sub-blocks of walks, the
+    One generator draws the canonical stream slice of walks [start, stop)
+    in row-major sub-blocks of at most `_SUB_BLOCK_DRAWS` doubles, the
     same doubles as one (stop - start, k) array in bounded memory.
     """
+    bg = np.random.Philox(key=cfg.seed)
+    bg.advance(start * cfg.k)
+    gen = np.random.Generator(bg)
+    rows = max(1, _SUB_BLOCK_DRAWS // cfg.k)
+    for lo in range(0, stop - start, rows):
+        hi = min(lo + rows, stop - start)
+        yield lo, hi, gen.random((hi - lo, cfg.k))
+
+
+def _block_counts(cfg: SimConfig, start: int, stop: int, t_down, t_stay) -> np.ndarray:
+    """Counts for walks [start, stop), reading the canonical stream slice."""
     n = cfg.params.n
     state = np.zeros(stop - start, dtype=np.int64)
     if cfg.k:
-        bg = np.random.Philox(key=cfg.seed)
-        bg.advance(start * cfg.k)
-        gen = np.random.Generator(bg)
-        rows = max(1, _SUB_BLOCK_DRAWS // cfg.k)
-        for sub in np.split(state, range(rows, len(state), rows)):  # views
-            u = gen.random((len(sub), cfg.k))
+        for lo, hi, u in _sub_blocks(cfg, start, stop):
+            sub = state[lo:hi]  # a view
             for t in range(cfg.k):
                 ut = u[:, t]
                 sub[:] = sub - (ut < t_down[sub]) + (ut >= t_stay[sub])
+            del u, ut  # free this sub-block before the next is drawn
     return np.bincount(state, minlength=n + 1)
 
 
@@ -168,16 +177,16 @@ def simulate_literal(cfg: SimConfig, max_states: int = 10 ** 4) -> EmpiricalResu
         size = stop - start
         words = np.zeros((size, n), dtype=np.int64)
         if cfg.k:
-            bg = np.random.Philox(key=cfg.seed)
-            bg.advance(start * cfg.k)
-            u = np.random.Generator(bg).random((size, cfg.k))
-            rows = np.arange(size)
-            for t in range(cfg.k):
-                v = (u[:, t] * deg).astype(np.int64)
-                coord = v // (q - 1)
-                shift = v % (q - 1)
-                old = words[rows, coord]
-                words[rows, coord] = (old + 1 + shift) % q
+            for lo, hi, u in _sub_blocks(cfg, start, stop):
+                sub = words[lo:hi]  # a view
+                rows = np.arange(hi - lo)
+                for t in range(cfg.k):
+                    v = (u[:, t] * deg).astype(np.int64)
+                    coord = v // (q - 1)
+                    shift = v % (q - 1)
+                    old = sub[rows, coord]
+                    sub[rows, coord] = (old + 1 + shift) % q
+                del u  # free this sub-block before the next is drawn
         dist = np.count_nonzero(words, axis=1)
         counts += np.bincount(dist, minlength=n + 1)
     freq = counts / cfg.walks

@@ -81,10 +81,16 @@ class ClassWeights:
 
 @lru_cache(maxsize=128)
 def class_weights(params: SchemeParams) -> ClassWeights:
-    """Sizes of the distance classes around the basepoint, as big integers."""
+    """Sizes of the distance classes around the basepoint, as big integers.
+
+    Built by the exact recurrence w[l+1] = w[l] (n-l)(q-1) / (l+1), whose
+    division is exact because w[l] (n-l) = (l+1) C(n, l+1) (q-1)**l.
+    """
     n, q = params.n, params.q
-    w = tuple(math.comb(n, l) * (q - 1) ** l for l in range(n + 1))
-    return ClassWeights(params, w, params.size)
+    w = [1]
+    for l in range(n):
+        w.append(w[l] * (n - l) * (q - 1) // (l + 1))
+    return ClassWeights(params, tuple(w), params.size)
 
 
 @dataclass(frozen=True)
@@ -173,7 +179,14 @@ def tv_distance(a: RadialDistribution, b: RadialDistribution):
     if a.params != b.params:
         raise ParameterError("distributions live on different schemes")
     if a.backend == "exact" and b.backend == "exact":
-        return sum(abs(x - y) for x, y in zip(a.mass, b.mass)) / 2
+        # one common denominator D: integer numerators, no gcd per term
+        den = math.lcm(*(x.denominator for x in a.mass + b.mass))
+        total = sum(
+            abs(x.numerator * (den // x.denominator)
+                - y.numerator * (den // y.denominator))
+            for x, y in zip(a.mass, b.mass)
+        )
+        return Fraction(total, 2 * den)
     ax = np.asarray(a.mass, dtype=np.float64)
     bx = np.asarray(b.mass, dtype=np.float64)
     return 0.5 * math.fsum(np.abs(ax - bx))

@@ -31,7 +31,6 @@ its stationary variance is 1/(n(q-1)), and its variance after k steps is
 bounded by 1/n whenever (n-2)(q-1) >= 2.
 """
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -62,8 +61,8 @@ def spectrum(params: SchemeParams) -> SpectrumTable:
     n, q = params.n, params.q
     d = params.degree
     lam = tuple(Fraction(d - j * q, d) for j in range(n + 1))
-    mult = tuple(math.comb(n, j) * (q - 1) ** j for j in range(n + 1))
-    return SpectrumTable(params, lam, mult)
+    # d_j = (q-1)**j C(n, j) are the class sizes w[j]
+    return SpectrumTable(params, lam, class_weights(params).w)
 
 
 def kstep_distribution(

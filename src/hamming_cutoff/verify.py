@@ -124,6 +124,8 @@ def verify_majorant(
     """
     if any(q < 3 for q in q_values):
         raise bounds.ParameterError("no majorant theorem covers q = 2")
+    if not all(math.isfinite(c) for c in c_values):
+        raise bounds.ParameterError("window offsets c must be finite")
     report = SuiteReport("majorant")
     which = {3: "thm-q3", 4: "thm-q4"}
     for q in q_values:
@@ -202,6 +204,8 @@ def minorant_sweep(
     held through the end of the grid (None if it failed at the ceiling).
     `threads` is deprecated and ignored, as in `verify_majorant`.
     """
+    if q < 2:
+        raise bounds.ParameterError(f"alphabet size q must be >= 2, got {q}")
     if not 0 <= c <= c0:
         raise bounds.ParameterError("need 0 <= c <= c0")
     if n_grid is None:

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hamming_cutoff import (
@@ -20,11 +21,13 @@ from hamming_cutoff import (
     minorant_diagnostics,
     offset_from_step,
     schedule_step,
+    spectrum,
     tv_distance,
     tv_to_uniform,
     uniform,
     upper_bound_lemma_rhs,
 )
+from hamming_cutoff import bounds
 from hamming_cutoff.radial import int_power_step
 
 
@@ -69,6 +72,58 @@ def test_upper_bound_float_path():
         ex = float(upper_bound_lemma_rhs(p, k))
         fl = upper_bound_lemma_rhs(p, k, "float")
         assert abs(ex - fl) <= 1e-12 * max(ex, 1.0)
+
+
+def _lemma_rhs_per_row(p, k):
+    """The float lemma RHS as it was computed per row, from `spectrum`."""
+    n, q = p.n, p.q
+    js = np.arange(1, n + 1, dtype=np.float64)
+    logd = (
+        js * math.log(q - 1)
+        + math.lgamma(n + 1)
+        - np.array([math.lgamma(v + 1) + math.lgamma(n - v + 1) for v in js])
+    )
+    lam = np.abs(np.asarray([float(v) for v in spectrum(p).lam[1:]]))
+    if k == 0:
+        exponents = logd
+    else:
+        with np.errstate(divide="ignore"):
+            exponents = logd + 2 * k * np.log(lam)
+    top = float(np.max(exponents))
+    if top == -math.inf:
+        return 0.0
+    s = top + math.log(float(np.sum(np.exp(exponents - top))))
+    return math.inf if s > 700 else math.exp(s) / 4
+
+
+@pytest.mark.parametrize("n, q, ks", [
+    (3, 3, (0, 1, 2, 7)),  # lam[2] = 0
+    (9, 2, (0, 1, 5, 60)),  # log(q - 1) = 0, lam[n] = -1
+    (40, 4, (0, 3, 77)),
+    (1800, 5, (0, 1, 500, 2700, 6000)),  # k = 0 overflows to inf
+])
+def test_float_lemma_rhs_matches_per_row_formula(n, q, ks):
+    p = make_scheme(n, q)
+    for k in ks:
+        assert upper_bound_lemma_rhs(p, k, "float") == _lemma_rhs_per_row(p, k)
+
+
+def test_float_lemma_rhs_never_calls_spectrum(monkeypatch):
+    def fail(params):
+        raise AssertionError("spectrum called on the float path")
+
+    monkeypatch.setattr(bounds, "spectrum", fail)
+    bounds._lemma_terms.cache_clear()
+    p = make_scheme(12, 3)
+    assert upper_bound_lemma_rhs(p, 5, "float") > 0
+    with pytest.raises(AssertionError):
+        upper_bound_lemma_rhs(p, 5, "exact")
+
+
+def test_lemma_terms_are_read_only():
+    for arr in bounds._lemma_terms(make_scheme(10, 4)):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 def test_majorant_examples():

@@ -60,6 +60,19 @@ def test_sub_block_size_leaves_counts_unchanged(monkeypatch):
             assert np.array_equal(simulate(cfg).counts, base)
 
 
+def test_literal_sub_block_size_leaves_counts_unchanged(monkeypatch):
+    from hamming_cutoff import montecarlo
+
+    p = make_scheme(3, 4)
+    cases = [(10, SimConfig(p, k=3, walks=70_001, seed=13)),  # 3 walks each
+             (1, SimConfig(p, k=5, walks=3001, seed=14))]  # fewer doubles than k
+    for draws, cfg in cases:
+        base = simulate_literal(cfg).counts
+        with monkeypatch.context() as m:
+            m.setattr(montecarlo, "_SUB_BLOCK_DRAWS", draws)
+            assert np.array_equal(simulate_literal(cfg).counts, base)
+
+
 def test_seed_sensitivity():
     p = make_scheme(4, 3)
     a = simulate(SimConfig(p, k=5, walks=5000, seed=1))

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -44,6 +45,16 @@ def test_class_weights_sum_to_size():
             cw = class_weights(make_scheme(n, q))
             assert sum(cw.w) == q ** n == cw.total
             assert cw.w[0] == 1 and cw.w[n] == (q - 1) ** n
+
+
+def test_class_weights_equal_the_binomial_formula():
+    for n in range(1, 61):
+        for q in range(2, 8):
+            w = class_weights(make_scheme(n, q)).w
+            assert w == tuple(math.comb(n, l) * (q - 1) ** l for l in range(n + 1))
+    w = class_weights(make_scheme(2000, 5)).w
+    for l in (0, 1, 777, 1000, 1999, 2000):
+        assert w[l] == math.comb(2000, l) * 4 ** l
 
 
 def test_uniform_examples():
@@ -135,6 +146,19 @@ def test_tv_is_a_metric_on_random_triples():
         assert tv_distance(a, b) >= 0
         assert (tv_distance(a, b) == 0) == (a.mass == b.mass)
         assert tv_distance(a, c) <= tv_distance(a, b) + tv_distance(b, c)
+
+
+def test_exact_tv_equals_the_fraction_sum():
+    rng = random.Random(11)
+    p = make_scheme(30, 3)
+    pairs = [(kstep_oracle(p, k), uniform(p)) for k in (0, 1, 29, 150)]
+    q = make_scheme(5, 4)
+    pairs += [(_random_distribution(q, rng), _random_distribution(q, rng))
+              for _ in range(20)]
+    for a, b in pairs:
+        tv = tv_distance(a, b)
+        assert isinstance(tv, Fraction)
+        assert tv == sum(abs(x - y) for x, y in zip(a.mass, b.mass)) / 2
 
 
 def test_tv_params_mismatch_rejected():

@@ -4,6 +4,7 @@ import pytest
 
 from hamming_cutoff import (
     ParameterError,
+    class_weights,
     expectation_phi,
     expectation_phi_by_sum,
     kstep_distribution,
@@ -35,6 +36,12 @@ def test_spectrum_invariants():
             assert all(s.lam[j] > s.lam[j + 1] for j in range(n))
             assert s.lam[n] == Fraction(-1, q - 1)
             assert sum(s.mult) == q ** n
+
+
+def test_spectrum_multiplicities_are_the_class_weights():
+    for n, q in [(1, 2), (7, 3), (30, 5), (200, 4)]:
+        p = make_scheme(n, q)
+        assert spectrum(p).mult == class_weights(p).w
 
 
 def test_kstep_examples():
