@@ -124,8 +124,8 @@ def verify_majorant(
     """
     if any(q < 3 for q in q_values):
         raise bounds.ParameterError("no majorant theorem covers q = 2")
-    if not all(math.isfinite(c) for c in c_values):
-        raise bounds.ParameterError("window offsets c must be finite")
+    if not all(0 < c < math.inf for c in c_values):  # NaN fails too
+        raise bounds.ParameterError("the majorant theorems need 0 < c < inf")
     report = SuiteReport("majorant")
     which = {3: "thm-q3", 4: "thm-q4"}
     for q in q_values:

@@ -103,6 +103,14 @@ def test_verify_majorant_q2_usage_error(capsys):
     assert "usage error" in err
 
 
+def test_verify_majorant_c_outside_the_theorems_usage_error(capsys):
+    # the theorems need 0 < c < inf; c = -1 used to be checked and exit 0
+    for c in ("-1", "0", "nan", "inf"):
+        code, _, err = run(["verify", "majorant", "--n-max", "4", "--c", c], capsys)
+        assert code == 2, c
+        assert "usage error" in err
+
+
 def test_verify_majorant_small(capsys):
     code, out, _ = run(
         ["verify", "majorant", "--q", "5", "--n-max", "6", "--c", "1.0",

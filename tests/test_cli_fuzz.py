@@ -52,7 +52,6 @@ COMMANDS = {
         # --n-max 0 means "the default grid", which is large; keep it out
         ("--n-max", ints(1, 12, (-2,)), True),
         ("--q", Q, False),
-        ("--q", Q, False),
         ("--k-max", ints(0, 30, (-1,)), False),
         ("--c", REAL, False),
         ("--c0", REAL, False),
@@ -92,10 +91,11 @@ def command_lines(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(command_lines())
-# each of these raised a traceback once
+# each of these raised a traceback, or exited 0, once
 @example(["verify", "minorant", "--n-max", "9", "--q", "1"])
 @example(["verify", "majorant", "--n-max", "4", "--c", "nan"])
 @example(["verify", "majorant", "--n-max", "4", "--c", "inf", "--rounding", "exact"])
+@example(["verify", "majorant", "--n-max", "4", "--c", "-1"])
 def test_cli_exits_with_a_documented_code(args):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
