@@ -16,6 +16,7 @@ from .bounds import (
     hora_limit,
     lemma32_check,
     lemma34_debug_sum,
+    lemma35_ratio_chain,
     lemma35_ratio_check,
     majorant,
     minorant,

@@ -340,54 +340,58 @@ def lemma32_check(x: float) -> bool:
 
 @dataclass(frozen=True)
 class Lemma35Result:
-    """Scaled-binomial mirror/center ratios for one (family, m, l)."""
+    """One (family, m, l) entry: integer `terms` (a_{n,mirror}, a_{n,center}) per n."""
 
     q_case: int
     m: int
     l: int
     ns: tuple
-    ratios: tuple
+    terms: tuple
     cap: int
     holds: bool
 
+    @property
+    def ratios(self) -> tuple:
+        return tuple(Fraction(a, c) for a, c in self.terms)
 
-def _scaled_binomial(base: int, n: int, j: int) -> int:
-    return base ** j * math.comb(n, j)
+
+def lemma35_ratio_chain(q_case: int, m: int) -> tuple:
+    """Exact ratio chains a_{n, mirror}/a_{n, center}, one result per l.
+
+    q_case 3: a_{n,j} = 2**j C(n,j), n in {3m-3, 3m-2, 3m-1}, mirror index
+    n-l, center l+m-1, l = 0..m-1; chain increasing in n, cap 9.
+    q_case 4: a_{n,j} = 3**j C(n,j), n in {2m-2, 2m-1}, mirror n-l,
+    center l+m-1, l = 0..floor((m-1)/2); cap 8.
+    Binomials are taken once, at l = 0; step l -> l+1 divides exactly,
+    a_{n,hi-1} = a_{n,hi} hi / (base (n-hi+1)), a_{n,j+1} = a_{n,j} base
+    (n-j) / (j+1), and `holds` cross-multiplies, so no gcd is taken.
+    """
+    if q_case not in (3, 4) or m < 2:
+        raise ParameterError("the ratio families need q_case 3 or 4 and m >= 2")
+    if q_case == 3:
+        base, cap, ns, l_max = 2, 9, (3 * m - 3, 3 * m - 2, 3 * m - 1), m - 1
+    else:
+        base, cap, ns, l_max = 3, 8, (2 * m - 2, 2 * m - 1), (m - 1) // 2
+    mirror = [base ** n for n in ns]  # hi = n at l = 0
+    middle = [base ** (m - 1) * math.comb(n, m - 1) for n in ns]
+    out = []
+    for l in range(l_max + 1):
+        terms = tuple(zip(mirror, middle))
+        holds = terms[-1][0] <= cap * terms[-1][1] and all(  # if ordered, last is max
+            a1 * c2 <= a2 * c1 for (a1, c1), (a2, c2) in zip(terms, terms[1:]))
+        out.append(Lemma35Result(q_case, m, l, ns, terms, cap, holds))
+        center = l + m - 1
+        mirror = [a * (n - l) // (base * (l + 1)) for a, n in zip(mirror, ns)]
+        middle = [c * base * (n - center) // (center + 1) for c, n in zip(middle, ns)]
+    return tuple(out)
 
 
 def lemma35_ratio_check(q_case: int, m: int, l: int) -> Lemma35Result:
-    """Exact ratio chain a_{n, mirror}/a_{n, center} with its cap.
-
-    q_case 3: a_{n,j} = 2**j C(n,j), n in {3m-3, 3m-2, 3m-1}, mirror index
-    3m-l-3+t for n = 3m-3+t, center l+m-1; chain increasing in n, cap 9.
-    q_case 4: a_{n,j} = 3**j C(n,j), n in {2m-2, 2m-1}, mirror 2m-l-2+t,
-    center l+m-1; cap 8.
-    """
-    if q_case == 3:
-        if m < 2 or not 0 <= l <= m - 1:
-            raise ParameterError("q=3 family needs m >= 2 and 0 <= l <= m-1")
-        base, cap = 2, 9
-        ns = (3 * m - 3, 3 * m - 2, 3 * m - 1)
-        mirrors = (3 * m - l - 3, 3 * m - l - 2, 3 * m - l - 1)
-    elif q_case == 4:
-        if m < 2 or not 0 <= l <= (m - 1) // 2:
-            raise ParameterError(
-                "q=4 family needs m >= 2 and 0 <= l <= floor((m-1)/2)"
-            )
-        base, cap = 3, 8
-        ns = (2 * m - 2, 2 * m - 1)
-        mirrors = (2 * m - l - 2, 2 * m - l - 1)
-    else:
-        raise ParameterError("q_case must be 3 or 4")
-    center = l + m - 1
-    ratios = tuple(
-        Fraction(_scaled_binomial(base, n, hi), _scaled_binomial(base, n, center))
-        for n, hi in zip(ns, mirrors)
-    )
-    holds = all(r <= cap for r in ratios) and all(
-        ratios[i] <= ratios[i + 1] for i in range(len(ratios) - 1)
-    )
-    return Lemma35Result(q_case, m, l, ns, ratios, cap, holds)
+    """Entry l of `lemma35_ratio_chain(q_case, m)`."""
+    chain = lemma35_ratio_chain(q_case, m)
+    if not 0 <= l < len(chain):
+        raise ParameterError(f"family q={q_case}, m={m} needs 0 <= l < {len(chain)}")
+    return chain[l]
 
 
 def lemma34_debug_sum(q_case: int, m: int, l: int) -> Fraction:

@@ -109,10 +109,17 @@ def _report_failures(name, report) -> None:
 
 
 def cmd_verify(args) -> int:
+    if args.n_max is not None and args.n_max < 1:
+        raise ParameterError("--n-max must be >= 1")
+    if args.k_max is not None and args.k_max < 0:
+        raise ParameterError("--k-max must be >= 0")
     rc = 0
     if args.suite == "upper":
-        report = verify.verify_upper(args.n_max or 30, tuple(args.q or (2, 3, 4, 5, 6)),
-                                     args.k_max or 300)
+        report = verify.verify_upper(
+            30 if args.n_max is None else args.n_max,
+            tuple(args.q or (2, 3, 4, 5, 6)),
+            300 if args.k_max is None else args.k_max,
+        )
         _report_failures("upper", report)
         rc = 0 if report.ok else 1
     elif args.suite == "majorant":
@@ -121,7 +128,7 @@ def cmd_verify(args) -> int:
             raise ParameterError("no majorant theorem covers q < 3")
         report = verify.verify_majorant(
             qs,
-            args.n_max or 40,
+            40 if args.n_max is None else args.n_max,
             tuple(args.c or [0.25 * i for i in range(1, 25)]),
             args.rounding,
         )
@@ -134,7 +141,8 @@ def cmd_verify(args) -> int:
             b=args.b,
             c0=args.c0,
             c=(args.c or [min(args.c0, 3.0)])[0],
-            n_grid=verify.default_sweep_grid(1, args.n_max) if args.n_max else None,
+            n_grid=(None if args.n_max is None
+                    else verify.default_sweep_grid(1, args.n_max)),
         )
         for rec in sweep.diagnostic_violations:
             print(

@@ -31,6 +31,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import Union
 
 import numpy as np
@@ -88,12 +89,16 @@ def scaled_rows(params: SchemeParams) -> tuple:
     """Integer matrix K with K[j][l] = phi_j(l) * d_j, d_j = (q-1)**j C(n,j).
 
     The scaled values are integers, which lets grid verifiers work in pure
-    integer arithmetic; K[j][l] / d_j reproduces the exact table.
+    integer arithmetic; K[j][l] / d_j reproduces the exact table.  Built
+    in O(n**2) from sum_j K[j][l] z**j = (1 - z)**l (1 + (q-1) z)**(n-l):
+    column 0 is the class weights w, and column l+1 is column l divided
+    exactly by 1 + (q-1) z, then multiplied by 1 - z.
     """
-    n, q = params.n, params.q
-    return tuple(
-        tuple(_binomial_sum(n, q, j, l) for l in range(n + 1)) for j in range(n + 1)
-    )
+    q, cols = params.q, [class_weights(params).w]
+    for _ in range(params.n):
+        quot = list(accumulate(cols[-1][:-1], lambda r, p: p - (q - 1) * r))
+        cols.append(tuple(a - b for a, b in zip(quot + [0], [0] + quot)))
+    return tuple(zip(*cols))
 
 
 @dataclass(frozen=True)

@@ -86,6 +86,12 @@ def verify_upper(
 
 
 def _majorant_cell(q: int, n: int, c_values, rounding: str, backend: str):
+    """(k, c, tv, bound) at each scheduled step of one (q, n) cell.
+
+    A float tv with tv**2 > bound is recomputed exactly (a Fraction, within
+    the default bit budget) before it is reported: once the bound falls
+    below (float roundoff)**2, the float tv**2 cannot decide it.
+    """
     params = make_scheme(n, q)
     if rounding == "exact":
         k_lo = math.ceil(bounds.schedule_step(params, min(c_values)))
@@ -100,11 +106,20 @@ def _majorant_cell(q: int, n: int, c_values, rounding: str, backend: str):
     be = bounds.resolve_backend(params, backend)
     uni = uniform(params, be)
     tvs = {
-        k: float(tv_distance(dist, uni))
+        k: tv_distance(dist, uni)
         for k, dist in kstep_trajectory(params, ks, be, math.inf)
     }
     cap = float(bounds.majorant_constant(q))
-    return [(k, c, tvs[k], cap * math.expm1(math.exp(-c))) for k, c in pairs]
+    cells = [(k, c, tvs[k], cap * math.expm1(math.exp(-c))) for k, c in pairs]
+    if be == "float":
+        suspects = sorted({k for k, _, tv, bound in cells if tv * tv > bound})
+        if suspects:
+            uni = uniform(params, "exact")
+            tvs.update(
+                (k, tv_distance(dist, uni))
+                for k, dist in kstep_trajectory(params, suspects, "exact")
+            )
+    return [(k, c, tvs[k], bound) for k, c, _, bound in cells]
 
 
 def verify_majorant(
@@ -119,7 +134,9 @@ def verify_majorant(
 
     Each (q, n) cell powers one trajectory through all its scheduled k.
     Cells outside a theorem's scope (q = 3 with n < 3, q = 4 with n < 2)
-    are recorded as skipped, not checked.  `threads` is deprecated
+    are recorded as skipped, not checked.  A float violation is re-decided
+    on exact integer numerators before it is reported; a recheck past the
+    default bit budget raises `ResourceBudgetError`.  `threads` is deprecated
     and ignored: the cells are GIL-bound, so threads only slowed them.
     """
     if any(q < 3 for q in q_values):
@@ -135,9 +152,10 @@ def verify_majorant(
                 continue
             for k, c, tv, bound in _majorant_cell(q, n, c_values, rounding, backend):
                 report.checked += 1
-                if tv * tv > bound:
+                if tv * tv > bound:  # exact when tv is a Fraction
                     report.violations.append(
-                        Violation(which.get(q, "thm-q5"), n, q, k, c, tv * tv, bound)
+                        Violation(which.get(q, "thm-q5"), n, q, k, c,
+                                  float(tv * tv), bound)
                     )
     return report
 
@@ -275,21 +293,12 @@ def verify_lemma35(m_max: int = 200) -> SuiteReport:
     """Ratio caps and chain orderings for all m <= m_max, admissible l."""
     report = SuiteReport("lemma-3.5")
     for m in range(2, m_max + 1):
-        for l in range(0, m):
-            res = bounds.lemma35_ratio_check(3, m, l)
+        for res in bounds.lemma35_ratio_chain(3, m) + bounds.lemma35_ratio_chain(4, m):
             report.checked += 1
             if not res.holds:
                 report.violations.append(
-                    Violation("lemma-3.5-q3", m, 3, None, float(l),
-                              float(max(res.ratios)), res.cap)
-                )
-        for l in range(0, (m - 1) // 2 + 1):
-            res = bounds.lemma35_ratio_check(4, m, l)
-            report.checked += 1
-            if not res.holds:
-                report.violations.append(
-                    Violation("lemma-3.5-q4", m, 4, None, float(l),
-                              float(max(res.ratios)), res.cap)
+                    Violation(f"lemma-3.5-q{res.q_case}", m, res.q_case, None,
+                              float(res.l), float(max(res.ratios)), res.cap)
                 )
     return report
 

@@ -287,6 +287,35 @@ def test_lemma35_examples():
         lemma35_ratio_check(5, 2, 0)
 
 
+def test_lemma35_chain_matches_binomial_fractions():
+    # reference: each entry from math.comb and the original mirror index
+    for q_case, base, cap, width in ((3, 2, 9, 3), (4, 3, 8, 2)):
+        for m in range(2, 61):
+            chain = bounds.lemma35_ratio_chain(q_case, m)
+            assert len(chain) == (m if q_case == 3 else (m - 1) // 2 + 1)
+            for l, res in enumerate(chain):
+                center = l + m - 1
+                ns = tuple(width * m - width + t for t in range(width))
+                mirrors = tuple(width * m - l - width + t for t in range(width))
+                ratios = tuple(
+                    Fraction(base ** hi * math.comb(n, hi),
+                             base ** center * math.comb(n, center))
+                    for n, hi in zip(ns, mirrors)
+                )
+                assert (res.q_case, res.m, res.l) == (q_case, m, l)
+                assert (res.ns, res.cap) == (ns, cap)
+                assert res.ratios == ratios
+                assert res.holds == (
+                    all(r <= cap for r in ratios)
+                    and all(a <= b for a, b in zip(ratios, ratios[1:]))
+                )
+                assert lemma35_ratio_check(q_case, m, l) == res
+    with pytest.raises(ParameterError):
+        bounds.lemma35_ratio_chain(3, 1)
+    with pytest.raises(ParameterError):
+        bounds.lemma35_ratio_chain(2, 5)
+
+
 def test_lemma34_debug_sums_below_caps():
     for m in (2, 5, 20, 100):
         for l in range(0, m + 1):

@@ -111,6 +111,62 @@ def test_verify_majorant_c_outside_the_theorems_usage_error(capsys):
         assert "usage error" in err
 
 
+def test_verify_majorant_below_the_float_roundoff_floor(capsys):
+    # at c = 100 the bound (~1e-43) is far below (float roundoff)**2; the
+    # float tv**2 "violations" there are re-decided exactly and pass
+    code, out, err = run(["verify", "majorant", "--n-max", "12", "--c", "100"], capsys)
+    assert code == 0, err
+    assert "69 checks, 0 violations" in out
+
+
+def test_verify_majorant_genuine_violations_still_reported(monkeypatch, capsys):
+    from fractions import Fraction
+
+    import hamming_cutoff.bounds as bounds_mod
+
+    # a constant that makes every bound false; at c = 1 the float tv**2
+    # decides it, at c = 100 (tv**2 near 1e-50) only the exact recheck can
+    monkeypatch.setattr(
+        bounds_mod, "majorant_constant", lambda q: Fraction(1, 10 ** 80)
+    )
+    for c in ("1", "100"):
+        code, out, err = run(
+            ["verify", "majorant", "--q", "5", "--n-max", "6", "--c", c], capsys
+        )
+        assert code == 1, c
+        assert "FAIL thm-q5: n=6 q=5" in err and "6 checks," in out
+
+
+def test_verify_majorant_recheck_past_the_bit_budget_exits_3(monkeypatch, capsys):
+    import hamming_cutoff.verify as verify_mod
+
+    real = verify_mod.kstep_trajectory
+
+    def tight(params, ks, backend, bit_budget=10 ** 6):
+        return real(params, ks, backend, 64 if backend == "exact" else bit_budget)
+
+    monkeypatch.setattr(verify_mod, "kstep_trajectory", tight)
+    code, out, err = run(["verify", "majorant", "--n-max", "12", "--c", "100"], capsys)
+    assert code == 3
+    assert "resource cap" in err and "FAIL" not in err
+
+
+def test_verify_size_flags_below_their_minimum_usage_error(capsys):
+    # 0 and negatives used to fall back to the default grid or run no cells
+    for suite in ("upper", "majorant", "minorant", "lemmas"):
+        for flags in (["--n-max", "0"], ["--n-max", "-3"], ["--k-max", "-1"],
+                      ["--n-max", "0", "--k-max", "0"]):
+            code, out, err = run(["verify", suite, *flags], capsys)
+            assert code == 2, (suite, flags)
+            assert "usage error" in err and out == ""
+
+
+def test_verify_upper_k_max_0_runs_only_k_0(capsys):
+    code, out, _ = run(["verify", "upper", "--k-max", "0"], capsys)
+    assert code == 0
+    assert "upper: 150 checks, 0 violations" in out
+
+
 def test_verify_majorant_small(capsys):
     code, out, _ = run(
         ["verify", "majorant", "--q", "5", "--n-max", "6", "--c", "1.0",

@@ -49,8 +49,7 @@ COMMANDS = {
         ("--bit-budget", words(["64", "1000000"], ["0", "-1"]), False),
     ],
     "verify": [
-        # --n-max 0 means "the default grid", which is large; keep it out
-        ("--n-max", ints(1, 12, (-2,)), True),
+        ("--n-max", ints(1, 12, (0, -2)), True),
         ("--q", Q, False),
         ("--k-max", ints(0, 30, (-1,)), False),
         ("--c", REAL, False),
@@ -96,6 +95,8 @@ def command_lines(draw):
 @example(["verify", "majorant", "--n-max", "4", "--c", "nan"])
 @example(["verify", "majorant", "--n-max", "4", "--c", "inf", "--rounding", "exact"])
 @example(["verify", "majorant", "--n-max", "4", "--c", "-1"])
+@example(["verify", "upper", "--n-max", "0"])
+@example(["verify", "minorant", "--n-max", "0"])
 def test_cli_exits_with_a_documented_code(args):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

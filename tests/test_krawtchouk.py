@@ -21,6 +21,7 @@ from hamming_cutoff import (
     scaled_rows,
     spectrum,
 )
+from hamming_cutoff.krawtchouk import _binomial_sum
 
 
 def test_hypergeometric_examples():
@@ -138,6 +139,19 @@ def test_scaled_rows_reproduce_table():
     for j in range(7):
         for l in range(7):
             assert Fraction(rows[j][l], d[j]) == t[j][l]
+
+
+def test_scaled_rows_match_the_binomial_sum():
+    for q in range(2, 8):
+        for n in range(1, 41):
+            expect = tuple(
+                tuple(_binomial_sum(n, q, j, l) for l in range(n + 1))
+                for j in range(n + 1)
+            )
+            assert scaled_rows(make_scheme(n, q)) == expect, (n, q)
+    rows = scaled_rows(make_scheme(200, 3))
+    for j in (0, 1, 2, 57, 100, 199, 200):
+        assert rows[j] == tuple(_binomial_sum(200, 3, j, l) for l in range(201)), j
 
 
 def test_phi_row_matches_table():
