@@ -19,6 +19,7 @@ from .bounds import (
     lemma35_ratio_chain,
     lemma35_ratio_check,
     majorant,
+    majorant_cells,
     minorant,
     minorant_diagnostics,
     offset_from_step,
@@ -51,11 +52,11 @@ from .montecarlo import (
 from .radial import (
     RadialMatrix,
     enumerate_tiny,
-    kstep_by_squaring,
     kstep_float_powering,
     kstep_numerators,
     kstep_oracle,
     kstep_trajectory,
+    kstep_tv,
     power_step,
     radial_matrix,
     reversibility_holds,

@@ -19,6 +19,10 @@ Majorant checks round the scheduled step count up, minorant checks round
 it down; both directions are conservative because tv is non-increasing
 in k.  Bounds that are vacuous (majorant > 1, minorant < 0) are reported
 satisfied-vacuously rather than dropped, so grids stay informative.
+
+Every majorant verdict (`check_majorant`, the `verify` grid) comes from
+`majorant_cells`: one scope rule, one formula, one trajectory per scheme,
+float verdicts certified by an a-priori roundoff bound, else exact.
 """
 
 import math
@@ -29,13 +33,8 @@ from typing import Literal
 
 import numpy as np
 
-from .scheme import (
-    Backend,
-    ParameterError,
-    SchemeParams,
-    tv_distance,
-    uniform,
-)
+from .radial import kstep_tv
+from .scheme import Backend, ParameterError, SchemeParams, tv_distance, uniform
 from .spectral import kstep_distribution, spectrum
 
 EXACT_BACKEND_MAX_N = 30
@@ -74,9 +73,10 @@ def resolve_backend(params: SchemeParams, backend: str) -> Backend:
 
 
 def tv_to_uniform(params: SchemeParams, k: int, backend: str = "auto"):
-    """Distance of the k-step distribution to uniform, exact or float."""
+    """Distance of the k-step distribution to uniform: `radial.kstep_tv`
+    at one k, exact (a Fraction, no bit budget) or float."""
     be = resolve_backend(params, backend)
-    return tv_distance(kstep_distribution(params, k, be), uniform(params, be))
+    return next(kstep_tv(params, (k,), be, math.inf))[1]
 
 
 @dataclass(frozen=True)
@@ -146,31 +146,120 @@ def upper_bound_lemma_rhs(params: SchemeParams, k: int, backend: Backend = "exac
 _MAJORANT_CONSTANTS = {3: Fraction(5, 2), 4: Fraction(9, 4)}
 
 
+@lru_cache(maxsize=None)
 def majorant_constant(q: int) -> Fraction:
     if q < 3:
         raise ParameterError("no majorant theorem covers q = 2")
     return _MAJORANT_CONSTANTS.get(q, Fraction(1, 4))
 
 
+def majorant_in_scope(params: SchemeParams) -> bool:
+    """The theorems' scope: q >= 5, q = 4 with n >= 2, q = 3 with n >= 3."""
+    return params.q >= 3 and params.n >= {3: 3, 4: 2}.get(params.q, 1)
+
+
+def majorant_value(q: int, c: float) -> float:
+    """C_q (e**(e**-c) - 1) at any real c; inf for c <= -6 (past 1e174)."""
+    if c <= -6.0:
+        return math.inf
+    return float(majorant_constant(q)) * math.expm1(math.exp(-c))
+
+
 def majorant(q: int, c: float) -> float:
-    """Regime majorant of tv**2 at window offset c > 0.
+    """Regime majorant of tv**2 at window offset 0 < c < inf.
 
     (1/4)(e**(e**-c) - 1) for q >= 5, constant 5/2 for q = 3, 9/4 for q = 4.
     Values above 1 are vacuous but still returned.
     """
-    if c <= 0:
-        raise ParameterError("the majorant theorems need c > 0")
-    return float(majorant_constant(q)) * math.expm1(math.exp(-c))
+    if not 0 < c < math.inf:  # NaN fails too
+        raise ParameterError("the majorant theorems need 0 < c < inf")
+    return majorant_value(q, c)
 
 
-def _majorant_scope(params: SchemeParams) -> None:
+def float_tv_error(n: int, k: int) -> float:
+    """eps >= |tv_float - tv| for `radial.kstep_tv(..., "float")` at step k.
+
+    eps = gamma_4k/2 + 3u + (3k+2)(n+1) 2**-1074, u = 2**-53, gamma_m =
+    mu/(1 - mu) (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    §3.1); inf once 4ku > 2**-10.  `radial.float_power_step` sums up to
+    three nonnegative products of a mass and a rounded coefficient with
+    two additions: <= 4 roundings per path per step, no cancellation, so
+    sum_l |nu_hat - nu| <= gamma_4k, plus <= 3k(n+1) product underflows of
+    2**-1075 that the stochastic steps do not grow.  The uniform masses
+    are correctly rounded divisions: sum_l |pi_hat - pi| <= u +
+    (n+1) 2**-1074.  With E the sum of both, the subtraction (relative u,
+    exact when subnormal), `fsum` (correctly rounded) and the halving give
+    |tv_float - tv| <= E/2 + (u + u**2/2)(2 + E) + 2**-1074, as
+    sum_l |nu - pi| = 2 tv <= 2: at most gamma_4k/2 + 2.51u + the
+    underflow term.  The spare 0.49u covers evaluating eps in float.
+    """
+    u = 2.0 ** -53  # unit roundoff of float64
+    m = 4 * k * u
+    if m > 2.0 ** -10:
+        return math.inf
+    return m / (1 - m) / 2 + 3 * u + (3 * k + 2) * (n + 1) * 2.0 ** -1074
+
+
+def _float_verdict(tv: float, eps: float, bound: float):
+    """tv**2 <= bound from tv_float +- eps: True, False, or None when
+    (tv +- eps)**2 straddles it.  1 -+ 2**-50 absorbs the <= 4u rounding
+    of the squares, which eps >= 3u keeps out of the subnormal range."""
+    hi, lo = tv + eps, tv - eps
+    if hi * hi * (1 + 2.0 ** -50) <= bound:
+        return True
+    if lo > 0 and lo * lo * (1 - 2.0 ** -50) > max(bound, 2.0 ** -1022):
+        return False
+    return None
+
+
+def majorant_cells(
+    params: SchemeParams,
+    c_values,
+    rounding: Literal["ceil", "exact"] = "ceil",
+    backend: str = "auto",
+) -> list:
+    """The BoundReport of tv**2 <= majorant at each scheduled step.
+
+    `ceil`: k = ceil(b_n (log n(q-1) + c)) per c.  `exact`: the literal
+    theorem, at every integer k with `offset_from_step(k)` in [min c,
+    max c] (schedule within 1e-9); none is a usage error.  One trajectory
+    (`radial.kstep_tv`, no bit budget) serves every cell.  A float cell is
+    decided in float only when (tv +- `float_tv_error`)**2 lies on one side
+    of the bound; any other, pass or fail, is re-decided exactly within the
+    default bit budget (`ResourceBudgetError` past it).
+    """
     n, q = params.n, params.q
-    if q < 3:
-        raise ParameterError("no majorant theorem covers q = 2")
-    if q == 3 and n < 3:
-        raise ParameterError("the q = 3 majorant needs n >= 3")
-    if q == 4 and n < 2:
-        raise ParameterError("the q = 4 majorant needs n >= 2")
+    if not majorant_in_scope(params):
+        raise ParameterError(f"no majorant theorem covers n={n}, q={q}")
+    given = [(c, majorant(q, c)) for c in c_values]  # 0 < c < inf, or a usage error
+    if rounding == "ceil":
+        cells = [(math.ceil(schedule_step(params, c)), c, v) for c, v in given]
+    elif rounding == "exact":
+        lo = schedule_step(params, min(given)[0])
+        hi = schedule_step(params, max(given)[0])
+        pairs = [(k, offset_from_step(params, k))
+                 for k in range(math.ceil(lo - 1e-9), math.floor(hi + 1e-9) + 1)]
+        cells = [(k, c, majorant(q, c)) for k, c in pairs if c > 0]
+        if not cells:
+            raise ParameterError(
+                f"schedule value {lo} is not an integer; cannot use exact mode"
+            )
+    else:
+        raise ParameterError(f"unknown rounding {rounding!r}")
+    be = resolve_backend(params, backend)
+    tvs = dict(kstep_tv(params, sorted({k for k, _, _ in cells}), be, math.inf))
+    verdicts = [None] * len(cells)
+    if be == "float":
+        verdicts = [_float_verdict(tvs[k], float_tv_error(n, k), bound)
+                    for k, _, bound in cells]
+        undecided = {k for (k, _, _), v in zip(cells, verdicts) if v is None}
+        tvs.update(kstep_tv(params, sorted(undecided), "exact"))
+    which = {3: "thm-q3", 4: "thm-q4"}.get(q, "thm-q5")
+    return [
+        BoundReport(which, k, c, float(tvs[k]), bound,
+                    tvs[k] * tvs[k] <= bound if v is None else v, bound >= 1.0)
+        for (k, c, bound), v in zip(cells, verdicts)
+    ]
 
 
 def check_majorant(
@@ -179,38 +268,9 @@ def check_majorant(
     rounding: Literal["ceil", "exact"] = "ceil",
     backend: str = "auto",
 ) -> BoundReport:
-    """Verify tv**2 <= majorant at k derived from the schedule.
-
-    `ceil` takes k = ceil(b_n (log n(q-1) + c)); `exact` insists the
-    schedule value is already an integer (within 1e-9) and errors
-    otherwise, validating the theorem in its literal form.
-    """
-    _majorant_scope(params)
-    if c <= 0:
-        raise ParameterError("the majorant theorems need c > 0")
-    k_real = schedule_step(params, c)
-    if rounding == "ceil":
-        k = math.ceil(k_real)
-    elif rounding == "exact":
-        k = round(k_real)
-        if abs(k_real - k) > 1e-9:
-            raise ParameterError(
-                f"schedule value {k_real} is not an integer; cannot use exact mode"
-            )
-    else:
-        raise ParameterError(f"unknown rounding {rounding!r}")
-    tv = float(tv_to_uniform(params, k, backend))
-    bound = majorant(params.q, c)
-    which = {3: "thm-q3", 4: "thm-q4"}.get(params.q, "thm-q5")
-    return BoundReport(
-        which=which,
-        k=k,
-        c=c,
-        tv_exact=tv,
-        bound_value=bound,
-        satisfied=tv * tv <= bound,
-        vacuous=bound >= 1.0,
-    )
+    """`majorant_cells` at the one offset c; `exact` rounding needs an
+    integer schedule value (within 1e-9), checking the literal theorem."""
+    return majorant_cells(params, (c,), rounding, backend)[0]
 
 
 def minorant(q: int, b: float, c: float) -> float:

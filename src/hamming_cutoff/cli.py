@@ -13,14 +13,8 @@ import sys
 from . import bounds, verify
 from .krawtchouk import build_table
 from .montecarlo import SimConfig, plugin_tv, simulate
-from .radial import kstep_oracle, kstep_trajectory
-from .scheme import (
-    ParameterError,
-    ResourceBudgetError,
-    make_scheme,
-    tv_distance,
-    uniform,
-)
+from .radial import kstep_oracle, kstep_tv
+from .scheme import ParameterError, ResourceBudgetError, make_scheme
 
 PROFILE_HEADER = "k,c_equiv,tv_exact,ub_lemma,majorant,minorant,hora_plus,hora_minus"
 
@@ -37,16 +31,6 @@ def _write(text: str, out: str) -> None:
             fh.write(text)
 
 
-def _majorant_column(q: int, n: int, c: float) -> float:
-    """sqrt of the regime tv**2 majorant, NaN where no theorem applies."""
-    if q < 3 or (q == 3 and n < 3) or (q == 4 and n < 2):
-        return math.nan
-    inner = math.exp(-c) if c > -6.0 else math.inf
-    if inner > 700:
-        return math.inf
-    return math.sqrt(float(bounds.majorant_constant(q)) * math.expm1(inner))
-
-
 def _profile_row(params, k: int, tv: float, b: float) -> dict:
     c = bounds.offset_from_step(params, k)
     rhs = bounds.upper_bound_lemma_rhs(params, k, "float")
@@ -55,7 +39,8 @@ def _profile_row(params, k: int, tv: float, b: float) -> dict:
         "c_equiv": c,
         "tv_exact": tv,
         "ub_lemma": math.sqrt(rhs) if math.isfinite(rhs) else math.inf,
-        "majorant": _majorant_column(params.q, params.n, c),
+        "majorant": (math.sqrt(bounds.majorant_value(params.q, c))
+                     if bounds.majorant_in_scope(params) else math.nan),
         "minorant": 1.0 - (4 * params.q + b) * math.exp(-c),
         "hora_plus": bounds.hora_limit(c, "plus"),
         "hora_minus": bounds.hora_limit(c, "minus"),
@@ -68,10 +53,9 @@ def cmd_profile(args) -> int:
         raise ParameterError("need 0 <= k-min <= k-max and k-step >= 1")
     backend = bounds.resolve_backend(params, args.backend)
     ks = range(args.k_min, args.k_max + 1, args.k_step)
-    uni = uniform(params, backend)
     rows = [
-        _profile_row(params, k, float(tv_distance(dist, uni)), args.b)
-        for k, dist in kstep_trajectory(params, ks, backend, args.bit_budget)
+        _profile_row(params, k, float(tv), args.b)
+        for k, tv in kstep_tv(params, ks, backend, args.bit_budget)
     ]
     if args.format == "csv":
         lines = [PROFILE_HEADER]
@@ -123,11 +107,8 @@ def cmd_verify(args) -> int:
         _report_failures("upper", report)
         rc = 0 if report.ok else 1
     elif args.suite == "majorant":
-        qs = tuple(args.q or (3, 4, 5, 6, 7, 8))
-        if any(q < 3 for q in qs):
-            raise ParameterError("no majorant theorem covers q < 3")
         report = verify.verify_majorant(
-            qs,
+            tuple(args.q or (3, 4, 5, 6, 7, 8)),
             40 if args.n_max is None else args.n_max,
             tuple(args.c or [0.25 * i for i in range(1, 25)]),
             args.rounding,
@@ -248,8 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--c0", type=float, default=3.0)
     v.add_argument("--b", type=float, default=1.0)
     v.add_argument("--rounding", choices=("ceil", "exact"), default="ceil")
-    v.add_argument("--threads", type=int, default=1,
-                   help="deprecated and ignored; suites run in one thread")
     v.set_defaults(func=cmd_verify)
 
     s = sub.add_parser("simulate", help="seeded Monte Carlo on the distance chain")

@@ -11,7 +11,6 @@ and bit-identical for any worker count.  A literal-graph sampler exists
 for tiny state spaces purely to cross-check the radial sampler.
 """
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -23,7 +22,8 @@ from .scheme import (
     RadialDistribution,
     ResourceBudgetError,
     SchemeParams,
-    class_weights,
+    tv_distance,
+    uniform,
 )
 
 DEFAULT_DRAW_BUDGET = 10 ** 10
@@ -139,12 +139,8 @@ def plugin_tv(result: EmpiricalResult) -> EmpiricalTV:
     The plug-in estimator is positively biased near stationarity (it sees
     sampling noise as distance), hence the attached warning note.
     """
-    cfg = result.config
-    cw = class_weights(cfg.params)
-    exact = np.array([wl / cw.total for wl in cw.w])
-    estimate = 0.5 * math.fsum(np.abs(result.counts / cfg.walks - exact))
     return EmpiricalTV(
-        estimate,
+        tv_distance(result.point_estimate, uniform(result.config.params, "float")),
         "plug-in TV estimate; positively biased once the walk nears uniform",
     )
 

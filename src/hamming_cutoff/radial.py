@@ -13,7 +13,8 @@ enumerator of the literal q**n-vertex graph (`enumerate_tiny`).
 
 Exact powering keeps integer numerators over the common denominator
 (n(q-1))**k (`kstep_numerators`), so no step pays a gcd; `radial_matrix`
-and `power_step` are the Fraction reference for one step.
+and `power_step` are the Fraction reference for one step.  `kstep_tv`
+turns either backend's trajectory into the distance to uniform.
 """
 
 import math
@@ -30,6 +31,7 @@ from .scheme import (
     SchemeParams,
     class_weights,
     point_mass,
+    uniform,
 )
 
 DEFAULT_BIT_BUDGET = 10 ** 6
@@ -149,29 +151,32 @@ def kstep_trajectory(
         yield k, RadialDistribution(params, mass, "float")
 
 
+def kstep_tv(params: SchemeParams, ks, backend: Backend, bit_budget=DEFAULT_BIT_BUDGET):
+    """Yield (k, tv to uniform) for sorted, distinct ks in one pass.
+
+    tv = (1/2) sum_l |mass[l] - w[l]/q**n|, both laws being constant on
+    classes (Levin-Peres-Wilmer, *Markov Chains and Mixing Times*, Prop.
+    4.2).  Exact: the Fraction sum_l |num[l] q**n - w[l] D| / (2 q**n D),
+    D = (n(q-1))**k, over `kstep_numerators`; no distribution is built.
+    Float: `scheme.tv_distance` of the float trajectory, bit for bit.
+    """
+    if backend == "exact":
+        w, big_q, d = class_weights(params).w, params.size, params.degree
+        for k, num in kstep_numerators(params, ks, bit_budget):
+            dk = d ** k
+            t = sum(abs(v * big_q - wl * dk) for v, wl in zip(num, w))
+            yield k, Fraction(t, 2 * big_q * dk)
+        return
+    pi = uniform(params, "float").mass
+    for k, dist in kstep_trajectory(params, ks, backend):
+        yield k, 0.5 * math.fsum(np.abs(dist.mass - pi))
+
+
 def kstep_oracle(
     params: SchemeParams, k: int, bit_budget=DEFAULT_BIT_BUDGET
 ) -> RadialDistribution:
     """k exact steps of the distance chain from the basepoint."""
     return next(kstep_trajectory(params, (k,), "exact", bit_budget))[1]
-
-
-def kstep_by_squaring(params: SchemeParams, k: int) -> RadialDistribution:
-    """Alternative oracle path: exact matrix exponentiation by squaring.
-
-    Squares the integer matrix n(q-1) * P (`numpy.linalg.matrix_power` on
-    Python integers), whose entries densify under squaring, so this is
-    only sensible for small n; it exists to cross-check the iterative path
-    at large k.
-    """
-    if k < 0:
-        raise ParameterError("step count k must be >= 0")
-    n, q = params.n, params.q
-    unit = [[int(i == j) for j in range(n + 1)] for i in range(n + 1)]
-    base = np.array([int_power_step(row, n, q) for row in unit], dtype=object)
-    dk = params.degree ** k
-    mass = tuple(Fraction(v, dk) for v in np.linalg.matrix_power(base, k)[0])
-    return RadialDistribution(params, mass, "exact")
 
 
 def enumerate_tiny_steps(

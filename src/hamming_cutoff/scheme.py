@@ -179,14 +179,7 @@ def tv_distance(a: RadialDistribution, b: RadialDistribution):
     if a.params != b.params:
         raise ParameterError("distributions live on different schemes")
     if a.backend == "exact" and b.backend == "exact":
-        # one common denominator D: integer numerators, no gcd per term
-        den = math.lcm(*(x.denominator for x in a.mass + b.mass))
-        total = sum(
-            abs(x.numerator * (den // x.denominator)
-                - y.numerator * (den // y.denominator))
-            for x, y in zip(a.mass, b.mass)
-        )
-        return Fraction(total, 2 * den)
+        return sum((abs(x - y) for x, y in zip(a.mass, b.mass)), Fraction(0)) / 2
     ax = np.asarray(a.mass, dtype=np.float64)
     bx = np.asarray(b.mass, dtype=np.float64)
     return 0.5 * math.fsum(np.abs(ax - bx))

@@ -9,6 +9,9 @@ per grid cell.  Unit tests pin the numerators to the Fraction reference
 `radial.power_step`, and the suites to their Fraction statements, on
 subgrids.
 
+The majorant suite decides nothing itself: each (q, n) of its grid is
+one `bounds.majorant_cells` call, the decision path `check_majorant` uses.
+
 All suite functions return a report with the cells checked, the violations
 found (empty means the inequality held everywhere) and the cells skipped
 as out of a theorem's scope.
@@ -23,8 +26,8 @@ import numpy as np
 
 from . import bounds
 from .krawtchouk import scaled_rows
-from .radial import kstep_numerators, kstep_trajectory
-from .scheme import class_weights, make_scheme, tv_distance, uniform
+from .radial import kstep_numerators
+from .scheme import class_weights, make_scheme
 from .spectral import linearization_phi1_squared, spectrum
 
 
@@ -85,77 +88,34 @@ def verify_upper(
     return report
 
 
-def _majorant_cell(q: int, n: int, c_values, rounding: str, backend: str):
-    """(k, c, tv, bound) at each scheduled step of one (q, n) cell.
-
-    A float tv with tv**2 > bound is recomputed exactly (a Fraction, within
-    the default bit budget) before it is reported: once the bound falls
-    below (float roundoff)**2, the float tv**2 cannot decide it.
-    """
-    params = make_scheme(n, q)
-    if rounding == "exact":
-        k_lo = math.ceil(bounds.schedule_step(params, min(c_values)))
-        k_hi = math.floor(bounds.schedule_step(params, max(c_values)))
-        pairs = [
-            (k, bounds.offset_from_step(params, k)) for k in range(k_lo, k_hi + 1)
-        ]
-        pairs = [(k, c) for k, c in pairs if c > 0]
-    else:
-        pairs = [(math.ceil(bounds.schedule_step(params, c)), c) for c in c_values]
-    ks = sorted({k for k, _ in pairs})
-    be = bounds.resolve_backend(params, backend)
-    uni = uniform(params, be)
-    tvs = {
-        k: tv_distance(dist, uni)
-        for k, dist in kstep_trajectory(params, ks, be, math.inf)
-    }
-    cap = float(bounds.majorant_constant(q))
-    cells = [(k, c, tvs[k], cap * math.expm1(math.exp(-c))) for k, c in pairs]
-    if be == "float":
-        suspects = sorted({k for k, _, tv, bound in cells if tv * tv > bound})
-        if suspects:
-            uni = uniform(params, "exact")
-            tvs.update(
-                (k, tv_distance(dist, uni))
-                for k, dist in kstep_trajectory(params, suspects, "exact")
-            )
-    return [(k, c, tvs[k], bound) for k, c, _, bound in cells]
-
-
 def verify_majorant(
     q_values: Sequence[int] = (3, 4, 5, 6, 7, 8),
     n_max: int = 40,
     c_values: Sequence[float] = tuple(0.25 * i for i in range(1, 25)),
     rounding: str = "ceil",
     backend: str = "float",
-    threads: int = 1,
 ) -> SuiteReport:
     """tv**2 <= regime majorant at scheduled k, over an (q, n, c) grid.
 
-    Each (q, n) cell powers one trajectory through all its scheduled k.
-    Cells outside a theorem's scope (q = 3 with n < 3, q = 4 with n < 2)
-    are recorded as skipped, not checked.  A float violation is re-decided
-    on exact integer numerators before it is reported; a recheck past the
-    default bit budget raises `ResourceBudgetError`.  `threads` is deprecated
-    and ignored: the cells are GIL-bound, so threads only slowed them.
+    Each (q, n) in the theorems' scope is one `bounds.majorant_cells`
+    call (exact recheck past the default bit budget: `ResourceBudgetError`);
+    the others are recorded as skipped, not checked.
     """
-    if any(q < 3 for q in q_values):
-        raise bounds.ParameterError("no majorant theorem covers q = 2")
-    if not all(0 < c < math.inf for c in c_values):  # NaN fails too
-        raise bounds.ParameterError("the majorant theorems need 0 < c < inf")
+    for q in q_values:  # q >= 3 and 0 < c < inf, or a usage error
+        for c in c_values:
+            bounds.majorant(q, c)
     report = SuiteReport("majorant")
-    which = {3: "thm-q3", 4: "thm-q4"}
     for q in q_values:
         for n in range(1, n_max + 1):
-            if (q == 3 and n < 3) or (q == 4 and n < 2):
+            params = make_scheme(n, q)
+            if not bounds.majorant_in_scope(params):
                 report.skipped.append((n, q))
                 continue
-            for k, c, tv, bound in _majorant_cell(q, n, c_values, rounding, backend):
+            for r in bounds.majorant_cells(params, c_values, rounding, backend):
                 report.checked += 1
-                if tv * tv > bound:  # exact when tv is a Fraction
+                if not r.satisfied:
                     report.violations.append(
-                        Violation(which.get(q, "thm-q5"), n, q, k, c,
-                                  float(tv * tv), bound)
+                        Violation(r.which, n, q, r.k, r.c, r.tv_exact ** 2, r.bound_value)
                     )
     return report
 
@@ -212,7 +172,6 @@ def minorant_sweep(
     c: float = 3.0,
     n_grid: Optional[Sequence[int]] = None,
     backend: str = "float",
-    threads: int = 1,
 ) -> SweepReport:
     """Empirical threshold sweep for the minorant theorem.
 
@@ -220,7 +179,6 @@ def minorant_sweep(
     schedule step, plus the Markov/Chebyshev/event diagnostics that are
     unconditional.  n_star is the smallest tested n from which the bound
     held through the end of the grid (None if it failed at the ceiling).
-    `threads` is deprecated and ignored, as in `verify_majorant`.
     """
     if q < 2:
         raise bounds.ParameterError(f"alphabet size q must be >= 2, got {q}")

@@ -137,7 +137,7 @@ def test_criterion_05_theorem_majorants():
     t0 = time.time()
     cs = tuple(0.25 * i for i in range(1, 25))
     report = verify_majorant(
-        q_values=(3, 4, 5, 6, 7, 8), n_max=40, c_values=cs, threads=4
+        q_values=(3, 4, 5, 6, 7, 8), n_max=40, c_values=cs
     )
     _report(
         5,
@@ -167,7 +167,7 @@ def test_criterion_06_section4_identities():
 
 def test_criterion_07_minorant_sweep():
     t0 = time.time()
-    sweep = minorant_sweep(q=3, b=1.0, c0=3.0, c=3.0, threads=4)
+    sweep = minorant_sweep(q=3, b=1.0, c0=3.0, c=3.0)
     bound = 1 - 13 * math.exp(-3.0)
     ok = (
         sweep.n_star is not None

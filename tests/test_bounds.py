@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hamming_cutoff import (
     cutoff_schedule,
     hora_limit,
     kstep_oracle,
+    kstep_tv,
     lemma32_check,
     lemma34_debug_sum,
     lemma35_ratio_check,
@@ -348,13 +350,43 @@ def _exact_tvs(p, ks):
     return out
 
 
+@lru_cache(maxsize=None)
+def _window_tvs(n, q):
+    """(params, exact TV at every 7th k of a_n +- 4 b_n)."""
+    p = make_scheme(n, q)
+    s = cutoff_schedule(p)
+    ks = set(range(math.floor(s.a_n - 4 * s.b_n), math.ceil(s.a_n + 4 * s.b_n) + 1, 7))
+    return p, _exact_tvs(p, ks)
+
+
 def test_float_tv_matches_exact_across_window():
     for n, q in [(200, 3), (300, 5)]:
-        p = make_scheme(n, q)
-        s = cutoff_schedule(p)
-        ks = set(range(math.floor(s.a_n - 4 * s.b_n), math.ceil(s.a_n + 4 * s.b_n) + 1, 7))
-        for k, exact in _exact_tvs(p, ks).items():
+        p, tvs = _window_tvs(n, q)
+        for k, exact in tvs.items():
             assert abs(tv_to_uniform(p, k, "float") - float(exact)) < 1e-14, (n, q, k)
+
+
+def test_float_tv_error_bounds_the_observed_error():
+    # the test_properties grid (n <= 8, q <= 6, k <= 40) and the windows
+    cells = [(make_scheme(n, q), range(41)) for n in range(1, 9) for q in range(2, 7)]
+    grids = [(p, _exact_tvs(p, set(ks))) for p, ks in cells]
+    grids += [_window_tvs(200, 3), _window_tvs(300, 5)]
+    for p, exact in grids:
+        for k, tv in kstep_tv(p, sorted(exact), "float"):
+            eps = bounds.float_tv_error(p.n, k)
+            assert 0 < eps < 1e-12
+            assert abs(Fraction(tv) - exact[k]) <= Fraction(eps), (p, k, tv)
+
+
+def test_check_majorant_float_decides_below_the_roundoff_floor(monkeypatch):
+    # at c = 100 the bound (9.3e-44) is far below the float tv's roundoff;
+    # only the exact tv can decide it, whichever way it goes
+    p = make_scheme(3, 3)
+    r = check_majorant(p, 100.0, backend="float")
+    assert r.satisfied and r.tv_exact ** 2 <= r.bound_value
+    monkeypatch.setattr(bounds, "majorant_constant", lambda q: Fraction(1, 10 ** 80))
+    r = check_majorant(p, 100.0, backend="float")
+    assert not r.satisfied and r.tv_exact ** 2 > r.bound_value
 
 
 def test_minorant_event_b_matches_fraction_comparison():

@@ -125,7 +125,8 @@ def test_verify_majorant_genuine_violations_still_reported(monkeypatch, capsys):
     import hamming_cutoff.bounds as bounds_mod
 
     # a constant that makes every bound false; at c = 1 the float tv**2
-    # decides it, at c = 100 (tv**2 near 1e-50) only the exact recheck can
+    # decides it, at c = 100 (tv**2 near 1e-50, the n = 1 float tv 0.0)
+    # only the exact recheck can
     monkeypatch.setattr(
         bounds_mod, "majorant_constant", lambda q: Fraction(1, 10 ** 80)
     )
@@ -134,18 +135,19 @@ def test_verify_majorant_genuine_violations_still_reported(monkeypatch, capsys):
             ["verify", "majorant", "--q", "5", "--n-max", "6", "--c", c], capsys
         )
         assert code == 1, c
-        assert "FAIL thm-q5: n=6 q=5" in err and "6 checks," in out
+        assert "FAIL thm-q5: n=6 q=5" in err and "6 checks, 6 violations" in out
+        assert all(f"FAIL thm-q5: n={n} q=5" in err for n in range(1, 7)), c
 
 
 def test_verify_majorant_recheck_past_the_bit_budget_exits_3(monkeypatch, capsys):
-    import hamming_cutoff.verify as verify_mod
+    import hamming_cutoff.bounds as bounds_mod
 
-    real = verify_mod.kstep_trajectory
+    real = bounds_mod.kstep_tv
 
     def tight(params, ks, backend, bit_budget=10 ** 6):
         return real(params, ks, backend, 64 if backend == "exact" else bit_budget)
 
-    monkeypatch.setattr(verify_mod, "kstep_trajectory", tight)
+    monkeypatch.setattr(bounds_mod, "kstep_tv", tight)
     code, out, err = run(["verify", "majorant", "--n-max", "12", "--c", "100"], capsys)
     assert code == 3
     assert "resource cap" in err and "FAIL" not in err
@@ -170,7 +172,7 @@ def test_verify_upper_k_max_0_runs_only_k_0(capsys):
 def test_verify_majorant_small(capsys):
     code, out, _ = run(
         ["verify", "majorant", "--q", "5", "--n-max", "6", "--c", "1.0",
-         "--c", "3.0", "--threads", "2"],
+         "--c", "3.0"],
         capsys,
     )
     assert code == 0

@@ -56,7 +56,6 @@ COMMANDS = {
         ("--c0", REAL, False),
         ("--b", REAL, False),
         ("--rounding", words(["ceil", "exact"], ["floor"]), False),
-        ("--threads", ints(1, 4, (0,)), False),
     ],
     "simulate": [
         ("--n", N, True),

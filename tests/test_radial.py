@@ -7,11 +7,11 @@ from hamming_cutoff import (
     ParameterError,
     ResourceBudgetError,
     enumerate_tiny,
-    kstep_by_squaring,
     kstep_float_powering,
     kstep_numerators,
     kstep_oracle,
     kstep_trajectory,
+    kstep_tv,
     make_scheme,
     point_mass,
     power_step,
@@ -128,12 +128,6 @@ def test_kstep_oracle_examples():
     assert tv_distance(kstep_oracle(p, 2), uniform(p)) == Fraction(7, 36)
 
 
-def test_squaring_path_matches_iteration():
-    for n, q, k in [(2, 3, 17), (4, 2, 40), (3, 5, 9), (5, 3, 1), (3, 4, 0)]:
-        p = make_scheme(n, q)
-        assert kstep_by_squaring(p, k).mass == kstep_oracle(p, k).mass
-
-
 def test_bit_budget_aborts():
     with pytest.raises(ResourceBudgetError):
         kstep_oracle(make_scheme(12, 3), 500, bit_budget=2000)
@@ -198,14 +192,36 @@ def test_float_trajectory_matches_single_k_powering():
         list(kstep_trajectory(p, ks, "decimal"))
 
 
+def test_kstep_tv_matches_tv_of_the_trajectory():
+    # exact: equal Fractions; float: bit for bit the tv_distance glue
+    for n, q in [(1, 3), (2, 2), (7, 4), (25, 3)]:
+        p = make_scheme(n, q)
+        ks = (0, 1, 5, 40, 77)
+        for backend in ("exact", "float"):
+            uni = uniform(p, backend)
+            ref = [(k, tv_distance(d, uni)) for k, d in kstep_trajectory(p, ks, backend)]
+            assert list(kstep_tv(p, ks, backend)) == ref
+    with pytest.raises(ResourceBudgetError):
+        list(kstep_tv(make_scheme(12, 3), (500,), "exact", bit_budget=2000))
+    for bad in ((3, 2), (-1,)):
+        with pytest.raises(ParameterError):
+            list(kstep_tv(p, bad, "exact"))
+    with pytest.raises(ParameterError):
+        list(kstep_tv(p, (1,), "decimal"))
+
+
 def test_bit_budget_trips_exactly_past_the_numerator_bits():
     p = make_scheme(9, 4)
     bits = [sum(v.bit_length() for v in num)
             for _, num in kstep_numerators(p, range(41), math.inf)]
+    m = radial_matrix(p)
+    ref = [point_mass(p)]  # the Fraction reference, one power_step per k
+    for _ in range(40):
+        ref.append(power_step(ref[-1], m))
     for k in (1, 17, 40):
         peak = max(bits[1:k + 1])
         first = bits.index(peak, 1)
-        assert kstep_oracle(p, k, bit_budget=peak).mass == kstep_by_squaring(p, k).mass
+        assert kstep_oracle(p, k, bit_budget=peak).mass == ref[k].mass
         with pytest.raises(ResourceBudgetError, match=f"k={first}$"):
             kstep_oracle(p, k, bit_budget=peak - 1)
     # k = 0 takes no step, so no budget applies

@@ -1,8 +1,12 @@
 import math
 from fractions import Fraction
 
+import pytest
+
 from hamming_cutoff import (
+    ParameterError,
     kstep_oracle,
+    majorant_cells,
     make_scheme,
     point_mass,
     power_step,
@@ -16,7 +20,6 @@ from hamming_cutoff import (
 )
 from hamming_cutoff.radial import int_power_step
 from hamming_cutoff.verify import (
-    _majorant_cell,
     default_sweep_grid,
     minorant_sweep,
     verify_lemma32,
@@ -64,7 +67,7 @@ def test_verify_upper_small():
 
 def test_verify_majorant_small_and_skips():
     report = verify_majorant(
-        q_values=(3, 4, 5), n_max=8, c_values=(0.5, 1.5, 3.0), threads=2
+        q_values=(3, 4, 5), n_max=8, c_values=(0.5, 1.5, 3.0)
     )
     assert report.ok
     assert (1, 3) in report.skipped and (2, 3) in report.skipped
@@ -77,6 +80,17 @@ def test_verify_majorant_exact_mode():
     )
     assert report.ok
     assert report.checked > 0
+
+
+def test_verify_majorant_exact_mode_needs_an_integer_step():
+    # a c range narrower than one step used to check 0 cells and pass
+    with pytest.raises(ParameterError, match="not an integer"):
+        verify_majorant(q_values=(5,), n_max=6, c_values=(1.0,), rounding="exact")
+    for bad in ((5, 2), (2,)):
+        with pytest.raises(ParameterError):
+            verify_majorant(q_values=bad, n_max=2, c_values=(1.0,))
+    with pytest.raises(ParameterError):  # out-of-scope cells still validate c
+        verify_majorant(q_values=(3,), n_max=2, c_values=(-1.0,))
 
 
 def test_lemma_suites_reduced():
@@ -112,7 +126,7 @@ def test_default_sweep_grid_shape():
 
 def test_minorant_sweep_small():
     sweep = minorant_sweep(
-        q=3, b=1.0, c0=2.0, c=2.0, n_grid=range(4, 120, 3), threads=2
+        q=3, b=1.0, c0=2.0, c=2.0, n_grid=range(4, 120, 3)
     )
     assert not sweep.diagnostic_violations
     assert sweep.n_star is not None
@@ -137,7 +151,7 @@ def test_majorant_cells_match_per_cell_tv():
     for q, n in [(3, 3), (3, 11), (4, 12), (7, 20), (8, 40)]:
         p = make_scheme(n, q)
         for rounding in ("ceil", "exact"):
-            cells = _majorant_cell(q, n, cs, rounding, "float")
+            cells = majorant_cells(p, cs, rounding, "float")
             assert cells
-            for k, c, tv, bound in cells:
-                assert tv == tv_to_uniform(p, k, "float")
+            for r in cells:
+                assert r.tv_exact == tv_to_uniform(p, r.k, "float")
