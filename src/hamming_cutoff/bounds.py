@@ -273,17 +273,22 @@ def check_majorant(
     return majorant_cells(params, (c,), rounding, backend)[0]
 
 
+def minorant_value(q: int, b: float, c: float) -> float:
+    """1 - (4q+b) e**-c at any real c, for a finite offset parameter b >= 0."""
+    if not 0 <= b < math.inf:  # NaN fails too
+        raise ParameterError("offset parameter b must be finite and >= 0")
+    return 1.0 - (4 * q + b) * math.exp(-c)
+
+
 def minorant(q: int, b: float, c: float) -> float:
     """Lower bound 1 - (4q+b) e**-c for tv at offset c below the cutoff.
 
-    b = 0 gives the asymptotic corollary form; negative values are vacuous
+    b = 0 gives the asymptotic corollary form; negative bounds are vacuous
     but returned.
     """
-    if b < 0:
-        raise ParameterError("offset parameter b must be >= 0")
     if c < 0:
         raise ParameterError("offset c must be >= 0")
-    return 1.0 - (4 * q + b) * math.exp(-c)
+    return minorant_value(q, b, c)
 
 
 def check_minorant(

@@ -41,7 +41,7 @@ def _profile_row(params, k: int, tv: float, b: float) -> dict:
         "ub_lemma": math.sqrt(rhs) if math.isfinite(rhs) else math.inf,
         "majorant": (math.sqrt(bounds.majorant_value(params.q, c))
                      if bounds.majorant_in_scope(params) else math.nan),
-        "minorant": 1.0 - (4 * params.q + b) * math.exp(-c),
+        "minorant": bounds.minorant_value(params.q, b, c),
         "hora_plus": bounds.hora_limit(c, "plus"),
         "hora_minus": bounds.hora_limit(c, "minus"),
     }
@@ -51,6 +51,7 @@ def cmd_profile(args) -> int:
     params = make_scheme(args.n, args.q)
     if args.k_min > args.k_max or args.k_min < 0 or args.k_step < 1:
         raise ParameterError("need 0 <= k-min <= k-max and k-step >= 1")
+    bounds.minorant_value(params.q, args.b, 0.0)  # reject a bad b before any step
     backend = bounds.resolve_backend(params, args.backend)
     ks = range(args.k_min, args.k_max + 1, args.k_step)
     rows = [

@@ -9,7 +9,9 @@ integer distances l = 0..n.  Two independent closed forms are implemented:
     phi_j(l) = C(n,j)^-1 * sum_r C(l,r) C(n-l, j-r) (-1/(q-1))**r.
 
 They must agree exactly in rational arithmetic; that agreement is a test,
-not an assumption.  The float table is instead built from the three-term
+not an assumption.  The exact table itself is K[j][l] / d_j over the
+integer rows `scaled_rows`, a third form built in O(n**2) from the
+generating function.  The float table is instead built from the three-term
 recurrence in l (the radial-chain eigenfunction relation)
 
     (n-l)(q-1) phi(l+1) = (n(q-1) lam_j - l(q-2)) phi(l) - l phi(l-1),
@@ -246,9 +248,9 @@ def _logscale(params: SchemeParams) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _exact_table(params: SchemeParams) -> tuple:
+    """phi_j(l) = K[j][l] / d_j over `scaled_rows`, O(n**2); d_j = K[j][0]."""
     return tuple(
-        tuple(phi_hypergeometric(params, j, l) for l in range(params.n + 1))
-        for j in range(params.n + 1)
+        tuple(Fraction(v, row[0]) for v in row) for row in scaled_rows(params)
     )
 
 

@@ -31,6 +31,7 @@ from .scheme import (
     SchemeParams,
     class_weights,
     point_mass,
+    tv_distance,
     uniform,
 )
 
@@ -158,7 +159,8 @@ def kstep_tv(params: SchemeParams, ks, backend: Backend, bit_budget=DEFAULT_BIT_
     classes (Levin-Peres-Wilmer, *Markov Chains and Mixing Times*, Prop.
     4.2).  Exact: the Fraction sum_l |num[l] q**n - w[l] D| / (2 q**n D),
     D = (n(q-1))**k, over `kstep_numerators`; no distribution is built.
-    Float: `scheme.tv_distance` of the float trajectory, bit for bit.
+    Float: `scheme.tv_distance` of each float distribution against the
+    float uniform law, the package's one float TV reduction.
     """
     if backend == "exact":
         w, big_q, d = class_weights(params).w, params.size, params.degree
@@ -167,9 +169,9 @@ def kstep_tv(params: SchemeParams, ks, backend: Backend, bit_budget=DEFAULT_BIT_
             t = sum(abs(v * big_q - wl * dk) for v, wl in zip(num, w))
             yield k, Fraction(t, 2 * big_q * dk)
         return
-    pi = uniform(params, "float").mass
+    pi = uniform(params, "float")
     for k, dist in kstep_trajectory(params, ks, backend):
-        yield k, 0.5 * math.fsum(np.abs(dist.mass - pi))
+        yield k, tv_distance(dist, pi)
 
 
 def kstep_oracle(

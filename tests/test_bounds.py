@@ -173,8 +173,9 @@ def test_minorant_examples():
     assert minorant(3, 1.0, math.log(26)) == pytest.approx(0.5, abs=1e-12)
     assert minorant(3, 0.0, 5.0) == pytest.approx(1 - 12 * math.exp(-5), abs=1e-12)
     assert minorant(5, 0.0, 0.0) == -19.0
-    with pytest.raises(ParameterError):
-        minorant(3, -1.0, 1.0)
+    for b in (-1.0, math.nan, math.inf):
+        with pytest.raises(ParameterError):
+            minorant(3, b, 1.0)
 
 
 def test_check_minorant_vacuous_at_c0():

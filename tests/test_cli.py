@@ -3,7 +3,10 @@ import math
 
 import pytest
 
+from hamming_cutoff import cli
+from hamming_cutoff.bounds import minorant
 from hamming_cutoff.cli import PROFILE_HEADER, main
+from hamming_cutoff.scheme import ParameterError
 
 
 def run(args, capsys):
@@ -77,6 +80,22 @@ def test_profile_usage_errors(capsys):
     assert code == 2
     code, _, _ = run(["profile", "--n", "0", "--q", "3", "--k-max", "4"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("b", ["-1", "nan", "inf"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_profile_minorant_offset_outside_the_theorem_usage_error(b, fmt, capsys,
+                                                                  monkeypatch):
+    # the same domain and message as bounds.minorant, decided before any
+    # step is taken; json never sees Infinity
+    with pytest.raises(ParameterError) as exc:
+        minorant(3, float(b), 1.0)
+    monkeypatch.setattr(cli, "kstep_tv", lambda *a: pytest.fail("walked first"))
+    code, out, err = run(["profile", "--n", "5", "--q", "3", "--k-max", "3",
+                          "--b", b, "--format", fmt], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"usage error: {exc.value}\n"
 
 
 def test_profile_resource_cap(capsys):

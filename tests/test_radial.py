@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hamming_cutoff import (
@@ -201,6 +202,14 @@ def test_kstep_tv_matches_tv_of_the_trajectory():
             uni = uniform(p, backend)
             ref = [(k, tv_distance(d, uni)) for k, d in kstep_trajectory(p, ks, backend)]
             assert list(kstep_tv(p, ks, backend)) == ref
+    # float at n = 300 across a_n +- 4 b_n, where the order of the fsum
+    # terms matters for its cost: still the natural-order sum, bit for bit
+    p = make_scheme(300, 3)
+    uni = uniform(p, "float").mass
+    ks = range(240, 1041, 25)
+    ref = [(k, 0.5 * math.fsum(np.abs(d.mass - uni)))
+           for k, d in kstep_trajectory(p, ks, "float")]
+    assert list(kstep_tv(p, ks, "float")) == ref
     with pytest.raises(ResourceBudgetError):
         list(kstep_tv(make_scheme(12, 3), (500,), "exact", bit_budget=2000))
     for bad in ((3, 2), (-1,)):

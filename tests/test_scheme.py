@@ -5,11 +5,15 @@ from fractions import Fraction
 
 import pytest
 
+import numpy as np
+
 from hamming_cutoff import (
     ParameterError,
     RadialDistribution,
     class_weights,
+    cutoff_schedule,
     kstep_oracle,
+    kstep_trajectory,
     make_scheme,
     point_mass,
     tv_distance,
@@ -159,6 +163,52 @@ def test_exact_tv_equals_the_fraction_sum():
         tv = tv_distance(a, b)
         assert isinstance(tv, Fraction)
         assert tv == sum(abs(x - y) for x, y in zip(a.mass, b.mass)) / 2
+
+
+def _natural_order_tv(a, b):
+    return 0.5 * math.fsum(np.abs(np.asarray(a, float) - np.asarray(b, float)))
+
+
+def _float_pair(a, b):
+    p = make_scheme(len(a) - 1, 3)
+    return RadialDistribution(p, a, "float"), RadialDistribution(p, b, "float")
+
+
+def test_float_tv_is_bit_identical_to_the_natural_order_sum():
+    # fsum is correctly rounded, so summing largest first may not move a bit
+    rng = np.random.default_rng(2024)
+    arrays = []
+    for _ in range(1500):  # zeros, equal entries and subnormals
+        m = int(rng.integers(2, 60))
+        a = rng.random(m) * 10.0 ** rng.uniform(-320, 0, m)
+        b = rng.random(m) * 10.0 ** rng.uniform(-320, 0, m)
+        a[rng.random(m) < 0.2] = 0.0
+        b[rng.random(m) < 0.2] = 5e-324
+        same = rng.random(m) < 0.1
+        b[same] = a[same]
+        arrays.append((a, b))
+    for _ in range(500):  # terms across the whole range 2**-1074 .. 1
+        m = int(rng.integers(2, 200))
+        a = rng.random(m) * 2.0 ** -rng.integers(0, 1075, m).astype(float)
+        arrays.append((a, np.zeros(m)))
+    for m in (1, 2, 3, 7, 64, 501):  # half-ulp ties at the rounding point
+        for a in ([1 + 2 ** -52] * m + [2 ** -53],
+                  [2 ** -53] + [1 + 2 ** -52] * m,
+                  [1.0] * m + [2 ** -53] * m,
+                  [2 ** -53] * (2 * m) + [1.0] + [-(2 ** -106)] * m):
+            arrays.append((np.array(a), np.zeros(len(a))))
+    for a, b in arrays:
+        assert tv_distance(*_float_pair(a, b)) == _natural_order_tv(a, b)
+
+
+def test_float_tv_is_bit_identical_across_the_cutoff_windows():
+    for n, q in [(500, 3), (1800, 5)]:
+        p = make_scheme(n, q)
+        s = cutoff_schedule(p)
+        ks = range(math.floor(s.a_n - 4 * s.b_n), math.ceil(s.a_n + 4 * s.b_n) + 1, 7)
+        pi = uniform(p, "float")
+        for k, dist in kstep_trajectory(p, ks, "float"):
+            assert tv_distance(dist, pi) == _natural_order_tv(dist.mass, pi.mass), (n, q, k)
 
 
 def test_tv_params_mismatch_rejected():
