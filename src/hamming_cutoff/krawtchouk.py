@@ -178,37 +178,18 @@ def _splice(n: int, edge: float, f: np.ndarray, g: np.ndarray) -> np.ndarray:
     return row / np.linalg.norm(row)
 
 
-def _psi_row(params: SchemeParams, j: int, diag, off) -> np.ndarray:
-    """Unit-norm symmetrized row by the two-sided spliced recurrence."""
-    n = params.n
-    lam = float(_float_lambdas(params)[j])
-    f = np.zeros(n + 1)
-    g = np.zeros(n + 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        f[0] = 1.0
-        f[1] = (lam - diag[0]) / off[0]
-        for l in range(1, n):
-            f[l + 1] = ((lam - diag[l]) * f[l] - off[l - 1] * f[l - 1]) / off[l]
-        g[n] = 1.0
-        g[n - 1] = (lam - diag[n]) / off[n - 1]
-        for l in range(n - 1, 0, -1):
-            g[l - 1] = ((lam - diag[l]) * g[l] - off[l] * g[l + 1]) / off[l - 1]
-    return _splice(n, _oscillatory_edge(params, j), f, g)
+def _psi_rows(params: SchemeParams, js) -> np.ndarray:
+    """Unit-norm symmetrized rows js by the two-sided spliced recurrence.
 
-
-@lru_cache(maxsize=8)
-def _psi_table(params: SchemeParams) -> np.ndarray:
-    """All unit-norm symmetrized rows, orthonormal up to roundoff.
-
-    Forward and backward sweeps run vectorized over all rows; entries past
+    Forward and backward sweeps run vectorized over the rows; entries past
     a row's splice point are the unstable half's garbage and are discarded
     by the splice, so overflow there is silenced and harmless.
     """
     n = params.n
     diag, off = _jacobi_coefficients(params)
-    lams = _float_lambdas(params)
-    f = np.zeros((n + 1, n + 1))
-    g = np.zeros((n + 1, n + 1))
+    lams = _float_lambdas(params)[js]
+    f = np.zeros((len(js), n + 1))
+    g = np.zeros((len(js), n + 1))
     with np.errstate(over="ignore", invalid="ignore"):
         f[:, 0] = 1.0
         f[:, 1] = (lams - diag[0]) / off[0]
@@ -218,9 +199,16 @@ def _psi_table(params: SchemeParams) -> np.ndarray:
         g[:, n - 1] = (lams - diag[n]) / off[n - 1]
         for l in range(n - 1, 0, -1):
             g[:, l - 1] = ((lams - diag[l]) * g[:, l] - off[l] * g[:, l + 1]) / off[l - 1]
-    psi = np.empty((n + 1, n + 1))
-    for j in range(n + 1):
-        psi[j] = _splice(n, _oscillatory_edge(params, j), f[j], g[j])
+    psi = np.empty_like(f)
+    for r, j in enumerate(js):
+        psi[r] = _splice(n, _oscillatory_edge(params, j), f[r], g[r])
+    return psi
+
+
+@lru_cache(maxsize=8)
+def _psi_table(params: SchemeParams) -> np.ndarray:
+    """All unit-norm symmetrized rows, orthonormal up to roundoff."""
+    psi = _psi_rows(params, np.arange(params.n + 1))
     psi.flags.writeable = False
     return psi
 
@@ -248,10 +236,8 @@ def _logscale(params: SchemeParams) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _exact_table(params: SchemeParams) -> tuple:
-    """phi_j(l) = K[j][l] / d_j over `scaled_rows`, O(n**2); d_j = K[j][0]."""
-    return tuple(
-        tuple(Fraction(v, row[0]) for v in row) for row in scaled_rows(params)
-    )
+    """Every exact `phi_row`, O(n**2)."""
+    return tuple(phi_row(params, j, "exact") for j in range(params.n + 1))
 
 
 @lru_cache(maxsize=8)
@@ -294,21 +280,25 @@ def build_table(
 
 
 def phi_row(params: SchemeParams, j: int, backend: Backend = "float"):
-    """Single row phi_j(0..n) without building the full table."""
+    """Single row phi_j(0..n) without building the full table.
+
+    Exact: K[j][l] / d_j over the cached `scaled_rows`, d_j = K[j][0].
+    Float: the spliced recurrence of row j alone.
+    """
     _check_indices(params, j, 0)
     n = params.n
     if backend == "exact":
-        return tuple(phi_hypergeometric(params, j, l) for l in range(n + 1))
+        row = scaled_rows(params)[j]
+        return tuple(Fraction(v, row[0]) for v in row)
     if n <= 2:
         return _float_table(params)[j].copy()
     if not float_table_supported(params):
         raise ResourceBudgetError(
             f"float row out of range at n={n}; use the exact backend"
         )
-    diag, off = _jacobi_coefficients(params)
     logw = _log_class_weights(params)
     scale = 0.5 * (logw + logw[j] - n * math.log(params.q))
-    return _psi_row(params, j, diag, off) * np.exp(-scale)
+    return _psi_rows(params, [j])[0] * np.exp(-scale)
 
 
 def formulas_agree(params: SchemeParams) -> bool:

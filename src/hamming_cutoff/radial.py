@@ -13,13 +13,17 @@ enumerator of the literal q**n-vertex graph (`enumerate_tiny`).
 
 Exact powering keeps integer numerators over the common denominator
 (n(q-1))**k (`kstep_numerators`), so no step pays a gcd; `radial_matrix`
-and `power_step` are the Fraction reference for one step.  `kstep_tv`
-turns either backend's trajectory into the distance to uniform.
+and `power_step` are the Fraction reference for one step.  Float powering
+resumes from per-scheme checkpoints that earlier float trajectories
+yielded.  `kstep_tv` turns either backend's trajectory into the distance
+to uniform.
 """
 
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -125,13 +129,32 @@ def kstep_numerators(params: SchemeParams, ks, bit_budget=DEFAULT_BIT_BUDGET):
         yield k, num
 
 
+_MARKS_LOCK = threading.Lock()  # guards every `_float_marks` dict
+
+
+@lru_cache(maxsize=32)
+def _float_marks(params: SchemeParams) -> dict:
+    """Float states earlier trajectories on this scheme yielded: k -> mass.
+
+    Each mass is the read-only array of a yielded `RadialDistribution`
+    and is never written.  At most min(64, 2**16 // (n+1)) states per
+    scheme (a full scheme drops every other one) and 32 schemes are
+    kept, so the cache holds at most 2**21 float64s (16 MiB).
+    """
+    return {}
+
+
 def kstep_trajectory(
     params: SchemeParams, ks, backend: Backend, bit_budget=DEFAULT_BIT_BUDGET
 ):
     """Yield (k, distribution) for sorted, distinct ks in one pass.
 
     Exact: Fractions over `kstep_numerators`, bounded by `bit_budget`.
-    Float: the package's one float k-step loop, O(n * max(ks)) work.
+    Float: the package's one float k-step loop, O(n * (max(ks) - k0))
+    work.  It resumes from the largest checkpoint k0 <= min(ks) that an
+    earlier float trajectory on the scheme yielded (`_float_marks`; else
+    k0 = 0) and records each state it yields.  The steps from k0 are the
+    ones a walk from k = 0 takes, so the output is bit for bit the same.
     """
     if backend == "exact":
         d = params.degree
@@ -142,14 +165,25 @@ def kstep_trajectory(
         return
     if backend != "float":
         raise ParameterError(f"unknown backend {backend!r}")
+    ks = _sorted_steps(ks)
+    marks = _float_marks(params)
+    cap = min(64, 2 ** 16 // (params.n + 1))
+    with _MARKS_LOCK:
+        done = max((m for m in marks if ks and m <= ks[0]), default=0)
+        mass = marks[done] if done else point_mass(params, "float").mass
     down, stay, up = float_step_arrays(params)
-    mass = point_mass(params, "float").mass
-    done = 0
-    for k in _sorted_steps(ks):
+    for k in ks:
         for _ in range(k - done):
             mass = float_power_step(mass, down, stay, up)
         done = k
-        yield k, RadialDistribution(params, mass, "float")
+        dist = RadialDistribution(params, mass, "float")
+        with _MARKS_LOCK:
+            if k and k not in marks and cap:
+                if len(marks) >= cap:  # thin out, keeping every other state
+                    for m in sorted(marks)[::2]:
+                        del marks[m]
+                marks[k] = dist.mass
+        yield k, dist
 
 
 def kstep_tv(params: SchemeParams, ks, backend: Backend, bit_budget=DEFAULT_BIT_BUDGET):
@@ -160,7 +194,8 @@ def kstep_tv(params: SchemeParams, ks, backend: Backend, bit_budget=DEFAULT_BIT_
     4.2).  Exact: the Fraction sum_l |num[l] q**n - w[l] D| / (2 q**n D),
     D = (n(q-1))**k, over `kstep_numerators`; no distribution is built.
     Float: `scheme.tv_distance` of each float distribution against the
-    float uniform law, the package's one float TV reduction.
+    float uniform law, the package's one float TV reduction, over
+    `kstep_trajectory` (so resumed from the scheme's float checkpoints).
     """
     if backend == "exact":
         w, big_q, d = class_weights(params).w, params.size, params.degree
@@ -258,8 +293,9 @@ def float_power_step(mass: np.ndarray, down, stay, up) -> np.ndarray:
 def kstep_float_powering(params: SchemeParams, k: int) -> RadialDistribution:
     """k float steps of the distance chain from the basepoint.
 
-    The float k-step engine: O(n k) work, stable at any (n, k), because
-    every step only adds nonnegative products.
+    The float k-step engine: O(n k) work from a cold start, less from the
+    scheme's float checkpoints (`kstep_trajectory`); stable at any (n, k),
+    because every step only adds nonnegative products.
     """
     return next(kstep_trajectory(params, (k,), "float"))[1]
 

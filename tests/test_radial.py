@@ -1,8 +1,13 @@
 import math
+import random
+import sys
+import threading
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hamming_cutoff import (
     ParameterError,
@@ -21,7 +26,8 @@ from hamming_cutoff import (
     tv_distance,
     uniform,
 )
-from hamming_cutoff.radial import float_step_arrays
+from hamming_cutoff import bounds, cli, radial, verify
+from hamming_cutoff.radial import _float_marks, float_step_arrays
 
 
 def neighbor_census(n, q, base_word):
@@ -235,3 +241,112 @@ def test_bit_budget_trips_exactly_past_the_numerator_bits():
             kstep_oracle(p, k, bit_budget=peak - 1)
     # k = 0 takes no step, so no budget applies
     assert kstep_oracle(p, 0, bit_budget=0).mass == point_mass(p).mass
+
+
+MARK_SCHEMES = [make_scheme(7, 3), make_scheme(12, 4), make_scheme(20, 5)]
+step_lists = st.lists(st.integers(0, 60), max_size=5, unique=True).map(sorted)
+float_calls = st.lists(
+    st.tuples(
+        st.sampled_from(("trajectory", "tv", "interleaved")),
+        st.integers(0, len(MARK_SCHEMES) - 1),
+        step_lists,
+        step_lists,
+        st.integers(0, 5),  # items taken before a generator is abandoned
+    ),
+    max_size=8,
+)
+
+
+def _masses(pairs):
+    return [(k, dist.mass.tolist()) for k, dist in pairs]
+
+
+def _run_float_call(call):
+    """Outputs of one call: (k, masses) per trajectory, (k, tv) for tv."""
+    op, i, ks, ks2, take = call
+    p = MARK_SCHEMES[i]
+    if op == "tv":
+        return [list(kstep_tv(p, ks, "float"))]
+    if op == "trajectory":
+        return [_masses(islice(kstep_trajectory(p, ks, "float"), take))]
+    # zip alternates next() on two live generators and abandons the longer
+    both = list(zip(kstep_trajectory(p, ks, "float"), kstep_trajectory(p, ks2, "float")))
+    return [_masses(a for a, _ in both), _masses(b for _, b in both)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(float_calls)
+def test_float_checkpoints_leave_outputs_bit_identical(calls):
+    # any sequence of float calls on warm checkpoints equals a cold cache
+    _float_marks.cache_clear()
+    warm = [_run_float_call(call) for call in calls]
+    for call, got in zip(calls, warm):
+        _float_marks.cache_clear()
+        assert got == _run_float_call(call), call
+
+
+def test_one_c_majorant_calls_resume_from_checkpoints(monkeypatch):
+    steps = []
+    step = radial.float_power_step
+
+    def counting_step(*args):
+        steps.append(1)
+        return step(*args)
+
+    monkeypatch.setattr(radial, "float_power_step", counting_step)
+    p = make_scheme(40, 8)
+    cs = tuple(0.25 * i for i in range(1, 25))  # verify_majorant's default grid
+    _float_marks.cache_clear()
+    reports = [bounds.check_majorant(p, c, "ceil", "float") for c in cs]
+    assert len(steps) == max(r.k for r in reports)
+    verify.verify_majorant(q_values=(8,), n_max=40)
+    steps.clear()
+    for c in cs:
+        bounds.check_majorant(p, c, "ceil", "float")
+    assert steps == []
+
+
+def test_float_checkpoints_stay_within_their_cap(capsys):
+    p = make_scheme(1800, 3)
+    _float_marks.cache_clear()
+    assert cli.main(["profile", "--n", "1800", "--q", "3", "--k-min", "7400",
+                     "--k-max", "12200", "--k-step", "20", "--backend", "float"]) == 0
+    capsys.readouterr()
+    marks = _float_marks(p)
+    assert 0 < len(marks) <= 2 ** 16 // 1801
+    for mass in marks.values():
+        assert mass.shape == (1801,) and not mass.flags.writeable
+    assert _float_marks.cache_info().maxsize == 32
+
+
+def test_float_checkpoints_shared_by_threads():
+    # threads recording and resuming on one scheme still get cold outputs
+    p = make_scheme(2000, 3)  # 32 states per scheme: thinned on most calls
+    _float_marks.cache_clear()
+    ref = dict(kstep_tv(p, range(201), "float"))
+    rng = random.Random(5)
+    plans = [[sorted(rng.sample(range(201), 8)) for _ in range(25)] for _ in range(6)]
+    results, errors = [[] for _ in plans], []
+
+    def work(i):
+        try:
+            for ks in plans[i]:
+                results[i].append(list(kstep_tv(p, ks, "float")))
+        except Exception as exc:  # reported below, not lost in the thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _float_marks.cache_clear()
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(plans))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    for plan, got in zip(plans, results):
+        assert got == [[(k, ref[k]) for k in ks] for ks in plan]
