@@ -52,6 +52,7 @@ from .montecarlo import (
 from .radial import (
     RadialMatrix,
     enumerate_tiny,
+    kstep_excess,
     kstep_float_powering,
     kstep_numerators,
     kstep_oracle,

@@ -217,8 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="-")
     p.add_argument("--b", type=float, default=1.0, help="minorant offset parameter")
     p.add_argument("--bit-budget", dest="bit_budget", type=int, default=10 ** 6,
-                   help="exact backend: cap on the total bits of the integer class-mass "
-                   "numerators over (n(q-1))**k (exit 3 past it)")
+                   help="exact backend: cap on the total bits of the integer excess "
+                   "num*q**n - w*(n(q-1))**k over uniform (>= 0; exit 3 past it)")
     p.set_defaults(func=cmd_profile)
 
     v = sub.add_parser("verify", help="run a bound/lemma verification suite")

@@ -13,10 +13,12 @@ enumerator of the literal q**n-vertex graph (`enumerate_tiny`).
 
 Exact powering keeps integer numerators over the common denominator
 (n(q-1))**k (`kstep_numerators`), so no step pays a gcd; `radial_matrix`
-and `power_step` are the Fraction reference for one step.  Float powering
-resumes from per-scheme checkpoints that earlier float trajectories
-yielded.  `kstep_tv` turns either backend's trajectory into the distance
-to uniform.
+and `power_step` are the Fraction reference for one step.  The uniform
+law is stationary, so the excess e = num q**n - w (n(q-1))**k of the
+k-step law over it obeys the same integer step (`kstep_excess`); both
+walk one loop.  Float powering resumes from per-scheme checkpoints that
+earlier float trajectories yielded.  `kstep_tv` turns the exact excess,
+or the float trajectory, into the distance to uniform.
 """
 
 import math
@@ -107,26 +109,47 @@ def int_power_step(num: list, n: int, q: int) -> list:
     return out
 
 
-def kstep_numerators(params: SchemeParams, ks, bit_budget=DEFAULT_BIT_BUDGET):
-    """Yield (k, num) for sorted, distinct ks; num[l] = mass[l] (n(q-1))**k.
+def _int_chain(params: SchemeParams, vec: list, ks, bit_budget, what: str):
+    """The package's one exact k-step loop: yield (k, vec after k steps)
+    for sorted, distinct ks, max(ks) `int_power_step`s in all.
 
-    The package's one exact k-step loop, max(ks) integer steps in all.
-    Raises `ResourceBudgetError` once the sum of the numerators' bit
-    lengths exceeds `bit_budget` (`math.inf`: no bound).
+    A negative `bit_budget` is a `ParameterError` before any step.  Past
+    a step, `ResourceBudgetError` once the sum of the bit lengths of the
+    integers in vec exceeds `bit_budget` (`math.inf`: no bound).
     """
+    if bit_budget < 0:
+        raise ParameterError(f"bit budget must be >= 0, got {bit_budget}")
     n, q = params.n, params.q
-    bounded = bit_budget < math.inf  # the bit count costs ~20 % of a step
-    num = [1] + [0] * n
+    bounded = bit_budget < math.inf  # the bit count costs ~5 % of a step
     done = 0
     for k in _sorted_steps(ks):
         for step in range(done + 1, k + 1):
-            num = int_power_step(num, n, q)
-            if bounded and sum(v.bit_length() for v in num) > bit_budget:
+            vec = int_power_step(vec, n, q)
+            if bounded and sum(map(int.bit_length, vec)) > bit_budget:
                 raise ResourceBudgetError(
-                    f"exact numerators exceeded {bit_budget} bits at n={n}, k={step}"
+                    f"exact {what} exceeded {bit_budget} bits at n={n}, k={step}"
                 )
         done = k
-        yield k, num
+        yield k, vec
+
+
+def kstep_numerators(params: SchemeParams, ks, bit_budget=DEFAULT_BIT_BUDGET):
+    """Yield (k, num) for sorted, distinct ks; num[l] = mass[l] (n(q-1))**k.
+    `_int_chain` from the point mass; `bit_budget` caps num's bits."""
+    return _int_chain(params, [1] + [0] * params.n, ks, bit_budget, "numerators")
+
+
+def kstep_excess(params: SchemeParams, ks, bit_budget=DEFAULT_BIT_BUDGET):
+    """Yield (k, e) for sorted, distinct ks; e[l] = num[l] q**n - w[l] D,
+    D = (n(q-1))**k: the excess over uniform, in integers over q**n D.
+
+    `int_power_step` maps w D**k to w D**(k+1) (the uniform law is
+    stationary), so `_int_chain` walks e from q**n delta_0 - w;
+    `bit_budget` caps e's bits.  sum(map(abs, e)) = 2 tv q**n D.
+    """
+    e = [-v for v in class_weights(params).w]
+    e[0] += params.size
+    return _int_chain(params, e, ks, bit_budget, "excess")
 
 
 _MARKS_LOCK = threading.Lock()  # guards every `_float_marks` dict
@@ -191,18 +214,17 @@ def kstep_tv(params: SchemeParams, ks, backend: Backend, bit_budget=DEFAULT_BIT_
 
     tv = (1/2) sum_l |mass[l] - w[l]/q**n|, both laws being constant on
     classes (Levin-Peres-Wilmer, *Markov Chains and Mixing Times*, Prop.
-    4.2).  Exact: the Fraction sum_l |num[l] q**n - w[l] D| / (2 q**n D),
-    D = (n(q-1))**k, over `kstep_numerators`; no distribution is built.
-    Float: `scheme.tv_distance` of each float distribution against the
-    float uniform law, the package's one float TV reduction, over
-    `kstep_trajectory` (so resumed from the scheme's float checkpoints).
+    4.2).  Exact: the Fraction sum(map(abs, e)) / (2 q**n (n(q-1))**k)
+    over `kstep_excess` (`bit_budget` caps e's bits); no distribution is
+    built.  Float: `scheme.tv_distance` of each float distribution
+    against the float uniform law, the package's one float TV reduction,
+    over `kstep_trajectory` (so resumed from the scheme's float
+    checkpoints).
     """
     if backend == "exact":
-        w, big_q, d = class_weights(params).w, params.size, params.degree
-        for k, num in kstep_numerators(params, ks, bit_budget):
-            dk = d ** k
-            t = sum(abs(v * big_q - wl * dk) for v, wl in zip(num, w))
-            yield k, Fraction(t, 2 * big_q * dk)
+        big_q, d = params.size, params.degree
+        for k, e in kstep_excess(params, ks, bit_budget):
+            yield k, Fraction(sum(map(abs, e)), 2 * big_q * d ** k)
         return
     pi = uniform(params, "float")
     for k, dist in kstep_trajectory(params, ks, backend):

@@ -3,11 +3,12 @@
 The exact suites run on plain integers with the common denominator
 (n(q-1))**k factored out, which is orders of magnitude faster than
 per-entry rationals: class masses are the integer numerators of
-`radial.kstep_numerators`, eigenvalue powers become integer powers of
-n(q-1) - j*q, and each inequality reduces to one big-integer comparison
-per grid cell.  Unit tests pin the numerators to the Fraction reference
-`radial.power_step`, and the suites to their Fraction statements, on
-subgrids.
+`radial.kstep_numerators`, the distance to uniform is the summed
+integer excess of `radial.kstep_excess`, eigenvalue powers become
+integer powers of n(q-1) - j*q, and each inequality reduces to one
+big-integer comparison per grid cell.  Unit tests pin the numerators to
+the Fraction reference `radial.power_step`, and the suites to their
+Fraction statements, on subgrids.
 
 The majorant suite decides nothing itself: each (q, n) of its grid is
 one `bounds.majorant_cells` call, the decision path `check_majorant` uses.
@@ -20,13 +21,14 @@ as out of a theorem's scope.
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import bounds
 from .krawtchouk import scaled_rows
-from .radial import kstep_numerators
+from .radial import kstep_excess, kstep_numerators
 from .scheme import class_weights, make_scheme
 from .spectral import linearization_phi1_squared, spectrum
 
@@ -61,30 +63,29 @@ def verify_upper(
     q_values: Sequence[int] = (2, 3, 4, 5, 6),
     k_max: int = 300,
 ) -> SuiteReport:
-    """tv**2 <= (1/4) sum_{j>=1} d_j lam[j]**(2k) over the whole grid."""
+    """tv**2 <= (1/4) sum_{j>=1} d_j lam[j]**(2k) over the whole grid, as
+    t**2 <= q**(2n) sum_{j>=1} d_j (n(q-1) - jq)**(2k) in integers: t =
+    sum|e| over `radial.kstep_excess`, the right side from eigenvalue
+    powers alone.  Violations report both sides correctly rounded."""
     report = SuiteReport("upper")
     for q in q_values:
         for n in range(1, n_max + 1):
             params = make_scheme(n, q)
             d = params.degree
-            big_q = params.size
-            q_sq = big_q * big_q
-            w = class_weights(params).w
-            mult = spectrum(params).mult
-            lam_sq = [(d - j * q) ** 2 for j in range(n + 1)]
-            powers = [1] * (n + 1)  # lam_num[j]**(2k)
-            dk = 1
-            for k, num in kstep_numerators(params, range(k_max + 1), math.inf):  # over dk
-                t = sum(abs(num[l] * big_q - w[l] * dk) for l in range(n + 1))
-                s = sum(mult[j] * powers[j] for j in range(1, n + 1))
+            q_sq = params.size ** 2
+            lam_sq = [(d - j * q) ** 2 for j in range(1, n + 1)]
+            terms = list(spectrum(params).mult[1:])  # d_j lam_num[j]**(2k)
+            for k, e in kstep_excess(params, range(k_max + 1), math.inf):
+                t = sum(map(abs, e))  # 2 tv q**n (n(q-1))**k
+                s = sum(terms)
                 report.checked += 1
                 if t * t > s * q_sq:
-                    tv = t / (2 * dk * big_q)
-                    report.violations.append(
-                        Violation("upper-lemma", n, q, k, None, tv * tv, s / (4 * dk * dk))
-                    )
-                dk *= d
-                powers = [p * v for p, v in zip(powers, lam_sq)]
+                    scale = 4 * d ** (2 * k)
+                    report.violations.append(Violation(
+                        "upper-lemma", n, q, k, None,
+                        float(Fraction(t * t, scale * q_sq)), float(Fraction(s, scale)),
+                    ))
+                terms = list(map(mul, terms, lam_sq))
     return report
 
 

@@ -108,6 +108,25 @@ def test_profile_resource_cap(capsys):
     assert "resource cap" in err
 
 
+def test_profile_negative_bit_budget_usage_error(capsys):
+    # a negative budget used to walk one step and exit 3 ("exceeded -5 bits")
+    code, out, err = run(
+        ["profile", "--n", "6", "--q", "3", "--k-max", "5", "--backend", "exact",
+         "--bit-budget", "-5"],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "usage error: bit budget must be >= 0, got -5\n"
+    # a budget of 0 is valid while no step is taken
+    code, out, _ = run(
+        ["profile", "--n", "6", "--q", "3", "--k-max", "0", "--backend", "exact",
+         "--bit-budget", "0"],
+        capsys,
+    )
+    assert code == 0 and out.startswith("k,")
+
+
 def test_verify_upper_exit0(capsys):
     code, out, _ = run(
         ["verify", "upper", "--n-max", "10", "--q", "3", "--k-max", "50"], capsys

@@ -12,7 +12,9 @@ from hypothesis import given, settings, strategies as st
 from hamming_cutoff import (
     ParameterError,
     ResourceBudgetError,
+    class_weights,
     enumerate_tiny,
+    kstep_excess,
     kstep_float_powering,
     kstep_numerators,
     kstep_oracle,
@@ -241,6 +243,60 @@ def test_bit_budget_trips_exactly_past_the_numerator_bits():
             kstep_oracle(p, k, bit_budget=peak - 1)
     # k = 0 takes no step, so no budget applies
     assert kstep_oracle(p, 0, bit_budget=0).mass == point_mass(p).mass
+
+
+def test_excess_chain_is_numerators_minus_uniform():
+    # e = num q**n - w (n(q-1))**k, the excess over uniform, at every k
+    for n in range(1, 13):
+        for q in range(2, 7):
+            p = make_scheme(n, q)
+            w, big_q, d = class_weights(p).w, p.size, p.degree
+            pairs = zip(kstep_excess(p, range(61), math.inf),
+                        kstep_numerators(p, range(61), math.inf))
+            for (k, e), (_, num) in pairs:
+                assert e == [v * big_q - wl * d ** k for v, wl in zip(num, w)], (n, q, k)
+
+
+def test_excess_bit_budget_trips_exactly_past_the_excess_bits():
+    p = make_scheme(9, 4)
+    bits = [sum(v.bit_length() for v in e)
+            for _, e in kstep_excess(p, range(41), math.inf)]
+    for k in (1, 17, 40):
+        peak = max(bits[1:k + 1])
+        first = bits.index(peak, 1)
+        ref = next(kstep_excess(p, (k,), math.inf))[1]
+        assert next(kstep_excess(p, (k,), peak))[1] == ref
+        assert next(kstep_tv(p, (k,), "exact", peak))[1] == tv_distance(
+            kstep_oracle(p, k), uniform(p))
+        with pytest.raises(ResourceBudgetError, match=f"excess exceeded {peak - 1} bits.*k={first}$"):
+            list(kstep_excess(p, (k,), peak - 1))
+        with pytest.raises(ResourceBudgetError, match=f"k={first}$"):
+            list(kstep_tv(p, (k,), "exact", peak - 1))
+    # k = 0 takes no step, so no budget applies
+    assert next(kstep_tv(p, (0,), "exact", 0))[1] == 1 - Fraction(1, p.size)
+
+
+def test_negative_bit_budget_is_a_usage_error_before_any_step(monkeypatch):
+    monkeypatch.setattr(radial, "int_power_step", lambda *a: pytest.fail("stepped"))
+    p = make_scheme(5, 3)
+    for chain in (kstep_numerators, kstep_excess):
+        for ks in ((), (0,), (3,)):
+            with pytest.raises(ParameterError, match="bit budget"):
+                list(chain(p, ks, -1))
+    with pytest.raises(ParameterError, match="bit budget"):
+        list(kstep_tv(p, (3,), "exact", -5))
+    with pytest.raises(ParameterError, match="bit budget"):
+        kstep_oracle(p, 3, bit_budget=-5)
+
+
+def test_float_tv_matches_exact_across_the_n500_window():
+    # every 7th k of the exact cutoff window a_n +- 4 b_n at (500, 3)
+    p = make_scheme(500, 3)
+    ks = range(483, 1819, 7)
+    exact = kstep_tv(p, ks, "exact", 10 ** 7)
+    for (k, fl), (ke, ex) in zip(kstep_tv(p, ks, "float"), exact, strict=True):
+        assert k == ke
+        assert abs(fl - float(ex)) < 1e-14, k
 
 
 MARK_SCHEMES = [make_scheme(7, 3), make_scheme(12, 4), make_scheme(20, 5)]

@@ -65,6 +65,40 @@ def test_verify_upper_small():
     assert report.checked == 2 * 6 * 41
 
 
+def test_verify_upper_reports_every_violation_of_a_shrunk_bound(monkeypatch):
+    # with every multiplicity quartered the lemma's right side is 4x
+    # smaller and fails on many cells; the suite must report exactly the
+    # cells where the Fraction statement fails, with both sides rounded
+    import dataclasses
+
+    from hamming_cutoff import verify as verify_mod
+
+    def quartered(p):
+        s = spectrum(p)
+        return dataclasses.replace(s, mult=tuple(Fraction(m, 4) for m in s.mult))
+
+    monkeypatch.setattr(verify_mod, "spectrum", quartered)
+    q_values, n_max, k_max = (2, 3, 5), 8, 40
+    expect = []
+    for q in q_values:
+        for n in range(1, n_max + 1):
+            p = make_scheme(n, q)
+            sp = spectrum(p)
+            uni = uniform(p)
+            for k in range(k_max + 1):
+                tv = tv_distance(kstep_oracle(p, k), uni)
+                rhs = sum(Fraction(sp.mult[j], 4) * sp.lam[j] ** (2 * k)
+                          for j in range(1, n + 1)) / 4
+                if tv * tv > rhs:
+                    expect.append((n, q, k, float(tv * tv), float(rhs)))
+    report = verify_upper(n_max=n_max, q_values=q_values, k_max=k_max)
+    assert report.checked == len(q_values) * n_max * (k_max + 1)
+    got = [(v.n, v.q, v.k, v.lhs, v.rhs) for v in report.violations]
+    assert {v.which for v in report.violations} == {"upper-lemma"}
+    assert 0 < len(expect) < report.checked  # some cells still hold
+    assert got == expect
+
+
 def test_verify_majorant_small_and_skips():
     report = verify_majorant(
         q_values=(3, 4, 5), n_max=8, c_values=(0.5, 1.5, 3.0)
