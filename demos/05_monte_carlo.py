@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Seeded Monte Carlo on the distance chain, validated against exact masses.
 
-The stream is counter-based: walk i, step t always consumes the same
-Philox draw, so counts are reproducible bit for bit no matter how many
-worker threads run the blocks.
+The sampler draws the class histogram, not the walks: each step splits
+every class's walks into down / stay / up moves with two binomial draws,
+so its cost does not grow with the number of walks.  Counts are
+reproducible bit for bit from (params, k, walks, seed); `streams` is
+accepted and ignored.
 """
 
 import numpy as np

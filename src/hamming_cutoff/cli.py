@@ -238,7 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--k", type=int, required=True)
     s.add_argument("--walks", type=int, required=True)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--streams", type=int, default=1)
+    s.add_argument("--streams", type=int, default=1,
+                   help="accepted for compatibility (>= 1); has no effect")
     s.add_argument("--format", choices=("csv", "json"), default="csv")
     s.add_argument("--out", default="-")
     s.set_defaults(func=cmd_simulate)

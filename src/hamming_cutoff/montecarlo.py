@@ -1,22 +1,27 @@
-"""Stochastic oracle: seeded walk sampling on the distance chain.
+"""Stochastic oracle: seeded sampling of the distance chain.
 
-Walks are simulated on the radial projection (down/stay/up draws per
-step), exploiting the same symmetry as the exact engines.  The random
-stream is counter-based.  Walks run in fixed blocks of 65536; the block
-starting at walk `start` reads the Philox(key=seed) double stream from
-element 4*start*k on (`Philox.advance(m)` skips 4*m doubles), and walk i,
-step t of that block is element (i - start)*k + t of its slice.  Blocks
-never overlap, so results are a pure function of (params, k, walks, seed)
-and bit-identical for any worker count.  A literal-graph sampler exists
-for tiny state spaces purely to cross-check the radial sampler.
+`simulate` samples the class histogram, not the walks.  Given their
+classes, walks move independently, so the count vector c is itself a
+Markov chain: each step, the walks in class l split into down / stay / up
+moves by one multinomial draw, taken as two binomials (down, then up among
+the rest).  The histogram after k steps therefore has exactly the law of
+`walks` independent walks, Multinomial(walks, nu_k), at O((n+1) k) cost
+however many walks are asked for.  Results are a pure function of
+(params, k, walks, seed).
+
+A literal-graph sampler, `simulate_literal`, exists for tiny state spaces
+purely to cross-check it in distribution.  It samples walk by walk, in
+fixed blocks of 65536: the block starting at walk `start` reads the
+Philox(key=seed) double stream from element 4*start*k on
+(`Philox.advance(m)` skips 4*m doubles), and walk i, step t of that block
+is element (i - start)*k + t of its slice, so its counts too are a pure
+function of (params, k, walks, seed).
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .radial import radial_matrix
 from .scheme import (
     ParameterError,
     RadialDistribution,
@@ -33,7 +38,11 @@ _SUB_BLOCK_DRAWS = 1 << 22  # doubles drawn at once (32 MB); bounds memory only
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One reproducible experiment: (params, k, walks, seed, streams)."""
+    """One reproducible experiment: (params, k, walks, seed).
+
+    `streams` is validated and otherwise unused: counts never depended on
+    it, and the histogram sampler has no blocks to spread over workers.
+    """
 
     params: SchemeParams
     k: int
@@ -46,6 +55,8 @@ class SimConfig:
             raise ParameterError("step count k must be >= 0")
         if self.walks < 1:
             raise ParameterError("need at least one walk")
+        if self.walks >= 2 ** 63:  # the class counts are int64
+            raise ParameterError("walks must be < 2**63")
         if self.streams < 1:
             raise ParameterError("need at least one stream")
         if not 0 <= self.seed < 2 ** 64:
@@ -60,13 +71,6 @@ class EmpiricalResult:
     counts: np.ndarray
     point_estimate: RadialDistribution
     stderr: np.ndarray
-
-
-def _thresholds(params: SchemeParams):
-    m = radial_matrix(params)
-    t_down = np.array([float(v) for v in m.down])
-    t_stay = np.array([float(u + v) for u, v in zip(m.down, m.stay)])
-    return t_down, t_stay
 
 
 def _sub_blocks(cfg: SimConfig, start: int, stop: int):
@@ -85,41 +89,33 @@ def _sub_blocks(cfg: SimConfig, start: int, stop: int):
         yield lo, hi, gen.random((hi - lo, cfg.k))
 
 
-def _block_counts(cfg: SimConfig, start: int, stop: int, t_down, t_stay) -> np.ndarray:
-    """Counts for walks [start, stop), reading the canonical stream slice."""
-    n = cfg.params.n
-    state = np.zeros(stop - start, dtype=np.int64)
-    if cfg.k:
-        for lo, hi, u in _sub_blocks(cfg, start, stop):
-            sub = state[lo:hi]  # a view
-            for t in range(cfg.k):
-                ut = u[:, t]
-                sub[:] = sub - (ut < t_down[sub]) + (ut >= t_stay[sub])
-            del u, ut  # free this sub-block before the next is drawn
-    return np.bincount(state, minlength=n + 1)
-
-
 def simulate(cfg: SimConfig, max_draws: int = DEFAULT_DRAW_BUDGET) -> EmpiricalResult:
-    """Sample cfg.walks radial walks of cfg.k steps; deterministic per seed."""
+    """Sample the k-step class histogram of cfg.walks walks; deterministic per seed.
+
+    `max_draws` caps walks*k, the walk-steps the sample stands for; the
+    sampler itself draws 2(n+1) binomials per step.  Per step, from
+    Philox(key=seed): down_l ~ Bin(c_l, l/(n(q-1))), then up_l ~
+    Bin(c_l - down_l, (n-l)(q-1)/(n(q-1) - l)), the up probability given
+    not down (0 where that denominator is 0, i.e. q = 2 and l = n).  Each
+    probability is one correctly rounded division of exact integers.
+    """
     if cfg.walks * cfg.k > max_draws:
         raise ResourceBudgetError(
             f"walks*k = {cfg.walks * cfg.k} exceeds the draw budget {max_draws}"
         )
-    t_down, t_stay = _thresholds(cfg.params)
-    blocks = [
-        (start, min(start + _BLOCK, cfg.walks))
-        for start in range(0, cfg.walks, _BLOCK)
-    ]
-
-    def run(block):
-        return _block_counts(cfg, block[0], block[1], t_down, t_stay)
-
-    if cfg.streams > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.streams) as pool:
-            parts = list(pool.map(run, blocks))
-    else:
-        parts = [run(b) for b in blocks]
-    counts = np.sum(parts, axis=0)
+    n, q, d = cfg.params.n, cfg.params.q, cfg.params.degree
+    p_down = np.array([l / d for l in range(n + 1)])
+    p_up = np.array([(n - l) * (q - 1) / (d - l) if d > l else 0.0
+                     for l in range(n + 1)])
+    gen = np.random.Generator(np.random.Philox(key=cfg.seed))
+    counts = np.zeros(n + 1, dtype=np.int64)
+    counts[0] = cfg.walks
+    for _ in range(cfg.k):
+        down = gen.binomial(counts, p_down)
+        up = gen.binomial(counts - down, p_up)
+        counts -= down + up
+        counts[:-1] += down[1:]  # down[0] = 0
+        counts[1:] += up[:-1]  # up[n] = 0
 
     freq = counts / cfg.walks
     stderr = np.sqrt(freq * (1 - freq) / cfg.walks)
@@ -154,11 +150,8 @@ def simulate_literal(cfg: SimConfig, max_states: int = 10 ** 4) -> EmpiricalResu
     """Cross-check sampler on the literal q**n graph (tiny spaces only).
 
     Each step resamples one coordinate to a different letter; one uniform
-    per step encodes both choices.  Stream layout matches `simulate` (the
-    block at walk `start` reads from element 4*start*k; its walk i, step t
-    is element (i - start)*k + t of that slice) but the draws mean
-    different things, so the two samplers agree only in distribution, not
-    pathwise.
+    per step encodes both choices, read in the block layout of the module
+    docstring.  It agrees with `simulate` in distribution only.
     """
     params = cfg.params
     n, q = params.n, params.q

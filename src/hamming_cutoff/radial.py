@@ -109,6 +109,11 @@ def int_power_step(num: list, n: int, q: int) -> list:
     return out
 
 
+def _check_bit_budget(bit_budget) -> None:
+    if bit_budget < 0:
+        raise ParameterError(f"bit budget must be >= 0, got {bit_budget}")
+
+
 def _int_chain(params: SchemeParams, vec: list, ks, bit_budget, what: str):
     """The package's one exact k-step loop: yield (k, vec after k steps)
     for sorted, distinct ks, max(ks) `int_power_step`s in all.
@@ -117,8 +122,7 @@ def _int_chain(params: SchemeParams, vec: list, ks, bit_budget, what: str):
     a step, `ResourceBudgetError` once the sum of the bit lengths of the
     integers in vec exceeds `bit_budget` (`math.inf`: no bound).
     """
-    if bit_budget < 0:
-        raise ParameterError(f"bit budget must be >= 0, got {bit_budget}")
+    _check_bit_budget(bit_budget)
     n, q = params.n, params.q
     bounded = bit_budget < math.inf  # the bit count costs ~5 % of a step
     done = 0
@@ -219,8 +223,10 @@ def kstep_tv(params: SchemeParams, ks, backend: Backend, bit_budget=DEFAULT_BIT_
     built.  Float: `scheme.tv_distance` of each float distribution
     against the float uniform law, the package's one float TV reduction,
     over `kstep_trajectory` (so resumed from the scheme's float
-    checkpoints).
+    checkpoints).  A negative `bit_budget` is a `ParameterError` before
+    any step on either backend, though only the exact one reads it.
     """
+    _check_bit_budget(bit_budget)
     if backend == "exact":
         big_q, d = params.size, params.degree
         for k, e in kstep_excess(params, ks, bit_budget):

@@ -127,6 +127,18 @@ def test_profile_negative_bit_budget_usage_error(capsys):
     assert code == 0 and out.startswith("k,")
 
 
+@pytest.mark.parametrize("argv", [
+    ["--n", "40", "--q", "3", "--k-max", "5"],  # auto -> float
+    ["--n", "4", "--q", "3", "--k-max", "5", "--backend", "float"],
+])
+def test_profile_negative_bit_budget_usage_error_on_the_float_backend(argv, capsys):
+    # the float backend reads no budget, and used to accept a negative one
+    code, out, err = run(["profile", *argv, "--bit-budget", "-5"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "usage error: bit budget must be >= 0, got -5\n"
+
+
 def test_verify_upper_exit0(capsys):
     code, out, _ = run(
         ["verify", "upper", "--n-max", "10", "--q", "3", "--k-max", "50"], capsys

@@ -47,19 +47,6 @@ def test_determinism_across_stream_counts():
         assert np.array_equal(base.counts, again.counts)
 
 
-def test_sub_block_size_leaves_counts_unchanged(monkeypatch):
-    from hamming_cutoff import montecarlo
-
-    p = make_scheme(6, 4)
-    cases = [(10, SimConfig(p, k=3, walks=70_001, seed=13, streams=2)),  # 3 walks each
-             (1, SimConfig(p, k=5, walks=3001, seed=14))]  # fewer doubles than k
-    for draws, cfg in cases:
-        base = simulate(cfg).counts
-        with monkeypatch.context() as m:
-            m.setattr(montecarlo, "_SUB_BLOCK_DRAWS", draws)
-            assert np.array_equal(simulate(cfg).counts, base)
-
-
 def test_literal_sub_block_size_leaves_counts_unchanged(monkeypatch):
     from hamming_cutoff import montecarlo
 
@@ -71,6 +58,38 @@ def test_literal_sub_block_size_leaves_counts_unchanged(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(montecarlo, "_SUB_BLOCK_DRAWS", draws)
             assert np.array_equal(simulate_literal(cfg).counts, base)
+
+
+def test_counts_have_the_multinomial_law_of_independent_walks():
+    # over 2000 seeds, the mean and covariance of the class counts match
+    # walks*nu and walks*(diag nu - nu nu^T); q = 2 has no stays, and
+    # parity leaves classes with nu = 0, whose counts must be exactly 0
+    seeds, walks = 2000, 30
+    for n, q, k in ((4, 3, 6), (3, 2, 5), (5, 4, 7)):
+        p = make_scheme(n, q)
+        nu = np.array([float(v) for v in kstep_oracle(p, k).mass])
+        x = np.array([simulate(SimConfig(p, k=k, walks=walks, seed=s)).counts
+                      for s in range(seeds)], dtype=float)
+        dev = x - walks * nu
+        cov = walks * (np.diag(nu) - np.outer(nu, nu))
+        live = nu > 0
+        assert np.all(dev[:, ~live] == 0), (n, q, k)
+        z_mean = dev.mean(axis=0)[live] / np.sqrt(np.diag(cov)[live] / seeds)
+        prods = dev[:, :, None] * dev[:, None, :]  # (seed, l, m)
+        pair = np.outer(live, live)
+        z_cov = ((prods.mean(axis=0) - cov)[pair]
+                 / np.sqrt(prods.var(axis=0)[pair] / seeds))
+        assert np.max(np.abs(z_mean)) < 4.5, (n, q, k, z_mean)
+        assert np.max(np.abs(z_cov)) < 4.5, (n, q, k, z_cov)
+
+
+def test_cost_does_not_grow_with_walks():
+    # 10**9 walks of 10 steps: the draw budget's walks*k = 10**10 walk-steps
+    p, walks, k = make_scheme(30, 3), 10 ** 9, 10
+    nu = np.array([float(v) for v in kstep_oracle(p, k).mass])
+    counts = simulate(SimConfig(p, k=k, walks=walks, seed=5)).counts
+    assert int(counts.sum()) == walks
+    assert np.all(np.abs(counts - walks * nu) <= 8 * np.sqrt(walks * nu * (1 - nu)))
 
 
 def test_seed_sensitivity():
@@ -141,5 +160,7 @@ def test_config_validation():
         SimConfig(p, k=-1, walks=10, seed=0)
     with pytest.raises(ParameterError):
         SimConfig(p, k=1, walks=0, seed=0)
+    with pytest.raises(ParameterError):
+        SimConfig(p, k=0, walks=2 ** 63, seed=0)
     with pytest.raises(ParameterError):
         SimConfig(p, k=1, walks=10, seed=2 ** 64)
