@@ -34,7 +34,14 @@ from typing import Literal
 import numpy as np
 
 from .radial import kstep_tv
-from .scheme import Backend, ParameterError, SchemeParams, tv_distance, uniform
+from .scheme import (
+    Backend,
+    ParameterError,
+    SchemeParams,
+    log_class_weights,
+    tv_distance,
+    uniform,
+)
 from .spectral import kstep_distribution, spectrum
 
 EXACT_BACKEND_MAX_N = 30
@@ -106,16 +113,10 @@ def _lemma_terms(params: SchemeParams):
     """
     n, q, d = params.n, params.q, params.degree
     js = np.arange(1, n + 1, dtype=np.float64)
-    logd = (
-        js * math.log(q - 1)
-        + math.lgamma(n + 1)
-        - np.array([math.lgamma(v + 1) + math.lgamma(n - v + 1) for v in js])
-    )
     with np.errstate(divide="ignore"):
         loglam = np.log(np.abs((d - js * q) / d))
-    logd.flags.writeable = False
     loglam.flags.writeable = False
-    return logd, loglam
+    return log_class_weights(params)[1:], loglam  # d_j = w[j]
 
 
 def upper_bound_lemma_rhs(params: SchemeParams, k: int, backend: Backend = "exact"):

@@ -93,38 +93,39 @@ def _report_failures(name, report) -> None:
     )
 
 
+def _given(**flags) -> dict:
+    """The flags the user gave, as keyword arguments; `verify` holds the defaults."""
+    return {name: value for name, value in flags.items() if value is not None}
+
+
 def cmd_verify(args) -> int:
     if args.n_max is not None and args.n_max < 1:
         raise ParameterError("--n-max must be >= 1")
     if args.k_max is not None and args.k_max < 0:
         raise ParameterError("--k-max must be >= 0")
+    q_values = args.q and tuple(args.q)
+    c_values = args.c and tuple(args.c)
     rc = 0
     if args.suite == "upper":
         report = verify.verify_upper(
-            30 if args.n_max is None else args.n_max,
-            tuple(args.q or (2, 3, 4, 5, 6)),
-            300 if args.k_max is None else args.k_max,
+            **_given(n_max=args.n_max, q_values=q_values, k_max=args.k_max)
         )
         _report_failures("upper", report)
         rc = 0 if report.ok else 1
     elif args.suite == "majorant":
         report = verify.verify_majorant(
-            tuple(args.q or (3, 4, 5, 6, 7, 8)),
-            40 if args.n_max is None else args.n_max,
-            tuple(args.c or [0.25 * i for i in range(1, 25)]),
-            args.rounding,
+            **_given(q_values=q_values, n_max=args.n_max, c_values=c_values,
+                     rounding=args.rounding)
         )
         _report_failures("majorant", report)
         rc = 0 if report.ok else 1
     elif args.suite == "minorant":
-        q = (args.q or [3])[0]
         sweep = verify.minorant_sweep(
-            q=q,
-            b=args.b,
             c0=args.c0,
             c=(args.c or [min(args.c0, 3.0)])[0],
             n_grid=(None if args.n_max is None
                     else verify.default_sweep_grid(1, args.n_max)),
+            **_given(q=args.q and args.q[0], b=args.b),
         )
         for rec in sweep.diagnostic_violations:
             print(
@@ -228,8 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--k-max", dest="k_max", type=int, default=None)
     v.add_argument("--c", type=float, action="append")
     v.add_argument("--c0", type=float, default=3.0)
-    v.add_argument("--b", type=float, default=1.0)
-    v.add_argument("--rounding", choices=("ceil", "exact"), default="ceil")
+    v.add_argument("--b", type=float)
+    v.add_argument("--rounding", choices=("ceil", "exact"))
     v.set_defaults(func=cmd_verify)
 
     s = sub.add_parser("simulate", help="seeded Monte Carlo on the distance chain")

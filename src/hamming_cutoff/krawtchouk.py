@@ -1,15 +1,18 @@
 """Spherical functions of H(n, q): the Krawtchouk polynomial family.
 
 phi_j is the degree-j member, normalized to phi_j(0) = 1 and evaluated at
-integer distances l = 0..n.  Two independent closed forms are implemented:
+integer distances l = 0..n.  With d_j = (q-1)**j C(n,j), two independent
+closed forms of the integer d_j phi_j(l) are implemented:
 
 * a terminating hypergeometric sum,
     phi_j(l) = sum_{r=0}^{j} [(-j)_r (-l)_r / ((-n)_r r!)] * (q/(q-1))**r,
+  taken term by term in its integer form
+    d_j phi_j(l) = sum_r (-1)**r C(l,r) C(n-r, j-r) q**r (q-1)**(j-r),
 * a binomial double sum,
-    phi_j(l) = C(n,j)^-1 * sum_r C(l,r) C(n-l, j-r) (-1/(q-1))**r.
+    d_j phi_j(l) = sum_r (-1)**r C(l,r) C(n-l, j-r) (q-1)**(j-r).
 
-They must agree exactly in rational arithmetic; that agreement is a test,
-not an assumption.  The exact table itself is K[j][l] / d_j over the
+They must agree exactly; that agreement is a test, not an assumption, and
+it runs in integers.  The exact table itself is K[j][l] / d_j over the
 integer rows `scaled_rows`, a third form built in O(n**2) from the
 generating function.  The float table is instead built from the three-term
 recurrence in l (the radial-chain eigenfunction relation)
@@ -27,6 +30,12 @@ grower), so it is run on the weight-symmetrized rows
 forward from l = 0 and backward from l = n, and the two halves are spliced
 where the row's oscillatory window ends; each half only ever recurs in its
 own growth direction, which keeps relative errors at the roundoff level.
+
+`_float_rows` is the one float row builder (table, float `phi_row`, both
+residual certificates): it splices all requested rows at once, then pins
+the entries known exactly.  At n <= 2 there is nothing to splice (at
+(n, q) = (2, 2) the window is a zero of phi_1): phi is the float of the
+exact rows there, and psi follows from it.
 """
 
 import math
@@ -44,9 +53,16 @@ from .scheme import (
     ResourceBudgetError,
     SchemeParams,
     class_weights,
+    log_class_weights,
 )
 
 DEFAULT_TABLE_BUDGET = 4096
+
+# The exact table holds (n+1)**2 integers of up to n log2 q bits.  At q = 3
+# `table` peaked at 146 MB for n = 400 (1.0e8 bits) and 813 MB for n = 800
+# (8.1e8 bits), ~5.6x per doubling of n: 10**9 bits keeps n = 800 and caps
+# the command near 1 GB.
+EXACT_TABLE_BIT_BUDGET = 10 ** 9
 
 
 def _check_indices(params: SchemeParams, j: int, l: int) -> None:
@@ -60,13 +76,16 @@ def phi_hypergeometric(params: SchemeParams, j: int, l: int) -> Fraction:
     """phi_j(l) via the terminating hypergeometric sum, exact."""
     _check_indices(params, j, l)
     n, q = params.n, params.q
-    term = Fraction(1)
-    total = Fraction(1)
-    for r in range(min(j, l)):
-        # term_{r+1} / term_r = (-j+r)(-l+r) q / ((-n+r)(r+1)(q-1))
-        term *= Fraction(-(j - r) * (l - r) * q, (n - r) * (r + 1) * (q - 1))
-        total += term
-    return total
+    return Fraction(_hypergeometric_sum(n, q, j, l), math.comb(n, j) * (q - 1) ** j)
+
+
+def _hypergeometric_sum(n: int, q: int, j: int, l: int) -> int:
+    """phi_j(l) d_j = sum_r (-1)**r C(l,r) C(n-r,j-r) q**r (q-1)**(j-r): the
+    hypergeometric series times d_j, each term an integer."""
+    return sum(
+        (-1) ** r * math.comb(l, r) * math.comb(n - r, j - r) * q ** r * (q - 1) ** (j - r)
+        for r in range(min(j, l) + 1)
+    )
 
 
 def _binomial_sum(n: int, q: int, j: int, l: int) -> int:
@@ -116,12 +135,6 @@ class KrawtchoukTable:
         return self.phi[j][l]
 
 
-def _float_lambdas(params: SchemeParams) -> np.ndarray:
-    n, q = params.n, params.q
-    d = n * (q - 1)
-    return (d - q * np.arange(n + 1, dtype=np.float64)) / d
-
-
 def float_table_supported(params: SchemeParams) -> bool:
     """Whether the symmetrized rows stay inside float64 range.
 
@@ -135,103 +148,90 @@ def float_table_supported(params: SchemeParams) -> bool:
 
 
 def _jacobi_coefficients(params: SchemeParams):
-    """Diagonal/off-diagonal of the weight-symmetrized transition matrix."""
+    """Diagonal, off-diagonal and eigenvalues lam_j of the weight-symmetrized
+    transition matrix."""
     n, q = params.n, params.q
     d = n * (q - 1)
     ls = np.arange(n + 1, dtype=np.float64)
     diag = ls * (q - 2) / d
     off = np.sqrt((n - ls[:-1]) * (q - 1) * (ls[:-1] + 1)) / d
-    return diag, off
+    return diag, off, (d - q * ls) / d
 
 
-def _oscillatory_edge(params: SchemeParams, j: int) -> float:
-    """Largest l where the row still oscillates (recurrence turning point)."""
-    n, q = params.n, params.q
-    a = n * (q - 1) - j * q
-    b = a * (q - 2) + 2 * n * (q - 1)
-    disc = b * b - (q * q) * (a * a)
-    if disc <= 0:
-        return b / (q * q)
-    return (b + math.sqrt(disc)) / (q * q)
-
-
-def _splice(n: int, edge: float, f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Join forward/backward halves near the oscillatory edge of a row.
-
-    Each half is anchored to a far corner of the row, so their raw scales
-    can differ by hundreds of orders of magnitude; both are rescaled around
-    the candidate window before any product is formed.
-    """
-    mid = int(min(max(edge, 1.0), n - 1))
-    lo, hi = max(mid - 2, 1), min(mid + 2, n - 1)
-    cand = np.arange(lo, hi + 1)
-    fm = float(np.max(np.abs(f[cand])))
-    gm = float(np.max(np.abs(g[cand])))
-    if fm == 0.0 or gm == 0.0 or not (math.isfinite(fm) and math.isfinite(gm)):
-        raise ResourceBudgetError(f"degenerate splice window at n={n}")
-    fw = f / fm
-    gw = g / gm
-    s = int(cand[np.argmax(np.abs(fw[cand] * gw[cand]))])
-    if fw[s] == 0.0 or gw[s] == 0.0:
-        raise ResourceBudgetError(f"degenerate splice at l={s}, n={n}")
-    row = np.concatenate([fw[: s + 1], (fw[s] / gw[s]) * gw[s + 1 :]])
-    return row / np.linalg.norm(row)
-
-
-def _psi_rows(params: SchemeParams, js) -> np.ndarray:
-    """Unit-norm symmetrized rows js by the two-sided spliced recurrence.
+def _float_rows(params: SchemeParams, js: np.ndarray):
+    """(psi, phi) of rows js: unit-norm symmetrized rows and phi rows.
 
     Forward and backward sweeps run vectorized over the rows; entries past
     a row's splice point are the unstable half's garbage and are discarded
-    by the splice, so overflow there is silenced and harmless.
+    by the splice, so overflow there is silenced and harmless.  Each half
+    is anchored to a far corner of the row, so their raw scales can differ
+    by hundreds of orders of magnitude; both are rescaled over a window
+    around the row's oscillatory edge (the recurrence's turning point)
+    before any product is formed, and joined where |f g| peaks in it.
     """
-    n = params.n
-    diag, off = _jacobi_coefficients(params)
-    lams = _float_lambdas(params)[js]
-    f = np.zeros((len(js), n + 1))
-    g = np.zeros((len(js), n + 1))
-    with np.errstate(over="ignore", invalid="ignore"):
-        f[:, 0] = 1.0
-        f[:, 1] = (lams - diag[0]) / off[0]
-        for l in range(1, n):
-            f[:, l + 1] = ((lams - diag[l]) * f[:, l] - off[l - 1] * f[:, l - 1]) / off[l]
-        g[:, n] = 1.0
-        g[:, n - 1] = (lams - diag[n]) / off[n - 1]
-        for l in range(n - 1, 0, -1):
-            g[:, l - 1] = ((lams - diag[l]) * g[:, l] - off[l] * g[:, l + 1]) / off[l - 1]
-    psi = np.empty_like(f)
-    for r, j in enumerate(js):
-        psi[r] = _splice(n, _oscillatory_edge(params, j), f[r], g[r])
-    return psi
-
-
-@lru_cache(maxsize=8)
-def _psi_table(params: SchemeParams) -> np.ndarray:
-    """All unit-norm symmetrized rows, orthonormal up to roundoff."""
-    psi = _psi_rows(params, np.arange(params.n + 1))
-    psi.flags.writeable = False
-    return psi
-
-
-@lru_cache(maxsize=16)
-def _log_class_weights(params: SchemeParams) -> np.ndarray:
-    """log w[l] = log((q-1)**l C(n,l)) via lgamma, per class l."""
     n, q = params.n, params.q
-    ls = np.arange(n + 1, dtype=np.float64)
-    return (
-        ls * math.log(q - 1)
-        + math.lgamma(n + 1)
-        - np.array([math.lgamma(v + 1) + math.lgamma(n - v + 1) for v in ls])
-    )
+    logw = log_class_weights(params)
+    logscale = 0.5 * (logw[None, :] + logw[js][:, None] - n * math.log(q))
+    if n <= 2:
+        phi = np.array([[float(v) for v in _exact_table(params)[j]] for j in js])
+        return phi * np.exp(logscale), phi
+    if not float_table_supported(params):
+        raise ResourceBudgetError(
+            f"float table out of range at n={n}, q={q}; use the exact backend"
+        )
+    diag, off, lams = _jacobi_coefficients(params)
+    lams = lams[js]
+    shift = lams[None, :] - diag[:, None]  # shift[l] = lam_j - diag[l]
+    # l-major, so each step reads and writes contiguous rows
+    f = np.zeros((n + 1, len(js)))
+    g = np.zeros((n + 1, len(js)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        f[0] = 1.0
+        f[1] = shift[0] / off[0]
+        for l in range(1, n):
+            f[l + 1] = (shift[l] * f[l] - off[l - 1] * f[l - 1]) / off[l]
+        g[n] = 1.0
+        g[n - 1] = shift[n] / off[n - 1]
+        for l in range(n - 1, 0, -1):
+            g[l - 1] = (shift[l] * g[l] - off[l] * g[l + 1]) / off[l - 1]
+    f, g = f.T, g.T
 
+    # oscillatory edge: the larger root of the turning-point quadratic,
+    # its coefficients in exact integers
+    a = n * (q - 1) - q * js.astype(object)
+    b = a * (q - 2) + 2 * n * (q - 1)
+    disc = np.maximum(b * b - (q * q) * (a * a), 0)
+    edge = (b.astype(np.float64) + np.sqrt(disc.astype(np.float64))) / (q * q)
 
-@lru_cache(maxsize=8)
-def _logscale(params: SchemeParams) -> np.ndarray:
-    """logscale[j, l] = log sqrt(w[l] d_j / q**n), the psi/phi conversion."""
-    logw = _log_class_weights(params)
-    out = 0.5 * (logw[None, :] + logw[:, None] - params.n * math.log(params.q))
-    out.flags.writeable = False
-    return out
+    # splice window l in [mid - 2, mid + 2], clipped to 1..n-1
+    mid = np.minimum(np.maximum(edge, 1.0), n - 1).astype(np.int64)
+    cand = np.clip(mid[:, None] + np.arange(-2, 3), 1, n - 1)
+    fm = np.max(np.abs(np.take_along_axis(f, cand, 1)), axis=1)
+    gm = np.max(np.abs(np.take_along_axis(g, cand, 1)), axis=1)
+    if not np.all((fm > 0) & (gm > 0) & np.isfinite(fm) & np.isfinite(gm)):
+        raise ResourceBudgetError(f"degenerate splice window at n={n}")
+    rows = np.arange(len(js))
+    with np.errstate(over="ignore", invalid="ignore"):
+        fw = f / fm[:, None]
+        gw = g / gm[:, None]
+        peak = np.abs(np.take_along_axis(fw, cand, 1) * np.take_along_axis(gw, cand, 1))
+        s = cand[rows, np.argmax(peak, axis=1)]
+        fs, gs = fw[rows, s], gw[rows, s]
+        if not np.all((fs != 0) & (gs != 0)):
+            raise ResourceBudgetError(
+                f"degenerate splice at l={s[(fs == 0) | (gs == 0)][0]}, n={n}"
+            )
+        psi = np.where(np.arange(n + 1) <= s[:, None], fw, (fs / gs)[:, None] * gw)
+    # one dot per row, the order np.linalg.norm sums in
+    psi /= np.sqrt([row.dot(row) for row in psi])[:, None]
+
+    phi = psi * np.exp(-logscale)
+    # structural values are known exactly; pin them
+    phi[js == 0, :] = 1.0
+    phi[:, 0] = 1.0
+    phi[:, 1] = lams
+    phi[js == 1, :] = 1.0 - np.arange(n + 1) * q / (n * (q - 1))
+    return psi, phi
 
 
 @lru_cache(maxsize=32)
@@ -241,25 +241,12 @@ def _exact_table(params: SchemeParams) -> tuple:
 
 
 @lru_cache(maxsize=8)
-def _float_table(params: SchemeParams) -> np.ndarray:
-    n, q = params.n, params.q
-    if n <= 2:
-        phi = np.array(
-            [[float(v) for v in row] for row in _exact_table(params)]
-        )
-    else:
-        if not float_table_supported(params):
-            raise ResourceBudgetError(
-                f"float table out of range at n={n}, q={q}; use the exact backend"
-            )
-        phi = _psi_table(params) * np.exp(-_logscale(params))
-        # structural values are known exactly; pin them
-        phi[0, :] = 1.0
-        phi[:, 0] = 1.0
-        phi[:, 1] = _float_lambdas(params)
-        phi[1, :] = 1.0 - np.arange(n + 1) * q / (n * (q - 1))
+def _float_table(params: SchemeParams) -> tuple:
+    """Read-only (psi, phi) of every row; psi is orthonormal up to roundoff."""
+    psi, phi = _float_rows(params, np.arange(params.n + 1))
+    psi.flags.writeable = False
     phi.flags.writeable = False
-    return phi
+    return psi, phi
 
 
 def build_table(
@@ -267,15 +254,26 @@ def build_table(
     backend: Backend = "exact",
     max_n: int = DEFAULT_TABLE_BUDGET,
 ) -> KrawtchoukTable:
-    """Tabulate phi_j(l) over the full grid in the requested backend."""
-    if params.n > max_n:
+    """Tabulate phi_j(l) over the full grid in the requested backend.
+
+    An exact table estimated past `EXACT_TABLE_BIT_BUDGET` bits is refused
+    (`ResourceBudgetError`) before any row is built.
+    """
+    n = params.n
+    if n > max_n:
         raise ResourceBudgetError(
-            f"table for n={params.n} exceeds the budget max_n={max_n}"
+            f"table for n={n} exceeds the budget max_n={max_n}"
         )
     if backend == "exact":
+        bits = (n + 1) ** 2 * n * math.log2(params.q)
+        if bits > EXACT_TABLE_BIT_BUDGET:
+            raise ResourceBudgetError(
+                f"exact table at n={n}, q={params.q} holds ~{bits:.3g} bits, "
+                f"past the budget of {EXACT_TABLE_BIT_BUDGET:.3g}"
+            )
         return KrawtchoukTable(params, _exact_table(params), "exact")
     if backend == "float":
-        return KrawtchoukTable(params, _float_table(params), "float")
+        return KrawtchoukTable(params, _float_table(params)[1], "float")
     raise ParameterError(f"unknown backend {backend!r}")
 
 
@@ -283,29 +281,22 @@ def phi_row(params: SchemeParams, j: int, backend: Backend = "float"):
     """Single row phi_j(0..n) without building the full table.
 
     Exact: K[j][l] / d_j over the cached `scaled_rows`, d_j = K[j][0].
-    Float: the spliced recurrence of row j alone.
+    Float: row j of `_float_rows` alone, bit for bit the table's row.
     """
     _check_indices(params, j, 0)
-    n = params.n
     if backend == "exact":
         row = scaled_rows(params)[j]
         return tuple(Fraction(v, row[0]) for v in row)
-    if n <= 2:
-        return _float_table(params)[j].copy()
-    if not float_table_supported(params):
-        raise ResourceBudgetError(
-            f"float row out of range at n={n}; use the exact backend"
-        )
-    logw = _log_class_weights(params)
-    scale = 0.5 * (logw + logw[j] - n * math.log(params.q))
-    return _psi_rows(params, [j])[0] * np.exp(-scale)
+    if backend == "float":
+        return _float_rows(params, np.array([j]))[1][0]
+    raise ParameterError(f"unknown backend {backend!r}")
 
 
 def formulas_agree(params: SchemeParams) -> bool:
-    """Exact agreement of the two closed forms on the whole grid."""
-    n = params.n
+    """Agreement of the two closed forms on the whole grid, in integers."""
+    n, q = params.n, params.q
     return all(
-        phi_hypergeometric(params, j, l) == phi_binomial(params, j, l)
+        _hypergeometric_sum(n, q, j, l) == _binomial_sum(n, q, j, l)
         for j in range(n + 1)
         for l in range(n + 1)
     )
@@ -334,25 +325,16 @@ def orthogonality_exact(params: SchemeParams) -> bool:
 def orthogonality_residual(params: SchemeParams) -> float:
     """Max |Gram - I| entry for the float rows, in the dimensionless form
     sqrt(d_j d_j') sum_l (w[l]/q**n) phi_j phi_j' = delta_jj'."""
-    n = params.n
-    if n <= 2:
-        psi = _float_table(params) * np.exp(_logscale(params))
-    else:
-        psi = _psi_table(params)
+    psi = _float_table(params)[0]
     gram = psi @ psi.T
-    return float(np.max(np.abs(gram - np.eye(n + 1))))
+    return float(np.max(np.abs(gram - np.eye(params.n + 1))))
 
 
 def eigen_residual(params: SchemeParams) -> float:
     """Max |J psi_j - lam_j psi_j| entry over all rows, with closed-form
     eigenvalues; certifies the float rows really are the eigenvectors."""
-    n = params.n
-    if n <= 2:
-        psi = _float_table(params) * np.exp(_logscale(params))
-    else:
-        psi = _psi_table(params)
-    diag, off = _jacobi_coefficients(params)
-    lams = _float_lambdas(params)
+    psi = _float_table(params)[0]
+    diag, off, lams = _jacobi_coefficients(params)
     res = psi * diag[None, :] - psi * lams[:, None]
     res[:, :-1] += psi[:, 1:] * off[None, :]
     res[:, 1:] += psi[:, :-1] * off[None, :]

@@ -93,6 +93,21 @@ def class_weights(params: SchemeParams) -> ClassWeights:
     return ClassWeights(params, tuple(w), params.size)
 
 
+@lru_cache(maxsize=64)
+def log_class_weights(params: SchemeParams) -> np.ndarray:
+    """log w[l] = log((q-1)**l C(n, l)) via lgamma, as a read-only float64
+    array: `class_weights` for float paths, where w[l] may overflow."""
+    n, q = params.n, params.q
+    ls = np.arange(n + 1, dtype=np.float64)
+    logw = (
+        ls * math.log(q - 1)
+        + math.lgamma(n + 1)
+        - np.array([math.lgamma(v + 1) + math.lgamma(n - v + 1) for v in ls])
+    )
+    logw.flags.writeable = False
+    return logw
+
+
 @dataclass(frozen=True)
 class RadialDistribution:
     """A probability distribution stored as one mass per distance class.

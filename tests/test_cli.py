@@ -335,3 +335,27 @@ def test_verify_reports_violations_with_exit_1(monkeypatch, capsys):
     assert code == 1
     assert "FAIL upper-lemma" in err and "n=3" in err and "k=5" in err
     assert "1 violations" in out
+
+
+def test_verify_forwards_only_the_flags_given(monkeypatch, capsys):
+    import hamming_cutoff.verify as verify_mod
+    from hamming_cutoff.verify import SuiteReport
+
+    seen = []
+
+    def fake(**kwargs):
+        seen.append(kwargs)
+        return SuiteReport("fake")
+
+    monkeypatch.setattr(verify_mod, "verify_upper", fake)
+    monkeypatch.setattr(verify_mod, "verify_majorant", fake)
+    assert main(["verify", "upper"]) == 0
+    assert main(["verify", "majorant"]) == 0
+    assert main(["verify", "upper", "--q", "4", "--q", "5", "--k-max", "7"]) == 0
+    assert main(["verify", "majorant", "--n-max", "6", "--c", "2", "--rounding", "exact"]) == 0
+    assert seen == [
+        {},
+        {},
+        {"q_values": (4, 5), "k_max": 7},
+        {"n_max": 6, "c_values": (2.0,), "rounding": "exact"},
+    ]

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,8 @@ from hamming_cutoff import (
     scaled_rows,
     spectrum,
 )
+from hamming_cutoff import krawtchouk
+from hamming_cutoff.cli import main
 from hamming_cutoff.krawtchouk import _binomial_sum
 
 
@@ -158,11 +161,52 @@ def test_scaled_rows_match_the_binomial_sum():
 
 
 def test_phi_row_matches_table():
+    # the float row is the table's row bit for bit, structural pins included
+    for q in (2, 3, 5):
+        for n in (1, 2, 3, 25, 200):
+            p = make_scheme(n, q)
+            fl = build_table(p, "float").phi
+            for j in range(n + 1):
+                assert phi_row(p, j).tobytes() == fl[j].tobytes(), (n, q, j)
     p = make_scheme(25, 3)
-    fl = build_table(p, "float").phi
-    assert np.max(np.abs(phi_row(p, 11) - fl[11])) < 1e-12
     exact = tuple(phi_hypergeometric(p, 11, l) for l in range(26))
     assert phi_row(p, 11, "exact") == exact
+
+
+def test_phi_row_unknown_backend():
+    with pytest.raises(ParameterError, match="unknown backend 'bogus'"):
+        phi_row(make_scheme(5, 3), 1, "bogus")
+
+
+def _hypergeometric_series(n, q, j, l):
+    """The terminating series term by term in Fractions."""
+    term = Fraction(1)
+    total = Fraction(1)
+    for r in range(min(j, l)):
+        # term_{r+1} / term_r = (-j+r)(-l+r) q / ((-n+r)(r+1)(q-1))
+        term *= Fraction(-(j - r) * (l - r) * q, (n - r) * (r + 1) * (q - 1))
+        total += term
+    return total
+
+
+def test_integer_hypergeometric_sum_equals_the_fraction_series():
+    for q in range(2, 7):
+        for n in range(1, 16):
+            p = make_scheme(n, q)
+            for j in range(n + 1):
+                for l in range(n + 1):
+                    assert phi_hypergeometric(p, j, l) == _hypergeometric_series(n, q, j, l)
+
+
+def test_float_rows_at_n_le_2_are_the_exact_rows():
+    for q in range(2, 9):
+        for n in (1, 2):
+            p = make_scheme(n, q)
+            ex = build_table(p, "exact").phi
+            fl = build_table(p, "float").phi
+            assert fl.tolist() == [[float(v) for v in row] for row in ex]
+            assert orthogonality_residual(p) < 1e-10
+            assert eigen_residual(p) < 1e-12
 
 
 def test_table_budget():
@@ -171,3 +215,19 @@ def test_table_budget():
     assert not float_table_supported(make_scheme(2000, 6))
     with pytest.raises(ResourceBudgetError):
         build_table(make_scheme(2000, 6), "float")
+
+
+@pytest.mark.parametrize("n, q", [(4096, 3), (1000, 1000000)])
+def test_exact_table_past_the_bit_budget_exits_3_before_any_row(n, q, capsys):
+    t0 = time.perf_counter()
+    assert main(["table", "--n", str(n), "--q", str(q)]) == 3
+    assert time.perf_counter() - t0 < 1.0
+    assert "resource cap" in capsys.readouterr().err
+
+
+def test_exact_table_bit_budget_admits_n_800_at_q_3(monkeypatch):
+    # the full n = 800 table takes seconds and ~0.8 GB; only the gate runs here
+    monkeypatch.setattr(krawtchouk, "_exact_table", lambda params: "rows")
+    assert build_table(make_scheme(800, 3), "exact").phi == "rows"
+    with pytest.raises(ResourceBudgetError):
+        build_table(make_scheme(1000, 3), "exact")

@@ -19,6 +19,7 @@ from hamming_cutoff import (
     tv_distance,
     uniform,
 )
+from hamming_cutoff.scheme import _log_int, log_class_weights
 
 
 def test_make_scheme_examples():
@@ -59,6 +60,16 @@ def test_class_weights_equal_the_binomial_formula():
     w = class_weights(make_scheme(2000, 5)).w
     for l in (0, 1, 777, 1000, 1999, 2000):
         assert w[l] == math.comb(2000, l) * 4 ** l
+
+
+def test_log_class_weights_match_the_exact_weights():
+    for n, q in ((1, 2), (9, 2), (30, 3), (2000, 5)):
+        p = make_scheme(n, q)
+        logw = log_class_weights(p)
+        exact = [_log_int(v) for v in class_weights(p).w]
+        assert np.allclose(logw, exact, rtol=1e-12, atol=1e-12)
+        with pytest.raises(ValueError):
+            logw[0] = 0.0
 
 
 def test_uniform_examples():
