@@ -21,6 +21,7 @@ from .bounds import (
     majorant,
     majorant_cells,
     minorant,
+    minorant_cells,
     minorant_diagnostics,
     offset_from_step,
     schedule_step,

@@ -20,9 +20,11 @@ it down; both directions are conservative because tv is non-increasing
 in k.  Bounds that are vacuous (majorant > 1, minorant < 0) are reported
 satisfied-vacuously rather than dropped, so grids stay informative.
 
-Every majorant verdict (`check_majorant`, the `verify` grid) comes from
-`majorant_cells`: one scope rule, one formula, one trajectory per scheme,
-float verdicts certified by an a-priori roundoff bound, else exact.
+Every majorant and minorant verdict (`check_majorant`, `check_minorant`,
+the `verify` grids) comes from `majorant_cells` or `minorant_cells`: one
+schedule rule and one formula per bound, then one shared decision path
+(one trajectory per scheme, float verdicts certified by an a-priori
+roundoff bound, else exact).
 """
 
 import math
@@ -33,16 +35,15 @@ from typing import Literal
 
 import numpy as np
 
-from .radial import kstep_tv
+from .radial import kstep_trajectory, kstep_tv
 from .scheme import (
     Backend,
     ParameterError,
     SchemeParams,
     log_class_weights,
-    tv_distance,
     uniform,
 )
-from .spectral import kstep_distribution, spectrum
+from .spectral import spectrum
 
 EXACT_BACKEND_MAX_N = 30
 
@@ -109,12 +110,13 @@ def _lemma_terms(params: SchemeParams):
     """log d_j and log|lam[j]| for j = 1..n, as read-only float64 arrays.
 
     lam[j] = (d - jq)/d is one correctly rounded division of exact
-    integers, so it equals the float of the `spectrum` Fraction.
+    integers, so it equals the float of the `spectrum` Fraction: float64
+    operands below d = 2**53, Python integers past it.
     """
     n, q, d = params.n, params.q, params.degree
-    js = np.arange(1, n + 1, dtype=np.float64)
+    js = np.arange(1, n + 1, dtype=np.float64 if d < 2 ** 53 else object)
     with np.errstate(divide="ignore"):
-        loglam = np.log(np.abs((d - js * q) / d))
+        loglam = np.log(np.abs(np.asarray((d - js * q) / d, dtype=np.float64)))
     loglam.flags.writeable = False
     return log_class_weights(params)[1:], loglam  # d_j = w[j]
 
@@ -201,16 +203,61 @@ def float_tv_error(n: int, k: int) -> float:
     return m / (1 - m) / 2 + 3 * u + (3 * k + 2) * (n + 1) * 2.0 ** -1074
 
 
-def _float_verdict(tv: float, eps: float, bound: float):
-    """tv**2 <= bound from tv_float +- eps: True, False, or None when
-    (tv +- eps)**2 straddles it.  1 -+ 2**-50 absorbs the <= 4u rounding
-    of the squares, which eps >= 3u keeps out of the subnormal range."""
+def _float_verdict(tv: float, eps: float, bound: float, lower: bool):
+    """The claim at tv_float +- eps: True, False, or None when the band
+    straddles the bound.  `lower`: tv >= bound; else tv**2 <= bound.
+
+    Each rounded operation on the band (fl(tv +- eps), a square, the
+    product by 1 -+ 2**-50) scales its result by a factor in [1 - u,
+    1 + u], u = 2**-53, or is exact when the result is subnormal (Higham,
+    §2.2).  tv**2 <= bound: 1 -+ 2**-50 absorbs the <= 4u rounding of the
+    squares, which eps >= 3u keeps out of the subnormal range.  tv >=
+    bound: True when fl(tv - eps)(1 - 2**-50) >= bound, which needs a
+    positive fl(tv - eps) only for bound > 0 (tv >= 0 holds anyway), and
+    False when fl(tv + eps)(1 + 2**-50) < bound; (1 - 2**-50)(1 + u)**2 <
+    1 < (1 + 2**-50)(1 - u)**2, so each rounded test implies the real one.
+    """
     hi, lo = tv + eps, tv - eps
+    if lower:
+        if lo * (1 - 2.0 ** -50) >= bound:
+            return True
+        if hi * (1 + 2.0 ** -50) < bound:
+            return False
+        return None
     if hi * hi * (1 + 2.0 ** -50) <= bound:
         return True
     if lo > 0 and lo * lo * (1 - 2.0 ** -50) > max(bound, 2.0 ** -1022):
         return False
     return None
+
+
+def _bound_reports(params: SchemeParams, which: str, cells, backend: str) -> list:
+    """The BoundReport of each cell (k, c, bound): tv >= bound for `which`
+    "minorant" (vacuous below 0), else tv**2 <= bound (vacuous from 1).
+
+    One trajectory (`radial.kstep_tv`, no bit budget) over the distinct ks
+    serves every cell.  A float cell is decided in float only when tv +-
+    `float_tv_error` lies on one side of the bound; any other, pass or
+    fail, is re-decided exactly within the default bit budget
+    (`ResourceBudgetError` past it).
+    """
+    lower = which == "minorant"
+    be = resolve_backend(params, backend)
+    tvs = dict(kstep_tv(params, sorted({k for k, _, _ in cells}), be, math.inf))
+    verdicts = [None] * len(cells)
+    if be == "float":
+        verdicts = [_float_verdict(tvs[k], float_tv_error(params.n, k), bound, lower)
+                    for k, _, bound in cells]
+        undecided = {k for (k, _, _), v in zip(cells, verdicts) if v is None}
+        if undecided:  # the exact chain's setup is O(n) big integers
+            tvs.update(kstep_tv(params, sorted(undecided), "exact"))
+    return [
+        BoundReport(which, k, c, float(tvs[k]), bound,
+                    (tvs[k] >= bound if lower else tvs[k] * tvs[k] <= bound)
+                    if v is None else v,
+                    bound < 0 if lower else bound >= 1.0)
+        for (k, c, bound), v in zip(cells, verdicts)
+    ]
 
 
 def majorant_cells(
@@ -223,11 +270,9 @@ def majorant_cells(
 
     `ceil`: k = ceil(b_n (log n(q-1) + c)) per c.  `exact`: the literal
     theorem, at every integer k with `offset_from_step(k)` in [min c,
-    max c] (schedule within 1e-9); none is a usage error.  One trajectory
-    (`radial.kstep_tv`, no bit budget) serves every cell.  A float cell is
-    decided in float only when (tv +- `float_tv_error`)**2 lies on one side
-    of the bound; any other, pass or fail, is re-decided exactly within the
-    default bit budget (`ResourceBudgetError` past it).
+    max c] (schedule within 1e-9); none is a usage error.  The cells are
+    decided on the path `minorant_cells` shares: one trajectory, float
+    verdicts certified by `float_tv_error`, else exact.
     """
     n, q = params.n, params.q
     if not majorant_in_scope(params):
@@ -247,20 +292,8 @@ def majorant_cells(
             )
     else:
         raise ParameterError(f"unknown rounding {rounding!r}")
-    be = resolve_backend(params, backend)
-    tvs = dict(kstep_tv(params, sorted({k for k, _, _ in cells}), be, math.inf))
-    verdicts = [None] * len(cells)
-    if be == "float":
-        verdicts = [_float_verdict(tvs[k], float_tv_error(n, k), bound)
-                    for k, _, bound in cells]
-        undecided = {k for (k, _, _), v in zip(cells, verdicts) if v is None}
-        tvs.update(kstep_tv(params, sorted(undecided), "exact"))
-    which = {3: "thm-q3", 4: "thm-q4"}.get(q, "thm-q5")
-    return [
-        BoundReport(which, k, c, float(tvs[k]), bound,
-                    tvs[k] * tvs[k] <= bound if v is None else v, bound >= 1.0)
-        for (k, c, bound), v in zip(cells, verdicts)
-    ]
+    return _bound_reports(params, {3: "thm-q3", 4: "thm-q4"}.get(q, "thm-q5"),
+                          cells, backend)
 
 
 def check_majorant(
@@ -279,10 +312,15 @@ def check_majorant(
 
 
 def minorant_value(q: int, b: float, c: float) -> float:
-    """1 - (4q+b) e**-c at any real c, for a finite offset parameter b >= 0."""
+    """1 - (4q+b) e**-c at any real c, for a finite offset parameter b >= 0;
+    -inf once (4q+b) e**-c passes 1.79e308."""
     if not 0 <= b < math.inf:  # NaN fails too
         raise ParameterError("offset parameter b must be finite and >= 0")
-    return 1.0 - (4 * q + b) * math.exp(-c)
+    try:
+        return 1.0 - (4 * q + b) * math.exp(-c)
+    except OverflowError:  # 4q + b or e**-c alone is past the float range
+        x = math.log(4 * q + int(b)) - c  # b's fraction is below 4q's ulp
+        return 1.0 - math.exp(x) if x < 709.78 else -math.inf
 
 
 def minorant(q: int, b: float, c: float) -> float:
@@ -296,6 +334,22 @@ def minorant(q: int, b: float, c: float) -> float:
     return minorant_value(q, b, c)
 
 
+def minorant_cells(params: SchemeParams, b: float, c_values, backend: str = "auto") -> list:
+    """The BoundReport of tv >= minorant(q, b, c) at k = floor(b_n (log
+    n(q-1) - c)) for each 0 <= c <= log n(q-1); a bound below 0 is vacuous.
+
+    Decided on the path `majorant_cells` shares: one trajectory, float
+    verdicts certified by `float_tv_error`, else exact.
+    """
+    log_d = math.log(params.degree)
+    cells = []
+    for c in c_values:
+        if not 0 <= c <= log_d:  # NaN fails too
+            raise ParameterError("need 0 <= c <= log n(q-1) for the minorant schedule")
+        cells.append((math.floor(schedule_step(params, -c)), c, minorant(params.q, b, c)))
+    return _bound_reports(params, "minorant", cells, backend)
+
+
 def check_minorant(
     params: SchemeParams,
     c0: float,
@@ -303,7 +357,7 @@ def check_minorant(
     c: float,
     backend: str = "auto",
 ) -> BoundReport:
-    """Report tv >= 1 - (4q+b) e**-c at k = floor(b_n (log n(q-1) - c)).
+    """`minorant_cells` at the one offset c <= c0.
 
     The inequality is guaranteed by the minorant theorem only for n past
     an unspecified threshold; callers assert it only where an empirical
@@ -311,22 +365,9 @@ def check_minorant(
     float checkpoints, so `minorant_diagnostics` at the same k takes no
     further step.
     """
-    if not 0 <= c <= min(c0, math.log(params.degree)):
-        raise ParameterError(
-            "need 0 <= c <= min(c0, log n(q-1)) for the minorant schedule"
-        )
-    k = math.floor(schedule_step(params, -c))
-    tv = float(tv_to_uniform(params, k, backend))
-    bound = minorant(params.q, b, c)
-    return BoundReport(
-        which="minorant",
-        k=k,
-        c=c,
-        tv_exact=tv,
-        bound_value=bound,
-        satisfied=tv >= bound or bound < 0,
-        vacuous=bound < 0,
-    )
+    if not c <= c0:
+        raise ParameterError("need c <= c0 for the minorant schedule")
+    return minorant_cells(params, b, (c,), backend)[0]
 
 
 @dataclass(frozen=True)
@@ -339,7 +380,6 @@ class MinorantDiagnostics:
     markov_lb: float
     chebyshev_ub: float
     chebyshev_applicable: bool
-    tv_exact: float
 
 
 def minorant_diagnostics(
@@ -351,7 +391,10 @@ def minorant_diagnostics(
     beta = sqrt(q/((4q+b)(q-1))) e**(c/2).  Markov gives
     pi(B) >= 1 - 1/(beta**2 (q-1)); Chebyshev gives nu_k(B) <= 1/beta**2
     provided E phi_1 >= 2 beta/sqrt(n) and the variance cap 1/n applies,
-    i.e. (n-2)(q-1) >= 2; and always tv >= pi(B) - nu_k(B).
+    i.e. (n-2)(q-1) >= 2; and always tv >= pi(B) - nu_k(B).  nu_k is the
+    law `radial.kstep_trajectory` yields at k, with no bit budget; a float
+    call after `minorant_cells` at the same k resumes from the checkpoint
+    that call left and takes no step.
     """
     n, q = params.n, params.q
     if not (0 <= b < math.inf and 0 <= c < math.inf):
@@ -364,7 +407,7 @@ def minorant_diagnostics(
     in_b = [l for l in range(n + 1) if abs(d - l * q) * td < tn * d]
 
     be = resolve_backend(params, backend)
-    walk = kstep_distribution(params, k, be)
+    walk = next(kstep_trajectory(params, (k,), be, math.inf))[1]
     pi = uniform(params, be)
     if be == "exact":
         pi_mass = float(sum((pi.mass[l] for l in in_b), Fraction(0)))
@@ -381,7 +424,6 @@ def minorant_diagnostics(
         markov_lb=1 - 1 / (beta * beta * (q - 1)),
         chebyshev_ub=1 / (beta * beta),
         chebyshev_applicable=applicable,
-        tv_exact=float(tv_distance(walk, pi)),
     )
 
 

@@ -13,7 +13,7 @@ import sys
 from . import bounds, verify
 from .krawtchouk import build_table
 from .montecarlo import SimConfig, plugin_tv, simulate
-from .radial import kstep_oracle, kstep_tv
+from .radial import DEFAULT_BIT_BUDGET, kstep_oracle, kstep_tv
 from .scheme import ParameterError, ResourceBudgetError, make_scheme
 
 PROFILE_HEADER = "k,c_equiv,tv_exact,ub_lemma,majorant,minorant,hora_plus,hora_minus"
@@ -98,7 +98,23 @@ def _given(**flags) -> dict:
     return {name: value for name, value in flags.items() if value is not None}
 
 
+# the flags each verify suite reads; minorant takes one value of each
+_SUITE_FLAGS = {
+    "upper": ("n_max", "q", "k_max"),
+    "majorant": ("q", "n_max", "c", "rounding"),
+    "minorant": ("q", "n_max", "c", "c0", "b"),
+    "lemmas": (),
+}
+
+
 def cmd_verify(args) -> int:
+    reads = _SUITE_FLAGS.get(args.suite, ())
+    for name in ("n_max", "q", "k_max", "c", "c0", "b", "rounding"):
+        value, flag = getattr(args, name), "--" + name.replace("_", "-")
+        if value is not None and name not in reads:
+            raise ParameterError(f"verify {args.suite} does not read {flag}")
+        if args.suite == "minorant" and isinstance(value, list) and len(value) > 1:
+            raise ParameterError(f"verify minorant takes one {flag}")
     if args.n_max is not None and args.n_max < 1:
         raise ParameterError("--n-max must be >= 1")
     if args.k_max is not None and args.k_max < 0:
@@ -121,11 +137,10 @@ def cmd_verify(args) -> int:
         rc = 0 if report.ok else 1
     elif args.suite == "minorant":
         sweep = verify.minorant_sweep(
-            c0=args.c0,
-            c=(args.c or [min(args.c0, 3.0)])[0],
             n_grid=(None if args.n_max is None
                     else verify.default_sweep_grid(1, args.n_max)),
-            **_given(q=args.q and args.q[0], b=args.b),
+            **_given(q=args.q and args.q[0], b=args.b, c0=args.c0,
+                     c=args.c and args.c[0]),
         )
         for rec in sweep.diagnostic_violations:
             print(
@@ -217,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default="-")
     p.add_argument("--b", type=float, default=1.0, help="minorant offset parameter")
-    p.add_argument("--bit-budget", dest="bit_budget", type=int, default=10 ** 6,
+    p.add_argument("--bit-budget", dest="bit_budget", type=int, default=DEFAULT_BIT_BUDGET,
                    help="exact backend: cap on the total bits of the integer excess "
                    "num*q**n - w*(n(q-1))**k over uniform (>= 0; exit 3 past it)")
     p.set_defaults(func=cmd_profile)
@@ -228,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--q", type=int, action="append")
     v.add_argument("--k-max", dest="k_max", type=int, default=None)
     v.add_argument("--c", type=float, action="append")
-    v.add_argument("--c0", type=float, default=3.0)
+    v.add_argument("--c0", type=float)
     v.add_argument("--b", type=float)
     v.add_argument("--rounding", choices=("ceil", "exact"))
     v.set_defaults(func=cmd_verify)

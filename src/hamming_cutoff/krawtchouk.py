@@ -56,8 +56,6 @@ from .scheme import (
     log_class_weights,
 )
 
-DEFAULT_TABLE_BUDGET = 4096
-
 # The exact table holds (n+1)**2 integers of up to n log2 q bits.  At q = 3
 # `table` peaked at 146 MB for n = 400 (1.0e8 bits) and 813 MB for n = 800
 # (8.1e8 bits), ~5.6x per doubling of n: 10**9 bits keeps n = 800 and caps
@@ -113,10 +111,20 @@ def scaled_rows(params: SchemeParams) -> tuple:
     integer arithmetic; K[j][l] / d_j reproduces the exact table.  Built
     in O(n**2) from sum_j K[j][l] z**j = (1 - z)**l (1 + (q-1) z)**(n-l):
     column 0 is the class weights w, and column l+1 is column l divided
-    exactly by 1 + (q-1) z, then multiplied by 1 - z.
+    exactly by 1 + (q-1) z, then multiplied by 1 - z.  Rows estimated past
+    `EXACT_TABLE_BIT_BUDGET` bits are refused (`ResourceBudgetError`)
+    before any is built; every exact table, `phi_row` and spectral
+    inversion reads them.
     """
-    q, cols = params.q, [class_weights(params).w]
-    for _ in range(params.n):
+    n, q = params.n, params.q
+    bits = (n + 1) ** 2 * n * math.log2(q)
+    if bits > EXACT_TABLE_BIT_BUDGET:
+        raise ResourceBudgetError(
+            f"exact Krawtchouk rows at n={n}, q={q} hold ~{bits:.3g} bits, "
+            f"past the budget of {EXACT_TABLE_BIT_BUDGET:.3g}"
+        )
+    cols = [class_weights(params).w]
+    for _ in range(n):
         quot = list(accumulate(cols[-1][:-1], lambda r, p: p - (q - 1) * r))
         cols.append(tuple(a - b for a, b in zip(quot + [0], [0] + quot)))
     return tuple(zip(*cols))
@@ -230,7 +238,9 @@ def _float_rows(params: SchemeParams, js: np.ndarray):
     phi[js == 0, :] = 1.0
     phi[:, 0] = 1.0
     phi[:, 1] = lams
-    phi[js == 1, :] = 1.0 - np.arange(n + 1) * q / (n * (q - 1))
+    d = n * (q - 1)  # Python integers past 2**53 keep l q / d correctly rounded
+    l = np.arange(n + 1, dtype=np.int64 if d < 2 ** 53 else object)
+    phi[js == 1, :] = 1.0 - l * q / d
     return psi, phi
 
 
@@ -249,28 +259,13 @@ def _float_table(params: SchemeParams) -> tuple:
     return psi, phi
 
 
-def build_table(
-    params: SchemeParams,
-    backend: Backend = "exact",
-    max_n: int = DEFAULT_TABLE_BUDGET,
-) -> KrawtchoukTable:
+def build_table(params: SchemeParams, backend: Backend = "exact") -> KrawtchoukTable:
     """Tabulate phi_j(l) over the full grid in the requested backend.
 
-    An exact table estimated past `EXACT_TABLE_BIT_BUDGET` bits is refused
+    An exact table past the `scaled_rows` bit budget is refused
     (`ResourceBudgetError`) before any row is built.
     """
-    n = params.n
-    if n > max_n:
-        raise ResourceBudgetError(
-            f"table for n={n} exceeds the budget max_n={max_n}"
-        )
     if backend == "exact":
-        bits = (n + 1) ** 2 * n * math.log2(params.q)
-        if bits > EXACT_TABLE_BIT_BUDGET:
-            raise ResourceBudgetError(
-                f"exact table at n={n}, q={params.q} holds ~{bits:.3g} bits, "
-                f"past the budget of {EXACT_TABLE_BIT_BUDGET:.3g}"
-            )
         return KrawtchoukTable(params, _exact_table(params), "exact")
     if backend == "float":
         return KrawtchoukTable(params, _float_table(params)[1], "float")

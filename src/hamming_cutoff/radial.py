@@ -301,12 +301,14 @@ def float_step_arrays(params: SchemeParams):
     """down/stay/up rows as float64 arrays, for the float powering engine.
 
     Each entry is one correctly rounded division of two exact integers, so
-    it equals the float of the matching `radial_matrix` Fraction.
+    it equals the float of the matching `radial_matrix` Fraction: int64
+    numerators below 2**53, Python integers past it.
     """
     n, q = params.n, params.q
     d = params.degree
-    l = np.arange(n + 1)
-    return l / d, l * (q - 2) / d, (n - l) / n
+    l = np.arange(n + 1, dtype=np.int64 if d < 2 ** 53 else object)
+    return tuple(np.asarray(v, dtype=np.float64)
+                 for v in (l / d, l * (q - 2) / d, (n - l) / n))
 
 
 def float_power_step(mass: np.ndarray, down, stay, up) -> np.ndarray:

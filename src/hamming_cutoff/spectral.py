@@ -36,7 +36,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import radial
-from .krawtchouk import DEFAULT_TABLE_BUDGET, build_table, scaled_rows
+from .krawtchouk import build_table, scaled_rows
 from .scheme import (
     Backend,
     ParameterError,
@@ -66,18 +66,16 @@ def spectrum(params: SchemeParams) -> SpectrumTable:
 
 
 def kstep_distribution(
-    params: SchemeParams,
-    k: int,
-    backend: Backend = "exact",
-    max_n: int = DEFAULT_TABLE_BUDGET,
+    params: SchemeParams, k: int, backend: Backend = "exact"
 ) -> RadialDistribution:
     """k-step distribution: spectral inversion on the exact backend.
 
     mass[l] = w[l] * sum_j K[j][l] (n(q-1) - jq)**k / (q**n (n(q-1))**k)
     over the integer rows K = `scaled_rows`, with one Fraction per class
     at the end; validated against the radial oracle, which it never calls.
-    The float backend is float powering of the distance chain (see module
-    notes); it needs no table, so `max_n` bounds the exact backend only.
+    Past the rows' bit budget it raises `ResourceBudgetError`.  The float
+    backend is float powering of the distance chain (see module notes),
+    which needs no table.
     """
     if k < 0:
         raise ParameterError("step count k must be >= 0")
@@ -85,10 +83,6 @@ def kstep_distribution(
         return radial.kstep_float_powering(params, k)
     if backend != "exact":
         raise ParameterError(f"unknown backend {backend!r}")
-    if params.n > max_n:
-        raise ParameterError(
-            f"n={params.n} exceeds the configured table budget {max_n}"
-        )
     n, q, d = params.n, params.q, params.degree
     rows = scaled_rows(params)
     w = class_weights(params)

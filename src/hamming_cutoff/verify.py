@@ -10,8 +10,9 @@ big-integer comparison per grid cell.  Unit tests pin the numerators to
 the Fraction reference `radial.power_step`, and the suites to their
 Fraction statements, on subgrids.
 
-The majorant suite decides nothing itself: each (q, n) of its grid is
-one `bounds.majorant_cells` call, the decision path `check_majorant` uses.
+The majorant and minorant suites decide nothing themselves: each grid
+point is one `bounds.majorant_cells` or `bounds.minorant_cells` call, the
+decision path `check_majorant` and `check_minorant` use.
 
 All suite functions return a report with the cells checked, the violations
 found (empty means the inequality held everywhere) and the cells skipped
@@ -170,17 +171,21 @@ def minorant_sweep(
     q: int = 3,
     b: float = 1.0,
     c0: float = 3.0,
-    c: float = 3.0,
+    c: Optional[float] = None,
     n_grid: Optional[Sequence[int]] = None,
     backend: str = "float",
 ) -> SweepReport:
     """Empirical threshold sweep for the minorant theorem.
 
     Records per tested n whether tv >= 1 - (4q+b) e**-c at the floored
-    schedule step, plus the Markov/Chebyshev/event diagnostics that are
-    unconditional.  n_star is the smallest tested n from which the bound
-    held through the end of the grid (None if it failed at the ceiling).
+    schedule step (one `bounds.minorant_cells` call, the decision path
+    `check_minorant` uses), plus the Markov/Chebyshev/event diagnostics
+    that are unconditional.  c defaults to min(c0, 3).  n_star is the
+    smallest tested n from which the bound held through the end of the
+    grid (None if it failed at the ceiling).
     """
+    if c is None:
+        c = min(c0, 3.0)
     if q < 2:
         raise bounds.ParameterError(f"alphabet size q must be >= 2, got {q}")
     if not 0 <= c <= c0:
@@ -192,24 +197,23 @@ def minorant_sweep(
         n_grid = default_sweep_grid(n_min)
     # the schedule needs c <= log n(q-1); quietly drop n below that
     n_grid = sorted(n for n in set(n_grid) if math.log(n * (q - 1)) >= c)
-    bound = bounds.minorant(q, b, c)
+    bounds.minorant(q, b, c)  # a bad b is a usage error before any n
 
     def run(n):
         params = make_scheme(n, q)
-        k = math.floor(bounds.schedule_step(params, -c))
-        diag = bounds.minorant_diagnostics(params, k, b, c, backend)
-        tv = diag.tv_exact
+        (r,) = bounds.minorant_cells(params, b, (c,), backend)
+        diag = bounds.minorant_diagnostics(params, r.k, b, c, backend)
         return SweepRecord(
             n=n,
-            k=k,
-            tv=tv,
-            bound=bound,
-            satisfied=tv >= bound or bound < 0,
+            k=r.k,
+            tv=r.tv_exact,
+            bound=r.bound_value,
+            satisfied=r.satisfied,
             pi_B=diag.pi_B,
             nu_B=diag.nu_B,
             markov_lb=diag.markov_lb,
             markov_ok=diag.pi_B >= diag.markov_lb - 1e-12,
-            event_ok=tv >= diag.pi_B - diag.nu_B - 1e-12,
+            event_ok=r.tv_exact >= diag.pi_B - diag.nu_B - 1e-12,
             chebyshev_ub=diag.chebyshev_ub,
             chebyshev_ok=(not diag.chebyshev_applicable)
             or diag.nu_B <= diag.chebyshev_ub + 1e-12,

@@ -12,6 +12,7 @@ from hamming_cutoff import (
     class_weights,
     cutoff_schedule,
     hora_limit,
+    kstep_distribution,
     kstep_oracle,
     kstep_tv,
     lemma32_check,
@@ -20,6 +21,7 @@ from hamming_cutoff import (
     majorant,
     make_scheme,
     minorant,
+    minorant_cells,
     minorant_diagnostics,
     offset_from_step,
     schedule_step,
@@ -30,6 +32,7 @@ from hamming_cutoff import (
     upper_bound_lemma_rhs,
 )
 from hamming_cutoff import bounds
+from hamming_cutoff.krawtchouk import scaled_rows
 from hamming_cutoff.radial import int_power_step
 
 
@@ -201,9 +204,65 @@ def test_minorant_diagnostics_identities():
         # B and its complement partition the space
         assert 0 <= d.pi_B <= 1 and 0 <= d.nu_B <= 1
         assert d.pi_B >= d.markov_lb - 1e-12
-        assert d.tv_exact >= d.pi_B - d.nu_B - 1e-12
+        assert tv_to_uniform(p, k) >= d.pi_B - d.nu_B - 1e-12
         if d.chebyshev_applicable:
             assert d.nu_B <= d.chebyshev_ub + 1e-12
+
+
+def test_minorant_cells_schedule_and_vacuity():
+    p = make_scheme(30, 3)
+    cells = minorant_cells(p, 1.0, (0.0, 1.0, 3.0, math.log(60)), "float")
+    for r, c in zip(cells, (0.0, 1.0, 3.0, math.log(60))):
+        assert r.which == "minorant" and r.c == c
+        assert r.k == math.floor(schedule_step(p, -c))
+        assert r.bound_value == minorant(3, 1.0, c) and r.vacuous == (r.bound_value < 0)
+        assert r.satisfied == (r.tv_exact >= r.bound_value)
+    assert minorant_cells(p, 1.0, (1.0,), "exact")[0] == cells[1]
+    for c in (-0.5, math.log(60) + 1e-9, math.nan):
+        with pytest.raises(ParameterError):
+            minorant_cells(p, 1.0, (c,))
+
+
+def test_minorant_bound_at_the_float_tv_is_decided_exactly(monkeypatch):
+    # at (n, q, k) = (12, 3, 0) the float tv exceeds the exact one by
+    # 3.8e-17: a bound equal to it passes a plain float comparison, but the
+    # band tv +- eps straddles it, so the cell is re-decided exactly
+    p = make_scheme(12, 3)
+    tv = tv_to_uniform(p, 0, "float")
+    assert Fraction(tv) > tv_to_uniform(p, 0, "exact")
+    monkeypatch.setattr(bounds, "minorant", lambda q, b, c: tv)
+    r = check_minorant(p, 3.0, 1.0, 3.0, "float")
+    assert r.k == 0 and r.bound_value == tv
+    assert not r.satisfied
+
+
+def test_minorant_value_past_the_float_range():
+    assert minorant(3, 1.0, 3.0) == 1.0 - 13 * math.exp(-3.0)  # the direct form
+    assert minorant(10 ** 80, 1.0, 0.0) == 1.0 - (4 * 10 ** 80 + 1.0)
+    assert minorant(10 ** 400, 1.0, 0.0) == -math.inf
+    # (4q+b) e**-c = 4e400 e**-1000 ~ 2e-34 is finite though 4q is not
+    assert minorant(10 ** 400, 1.0, 1000.0) == pytest.approx(1.0, abs=1e-30)
+    assert minorant(10 ** 400, 1.0, 921.0) == pytest.approx(
+        1.0 - math.exp(math.log(4 * 10 ** 400) - 921.0), rel=1e-12)
+
+
+def test_minorant_diagnostics_exact_sums_the_spectral_law():
+    # nu(B) comes from the radial chain; spectral inversion stays the
+    # independent check, and the diagnostics build no Krawtchouk row
+    scaled_rows.cache_clear()
+    cells = []
+    for n, q, b, c in [(6, 3, 1.0, 0.5), (17, 4, 0.0, 2.0), (30, 3, 1.0, 3.0), (25, 5, 2.5, 1.0)]:
+        p = make_scheme(n, q)
+        k = math.floor(schedule_step(p, -c))
+        cells.append((p, k, b, c, minorant_diagnostics(p, k, b, c, "exact")))
+    assert scaled_rows.cache_info().currsize == 0
+    for p, k, b, c, d in cells:
+        threshold = d.beta / math.sqrt(p.n)
+        in_b = [l for l in range(p.n + 1)
+                if abs(1 - Fraction(l * p.q, p.degree)) < threshold]
+        assert in_b
+        mass = kstep_distribution(p, k).mass
+        assert d.nu_B == float(sum((mass[l] for l in in_b), Fraction(0))), (p, k)
 
 
 def test_minorant_diagnostics_complement_mass():

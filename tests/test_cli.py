@@ -213,6 +213,25 @@ def test_verify_size_flags_below_their_minimum_usage_error(capsys):
             assert "usage error" in err and out == ""
 
 
+@pytest.mark.parametrize("args, flag", [
+    (["lemmas", "--q", "3", "--n-max", "5", "--c", "1", "--k-max", "2"], "--n-max"),
+    (["lemmas", "--c0", "1"], "--c0"),
+    (["majorant", "--k-max", "3", "--b", "7", "--c0", "1"], "--k-max"),
+    (["majorant", "--b", "7"], "--b"),
+    (["minorant", "--rounding", "exact", "--k-max", "4"], "--k-max"),
+    (["minorant", "--rounding", "exact"], "--rounding"),
+    (["upper", "--c", "1", "--rounding", "exact", "--b", "2"], "--c"),
+    (["upper", "--c0", "2"], "--c0"),
+    (["minorant", "--q", "3", "--q", "4"], "--q"),
+    (["minorant", "--c", "1", "--c", "2"], "--c"),
+])
+def test_verify_flag_the_suite_does_not_read_usage_error(args, flag, capsys):
+    # each used to be ignored: the suite ran its default grid and exited 0
+    code, out, err = run(["verify", *args], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("usage error") and f"{flag}\n" in err
+
+
 def test_verify_upper_k_max_0_runs_only_k_0(capsys):
     code, out, _ = run(["verify", "upper", "--k-max", "0"], capsys)
     assert code == 0

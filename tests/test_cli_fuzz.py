@@ -72,6 +72,7 @@ COMMANDS = {
         ("--backend", BACKEND, False),
     ],
 }
+Q80 = str(10 ** 80)
 HEADS = [["profile"], ["verify", "upper"], ["verify", "majorant"],
          ["verify", "minorant"], ["verify", "bogus"], ["simulate"], ["table"]]
 
@@ -96,6 +97,12 @@ def command_lines(draw):
 @example(["verify", "majorant", "--n-max", "4", "--c", "-1"])
 @example(["verify", "upper", "--n-max", "0"])
 @example(["verify", "minorant", "--n-max", "0"])
+# q past int64 and the float range, on float and exact paths
+@example(["table", "--n", "3", "--q", Q80, "--backend", "float"])
+@example(["profile", "--n", "3", "--q", Q80, "--k-max", "3", "--backend", "float"])
+@example(["verify", "majorant", "--q", Q80, "--n-max", "2"])
+@example(["verify", "minorant", "--q", Q80, "--n-max", "5"])
+@example(["profile", "--n", "2", "--q", str(10 ** 400), "--k-max", "1", "--backend", "exact"])
 def test_cli_exits_with_a_documented_code(args):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -211,7 +211,7 @@ def test_float_rows_at_n_le_2_are_the_exact_rows():
 
 def test_table_budget():
     with pytest.raises(ResourceBudgetError):
-        build_table(make_scheme(5000, 3), "exact", max_n=4096)
+        build_table(make_scheme(5000, 3), "exact")
     assert not float_table_supported(make_scheme(2000, 6))
     with pytest.raises(ResourceBudgetError):
         build_table(make_scheme(2000, 6), "float")
@@ -226,8 +226,15 @@ def test_exact_table_past_the_bit_budget_exits_3_before_any_row(n, q, capsys):
 
 
 def test_exact_table_bit_budget_admits_n_800_at_q_3(monkeypatch):
-    # the full n = 800 table takes seconds and ~0.8 GB; only the gate runs here
-    monkeypatch.setattr(krawtchouk, "_exact_table", lambda params: "rows")
-    assert build_table(make_scheme(800, 3), "exact").phi == "rows"
-    with pytest.raises(ResourceBudgetError):
-        build_table(make_scheme(1000, 3), "exact")
+    # the full n = 800 table takes seconds and ~0.8 GB; only the gate in
+    # `scaled_rows` runs here: past it, the build starts at the weights
+    def build(params):
+        raise LookupError("past the gate")
+
+    monkeypatch.setattr(krawtchouk, "class_weights", build)
+    for n in (800, 857):
+        with pytest.raises(LookupError):
+            build_table(make_scheme(n, 3), "exact")
+    for n in (858, 1000):
+        with pytest.raises(ResourceBudgetError):
+            build_table(make_scheme(n, 3), "exact")

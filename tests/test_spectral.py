@@ -1,9 +1,11 @@
+import time
 from fractions import Fraction
 
 import pytest
 
 from hamming_cutoff import (
     ParameterError,
+    ResourceBudgetError,
     class_weights,
     expectation_phi,
     expectation_phi_by_sum,
@@ -11,7 +13,9 @@ from hamming_cutoff import (
     kstep_oracle,
     linearization_phi1_squared,
     make_scheme,
+    phi_row,
     point_mass,
+    scaled_rows,
     spectrum,
     stationary_moments,
     tv_distance,
@@ -93,11 +97,26 @@ def test_float_backend_close_to_exact():
 
 def test_float_backend_needs_no_table_budget():
     p = make_scheme(5000, 3)
-    d = kstep_distribution(p, 3, "float", max_n=100)
+    d = kstep_distribution(p, 3, "float")
     assert d.mass[0] == pytest.approx(1 / p.degree ** 2, rel=1e-15)
     assert d.total_mass() == pytest.approx(1.0, abs=1e-15)
-    with pytest.raises(ParameterError):
-        kstep_distribution(p, 3, "exact", max_n=100)
+    with pytest.raises(ResourceBudgetError):
+        kstep_distribution(p, 3, "exact")
+
+
+@pytest.mark.parametrize("n", [900, 5000])
+def test_exact_rows_past_the_bit_budget_refused_before_any_row(n):
+    # (n+1)**2 n log2 3 passes 10**9 bits from n = 858 on; n = 900 used to
+    # build 137 MB of rows, n = 5000 to raise a usage error
+    p = make_scheme(n, 3)
+    before = scaled_rows.cache_info().currsize
+    t0 = time.perf_counter()
+    for call in (lambda: kstep_distribution(p, 3, "exact"),
+                 lambda: phi_row(p, 1, "exact"), lambda: scaled_rows(p)):
+        with pytest.raises(ResourceBudgetError):
+            call()
+    assert time.perf_counter() - t0 < 1.0
+    assert scaled_rows.cache_info().currsize == before
 
 
 def test_expectation_phi_examples():

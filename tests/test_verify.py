@@ -5,9 +5,11 @@ import pytest
 
 from hamming_cutoff import (
     ParameterError,
+    check_minorant,
     kstep_oracle,
     majorant_cells,
     make_scheme,
+    minorant_cells,
     point_mass,
     power_step,
     radial_matrix,
@@ -18,6 +20,7 @@ from hamming_cutoff import (
     upper_bound_lemma_rhs,
     variance_phi1_kstep,
 )
+from hamming_cutoff import bounds
 from hamming_cutoff.radial import int_power_step
 from hamming_cutoff.verify import (
     default_sweep_grid,
@@ -178,6 +181,38 @@ def test_sweep_records_match_direct_tv():
         p = make_scheme(rec.n, 3)
         tv = float(tv_distance(kstep_oracle(p, rec.k), uniform(p)))
         assert abs(rec.tv - tv) < 1e-10
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_minorant_sweep_cells_and_check_minorant_agree(q):
+    sweep = minorant_sweep(q=q, n_grid=range(1, 121))
+    assert sweep.c == 3.0 and len(sweep.records) >= 110
+    for rec in sweep.records:
+        p = make_scheme(rec.n, q)
+        (cell,) = minorant_cells(p, 1.0, (3.0,), "float")
+        one = check_minorant(p, 3.0, 1.0, 3.0, "float")
+        assert (rec.k, rec.tv, rec.satisfied) == (cell.k, cell.tv_exact, cell.satisfied)
+        assert (one.k, one.tv_exact, one.satisfied) == (cell.k, cell.tv_exact, cell.satisfied)
+        exact = tv_to_uniform(p, rec.k, "exact")
+        assert abs(Fraction(rec.tv) - exact) <= Fraction(bounds.float_tv_error(rec.n, rec.k))
+
+
+def test_minorant_sweep_decides_a_roundoff_cell_exactly(monkeypatch):
+    # a bound equal to the float tv at (n, q, k) = (12, 3, 0), which sits
+    # 3.8e-17 above the exact tv: the sweep must not count it as held
+    p = make_scheme(12, 3)
+    tv = tv_to_uniform(p, 0, "float")
+    monkeypatch.setattr(bounds, "minorant", lambda q, b, c: tv)
+    sweep = minorant_sweep(q=3, n_grid=[12])
+    (rec,) = sweep.records
+    assert (rec.k, rec.bound) == (0, tv)
+    assert not rec.satisfied and sweep.n_star is None
+
+
+def test_minorant_sweep_offset_defaults_to_min_c0_3():
+    assert minorant_sweep(n_grid=[40]).c == 3.0
+    assert minorant_sweep(c0=2.0, n_grid=[40]).c == 2.0
+    assert minorant_sweep(c0=5.0, n_grid=[40]).c == 3.0
 
 
 def test_majorant_cells_match_per_cell_tv():
