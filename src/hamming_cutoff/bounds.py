@@ -109,12 +109,11 @@ class BoundReport:
 def _lemma_terms(params: SchemeParams):
     """log d_j and log|lam[j]| for j = 1..n, as read-only float64 arrays.
 
-    lam[j] = (d - jq)/d is one correctly rounded division of exact
-    integers, so it equals the float of the `spectrum` Fraction: float64
-    operands below d = 2**53, Python integers past it.
+    lam[j] = (d - jq)/d is one correctly rounded division of exact (Python)
+    integers, so it equals the float of the `spectrum` Fraction at any q.
     """
     n, q, d = params.n, params.q, params.degree
-    js = np.arange(1, n + 1, dtype=np.float64 if d < 2 ** 53 else object)
+    js = np.arange(1, n + 1, dtype=object)
     with np.errstate(divide="ignore"):
         loglam = np.log(np.abs(np.asarray((d - js * q) / d, dtype=np.float64)))
     loglam.flags.writeable = False
@@ -313,14 +312,17 @@ def check_majorant(
 
 def minorant_value(q: int, b: float, c: float) -> float:
     """1 - (4q+b) e**-c at any real c, for a finite offset parameter b >= 0;
-    -inf once (4q+b) e**-c passes 1.79e308."""
+    -inf once (4q+b) e**-c leaves the float range."""
     if not 0 <= b < math.inf:  # NaN fails too
         raise ParameterError("offset parameter b must be finite and >= 0")
     try:
         return 1.0 - (4 * q + b) * math.exp(-c)
     except OverflowError:  # 4q + b or e**-c alone is past the float range
         x = math.log(4 * q + int(b)) - c  # b's fraction is below 4q's ulp
-        return 1.0 - math.exp(x) if x < 709.78 else -math.inf
+        try:
+            return 1.0 - math.exp(x)
+        except OverflowError:
+            return -math.inf
 
 
 def minorant(q: int, b: float, c: float) -> float:
@@ -392,9 +394,10 @@ def minorant_diagnostics(
     pi(B) >= 1 - 1/(beta**2 (q-1)); Chebyshev gives nu_k(B) <= 1/beta**2
     provided E phi_1 >= 2 beta/sqrt(n) and the variance cap 1/n applies,
     i.e. (n-2)(q-1) >= 2; and always tv >= pi(B) - nu_k(B).  nu_k is the
-    law `radial.kstep_trajectory` yields at k, with no bit budget; a float
-    call after `minorant_cells` at the same k resumes from the checkpoint
-    that call left and takes no step.
+    law `radial.kstep_trajectory` yields at k: exact within the default
+    bit budget (`ResourceBudgetError` past it, as the exact recheck of
+    `minorant_cells`), while a float call after `minorant_cells` at the
+    same k resumes from the checkpoint that call left and takes no step.
     """
     n, q = params.n, params.q
     if not (0 <= b < math.inf and 0 <= c < math.inf):
@@ -407,7 +410,7 @@ def minorant_diagnostics(
     in_b = [l for l in range(n + 1) if abs(d - l * q) * td < tn * d]
 
     be = resolve_backend(params, backend)
-    walk = next(kstep_trajectory(params, (k,), be, math.inf))[1]
+    walk = next(kstep_trajectory(params, (k,), be))[1]
     pi = uniform(params, be)
     if be == "exact":
         pi_mass = float(sum((pi.mass[l] for l in in_b), Fraction(0)))

@@ -93,55 +93,53 @@ def _report_failures(name, report) -> None:
     )
 
 
-def _given(**flags) -> dict:
-    """The flags the user gave, as keyword arguments; `verify` holds the defaults."""
-    return {name: value for name, value in flags.items() if value is not None}
-
-
-# the flags each verify suite reads; minorant takes one value of each
+# the flags each verify suite reads, each with the keyword it fills
 _SUITE_FLAGS = {
-    "upper": ("n_max", "q", "k_max"),
-    "majorant": ("q", "n_max", "c", "rounding"),
-    "minorant": ("q", "n_max", "c", "c0", "b"),
-    "lemmas": (),
+    "upper": {"n_max": "n_max", "q": "q_values", "k_max": "k_max"},
+    "majorant": {"q": "q_values", "n_max": "n_max", "c": "c_values",
+                 "rounding": "rounding"},
+    "minorant": {"q": "q", "n_max": "n_grid", "c": "c", "c0": "c0", "b": "b"},
+    "lemmas": {},
 }
 
 
-def cmd_verify(args) -> int:
-    reads = _SUITE_FLAGS.get(args.suite, ())
-    for name in ("n_max", "q", "k_max", "c", "c0", "b", "rounding"):
+def _suite_kwargs(args) -> dict:
+    """The keyword arguments of the flags the user gave; the suite holds
+    the defaults.  A repeated flag passes a tuple, but minorant takes one
+    value of each; a flag the suite does not read is a usage error."""
+    reads, kwargs = _SUITE_FLAGS[args.suite], {}
+    for name in dict.fromkeys(n for flags in _SUITE_FLAGS.values() for n in flags):
         value, flag = getattr(args, name), "--" + name.replace("_", "-")
-        if value is not None and name not in reads:
+        if value is None:
+            continue
+        if name not in reads:
             raise ParameterError(f"verify {args.suite} does not read {flag}")
-        if args.suite == "minorant" and isinstance(value, list) and len(value) > 1:
-            raise ParameterError(f"verify minorant takes one {flag}")
+        if isinstance(value, list):
+            if args.suite == "minorant" and len(value) > 1:
+                raise ParameterError(f"verify minorant takes one {flag}")
+            value = value[0] if args.suite == "minorant" else tuple(value)
+        kwargs[reads[name]] = value
+    return kwargs
+
+
+def cmd_verify(args) -> int:
+    kwargs = _suite_kwargs(args)
     if args.n_max is not None and args.n_max < 1:
         raise ParameterError("--n-max must be >= 1")
     if args.k_max is not None and args.k_max < 0:
         raise ParameterError("--k-max must be >= 0")
-    q_values = args.q and tuple(args.q)
-    c_values = args.c and tuple(args.c)
-    rc = 0
     if args.suite == "upper":
-        report = verify.verify_upper(
-            **_given(n_max=args.n_max, q_values=q_values, k_max=args.k_max)
-        )
+        report = verify.verify_upper(**kwargs)
         _report_failures("upper", report)
         rc = 0 if report.ok else 1
     elif args.suite == "majorant":
-        report = verify.verify_majorant(
-            **_given(q_values=q_values, n_max=args.n_max, c_values=c_values,
-                     rounding=args.rounding)
-        )
+        report = verify.verify_majorant(**kwargs)
         _report_failures("majorant", report)
         rc = 0 if report.ok else 1
     elif args.suite == "minorant":
-        sweep = verify.minorant_sweep(
-            n_grid=(None if args.n_max is None
-                    else verify.default_sweep_grid(1, args.n_max)),
-            **_given(q=args.q and args.q[0], b=args.b, c0=args.c0,
-                     c=args.c and args.c[0]),
-        )
+        if "n_grid" in kwargs:  # --n-max N: the default grid up to N
+            kwargs["n_grid"] = verify.default_sweep_grid(1, kwargs["n_grid"])
+        sweep = verify.minorant_sweep(**kwargs)
         for rec in sweep.diagnostic_violations:
             print(
                 f"FAIL minorant-diagnostics: n={rec.n} k={rec.k} pi_B={rec.pi_B!r} "
@@ -153,13 +151,11 @@ def cmd_verify(args) -> int:
             f"n*={sweep.n_star}, {len(sweep.diagnostic_violations)} diagnostic violations"
         )
         rc = 0 if not sweep.diagnostic_violations else 1
-    elif args.suite == "lemmas":
+    else:
         reports = verify.verify_lemmas()
         for report in reports:
             _report_failures(report.name, report)
         rc = 0 if all(r.ok for r in reports) else 1
-    else:
-        raise ParameterError(f"unknown suite {args.suite!r}")
     return rc
 
 

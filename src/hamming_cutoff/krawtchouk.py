@@ -238,9 +238,8 @@ def _float_rows(params: SchemeParams, js: np.ndarray):
     phi[js == 0, :] = 1.0
     phi[:, 0] = 1.0
     phi[:, 1] = lams
-    d = n * (q - 1)  # Python integers past 2**53 keep l q / d correctly rounded
-    l = np.arange(n + 1, dtype=np.int64 if d < 2 ** 53 else object)
-    phi[js == 1, :] = 1.0 - l * q / d
+    # Python integers keep l q / (n(q-1)) correctly rounded at any q
+    phi[js == 1, :] = 1.0 - np.arange(n + 1, dtype=object) * q / (n * (q - 1))
     return psi, phi
 
 

@@ -297,18 +297,23 @@ def enumerate_tiny(
     return dist
 
 
+@lru_cache(maxsize=32)
 def float_step_arrays(params: SchemeParams):
-    """down/stay/up rows as float64 arrays, for the float powering engine.
+    """down/stay/up rows as read-only float64 arrays, for the float
+    powering engine; every trajectory on a scheme reads the same three.
 
-    Each entry is one correctly rounded division of two exact integers, so
-    it equals the float of the matching `radial_matrix` Fraction: int64
-    numerators below 2**53, Python integers past it.
+    Each entry is one correctly rounded division of two exact (Python)
+    integers, so it equals the float of the matching `radial_matrix`
+    Fraction at any q.
     """
     n, q = params.n, params.q
     d = params.degree
-    l = np.arange(n + 1, dtype=np.int64 if d < 2 ** 53 else object)
-    return tuple(np.asarray(v, dtype=np.float64)
+    l = np.arange(n + 1, dtype=object)
+    rows = tuple(np.asarray(v, dtype=np.float64)
                  for v in (l / d, l * (q - 2) / d, (n - l) / n))
+    for row in rows:
+        row.flags.writeable = False
+    return rows
 
 
 def float_power_step(mass: np.ndarray, down, stay, up) -> np.ndarray:

@@ -7,6 +7,7 @@ import pytest
 
 from hamming_cutoff import (
     ParameterError,
+    ResourceBudgetError,
     check_majorant,
     check_minorant,
     class_weights,
@@ -244,6 +245,10 @@ def test_minorant_value_past_the_float_range():
     assert minorant(10 ** 400, 1.0, 1000.0) == pytest.approx(1.0, abs=1e-30)
     assert minorant(10 ** 400, 1.0, 921.0) == pytest.approx(
         1.0 - math.exp(math.log(4 * 10 ** 400) - 921.0), rel=1e-12)
+    # the log form turns -inf exactly where float exp overflows
+    log_4q = math.log(4 * 10 ** 400)
+    assert -math.inf < minorant(10 ** 400, 1.0, log_4q - 709.782) < -1.79e308
+    assert minorant(10 ** 400, 1.0, log_4q - 709.783) == -math.inf
 
 
 def test_minorant_diagnostics_exact_sums_the_spectral_law():
@@ -263,6 +268,18 @@ def test_minorant_diagnostics_exact_sums_the_spectral_law():
         assert in_b
         mass = kstep_distribution(p, k).mass
         assert d.nu_B == float(sum((mass[l] for l in in_b), Fraction(0))), (p, k)
+
+
+def test_minorant_diagnostics_exact_refuses_past_the_bit_budget():
+    # the exact law at (300, 3), c = 0 outgrows the default bit budget, as
+    # the exact recheck of the same cell would; the float law is served
+    p = make_scheme(300, 3)
+    k = math.floor(schedule_step(p, 0.0))
+    for walk in (lambda: minorant_diagnostics(p, k, 1.0, 0.0, "exact"),
+                 lambda: next(kstep_tv(p, (k,), "exact"))):
+        with pytest.raises(ResourceBudgetError):
+            walk()
+    assert 0 <= minorant_diagnostics(p, k, 1.0, 0.0, "float").nu_B <= 1
 
 
 def test_minorant_diagnostics_complement_mass():
