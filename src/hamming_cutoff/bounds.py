@@ -310,6 +310,14 @@ def check_majorant(
     return majorant_cells(params, (c,), rounding, backend)[0]
 
 
+def _exp(x: float) -> float:
+    """e**x, or inf where math.exp overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def minorant_value(q: int, b: float, c: float) -> float:
     """1 - (4q+b) e**-c at any real c, for a finite offset parameter b >= 0;
     -inf once (4q+b) e**-c leaves the float range."""
@@ -318,11 +326,7 @@ def minorant_value(q: int, b: float, c: float) -> float:
     try:
         return 1.0 - (4 * q + b) * math.exp(-c)
     except OverflowError:  # 4q + b or e**-c alone is past the float range
-        x = math.log(4 * q + int(b)) - c  # b's fraction is below 4q's ulp
-        try:
-            return 1.0 - math.exp(x)
-        except OverflowError:
-            return -math.inf
+        return 1.0 - _exp(math.log(4 * q + int(b)) - c)  # b's fraction is below 4q's ulp
 
 
 def minorant(q: int, b: float, c: float) -> float:
@@ -402,7 +406,17 @@ def minorant_diagnostics(
     n, q = params.n, params.q
     if not (0 <= b < math.inf and 0 <= c < math.inf):
         raise ParameterError("need finite b >= 0 and c >= 0")
-    beta = math.sqrt(q / ((4 * q + b) * (q - 1))) * math.exp(c / 2)
+    try:
+        beta = math.sqrt(q / ((4 * q + b) * (q - 1))) * math.exp(c / 2)
+        markov_lb = 1 - 1 / (beta * beta * (q - 1))
+        chebyshev_ub = 1 / (beta * beta)
+    except (OverflowError, ZeroDivisionError):  # (4q+b)(q-1) or e**(c/2) past float range
+        # in logs: 1/(beta**2 (q-1)) = (4q+b)/(q e**c); b's fraction is below
+        # the ulp of 4q + b wherever it could show
+        x = math.log(4 * q + int(b)) - math.log(q) - c
+        beta = _exp(-0.5 * (x + math.log(q - 1)))
+        markov_lb = 1 - _exp(x)
+        chebyshev_ub = _exp(x + math.log(q - 1))
     threshold = beta / math.sqrt(n)
     d = params.degree
     # |phi_1(l)| = |d - l q| / d < threshold, compared exactly in integers
@@ -424,8 +438,8 @@ def minorant_diagnostics(
         beta=beta,
         pi_B=pi_mass,
         nu_B=nu_mass,
-        markov_lb=1 - 1 / (beta * beta * (q - 1)),
-        chebyshev_ub=1 / (beta * beta),
+        markov_lb=markov_lb,
+        chebyshev_ub=chebyshev_ub,
         chebyshev_applicable=applicable,
     )
 

@@ -148,22 +148,26 @@ def float_table_supported(params: SchemeParams) -> bool:
 
     The two recurrence halves grow by at most exp(n/2 * log q) (forward,
     from psi_j(0) = sqrt(d_j/q**n)) and exp(n * beta) (backward, from the
-    corner value psi_j(n)); both exponents must stay clear of overflow.
+    corner value psi_j(n)), beta = log(q (1 + (q-1)**-3)) / 2, the larger
+    exponent; it must stay clear of overflow.  Taken in logs, so any q
+    gives an answer.
     """
     n, q = params.n, params.q
-    beta = 0.5 * math.log(q * (1 + (q - 1) ** 3) / (q - 1) ** 3)
-    return n * max(0.5 * math.log(q), beta) <= 650.0
+    beta = 0.5 * (math.log(q) + math.log1p(1 / (q - 1) ** 3))
+    return n * beta <= 650.0
 
 
 def _jacobi_coefficients(params: SchemeParams):
     """Diagonal, off-diagonal and eigenvalues lam_j of the weight-symmetrized
-    transition matrix."""
+    transition matrix.  lam_j = (d - q j)/d is one correctly rounded
+    division of Python integers at any q."""
     n, q = params.n, params.q
     d = n * (q - 1)
     ls = np.arange(n + 1, dtype=np.float64)
     diag = ls * (q - 2) / d
     off = np.sqrt((n - ls[:-1]) * (q - 1) * (ls[:-1] + 1)) / d
-    return diag, off, (d - q * ls) / d
+    lam = ((d - q * np.arange(n + 1, dtype=object)) / d).astype(np.float64)
+    return diag, off, lam
 
 
 def _float_rows(params: SchemeParams, js: np.ndarray):
@@ -187,9 +191,8 @@ def _float_rows(params: SchemeParams, js: np.ndarray):
         raise ResourceBudgetError(
             f"float table out of range at n={n}, q={q}; use the exact backend"
         )
-    diag, off, lams = _jacobi_coefficients(params)
-    lams = lams[js]
-    shift = lams[None, :] - diag[:, None]  # shift[l] = lam_j - diag[l]
+    diag, off, lam = _jacobi_coefficients(params)
+    shift = lam[js][None, :] - diag[:, None]  # shift[l] = lam_j - diag[l]
     # l-major, so each step reads and writes contiguous rows
     f = np.zeros((n + 1, len(js)))
     g = np.zeros((n + 1, len(js)))
@@ -234,12 +237,11 @@ def _float_rows(params: SchemeParams, js: np.ndarray):
     psi /= np.sqrt([row.dot(row) for row in psi])[:, None]
 
     phi = psi * np.exp(-logscale)
-    # structural values are known exactly; pin them
+    # structural values are known exactly; pin them (phi_1(l) = phi_l(1) = lam_l)
     phi[js == 0, :] = 1.0
     phi[:, 0] = 1.0
-    phi[:, 1] = lams
-    # Python integers keep l q / (n(q-1)) correctly rounded at any q
-    phi[js == 1, :] = 1.0 - np.arange(n + 1, dtype=object) * q / (n * (q - 1))
+    phi[:, 1] = lam[js]
+    phi[js == 1, :] = lam
     return psi, phi
 
 

@@ -10,12 +10,12 @@ however many walks are asked for.  Results are a pure function of
 (params, k, walks, seed).
 
 A literal-graph sampler, `simulate_literal`, exists for tiny state spaces
-purely to cross-check it in distribution.  It samples walk by walk, in
-fixed blocks of 65536: the block starting at walk `start` reads the
-Philox(key=seed) double stream from element 4*start*k on
-(`Philox.advance(m)` skips 4*m doubles), and walk i, step t of that block
-is element (i - start)*k + t of its slice, so its counts too are a pure
-function of (params, k, walks, seed).
+purely to cross-check it in distribution.  It samples walk by walk: each
+walk is a vertex index in [0, q**n), read as n base-q digits.  One
+Philox(key=seed) generator is read in order.  Walks go in consecutive
+chunks of `_BLOCK`, and for each chunk and each step one integer in
+[0, n(q-1)) per walk picks the coordinate and the shift, so its counts
+too are a pure function of (params, k, walks, seed).
 """
 
 from dataclasses import dataclass
@@ -32,23 +32,17 @@ from .scheme import (
 )
 
 DEFAULT_DRAW_BUDGET = 10 ** 10
-_BLOCK = 1 << 16  # walks per counter block; fixed so partitioning never matters
-_SUB_BLOCK_DRAWS = 1 << 22  # doubles drawn at once (32 MB); bounds memory only
+_BLOCK = 1 << 16  # walks per literal chunk; bounds memory, fixed so counts stay seeded
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One reproducible experiment: (params, k, walks, seed).
-
-    `streams` is validated and otherwise unused: counts never depended on
-    it, and the histogram sampler has no blocks to spread over workers.
-    """
+    """One reproducible experiment: (params, k, walks, seed)."""
 
     params: SchemeParams
     k: int
     walks: int
     seed: int
-    streams: int = 1
 
     def __post_init__(self):
         if self.k < 0:
@@ -57,8 +51,6 @@ class SimConfig:
             raise ParameterError("need at least one walk")
         if self.walks >= 2 ** 63:  # the class counts are int64
             raise ParameterError("walks must be < 2**63")
-        if self.streams < 1:
-            raise ParameterError("need at least one stream")
         if not 0 <= self.seed < 2 ** 64:
             raise ParameterError("seed must fit in 64 bits")
 
@@ -73,20 +65,11 @@ class EmpiricalResult:
     stderr: np.ndarray
 
 
-def _sub_blocks(cfg: SimConfig, start: int, stop: int):
-    """Yield (lo, hi, u): walks [start + lo, start + hi) and their uniforms.
-
-    One generator draws the canonical stream slice of walks [start, stop)
-    in row-major sub-blocks of at most `_SUB_BLOCK_DRAWS` doubles, the
-    same doubles as one (stop - start, k) array in bounded memory.
-    """
-    bg = np.random.Philox(key=cfg.seed)
-    bg.advance(start * cfg.k)
-    gen = np.random.Generator(bg)
-    rows = max(1, _SUB_BLOCK_DRAWS // cfg.k)
-    for lo in range(0, stop - start, rows):
-        hi = min(lo + rows, stop - start)
-        yield lo, hi, gen.random((hi - lo, cfg.k))
+def _result(cfg: SimConfig, counts: np.ndarray) -> EmpiricalResult:
+    """The class frequencies of `counts` with their multinomial standard errors."""
+    freq = counts / cfg.walks
+    stderr = np.sqrt(freq * (1 - freq) / cfg.walks)
+    return EmpiricalResult(cfg, counts, RadialDistribution(cfg.params, freq, "float"), stderr)
 
 
 def simulate(cfg: SimConfig, max_draws: int = DEFAULT_DRAW_BUDGET) -> EmpiricalResult:
@@ -116,11 +99,7 @@ def simulate(cfg: SimConfig, max_draws: int = DEFAULT_DRAW_BUDGET) -> EmpiricalR
         counts -= down + up
         counts[:-1] += down[1:]  # down[0] = 0
         counts[1:] += up[:-1]  # up[n] = 0
-
-    freq = counts / cfg.walks
-    stderr = np.sqrt(freq * (1 - freq) / cfg.walks)
-    estimate = RadialDistribution(cfg.params, freq, "float")
-    return EmpiricalResult(cfg, counts, estimate, stderr)
+    return _result(cfg, counts)
 
 
 @dataclass(frozen=True)
@@ -149,9 +128,11 @@ def empirical_tv(cfg: SimConfig, max_draws: int = DEFAULT_DRAW_BUDGET) -> Empiri
 def simulate_literal(cfg: SimConfig, max_states: int = 10 ** 4) -> EmpiricalResult:
     """Cross-check sampler on the literal q**n graph (tiny spaces only).
 
-    Each step resamples one coordinate to a different letter; one uniform
-    per step encodes both choices, read in the block layout of the module
-    docstring.  It agrees with `simulate` in distribution only.
+    Each step draws r in [0, n(q-1)) per walk: coordinate r // (q-1) moves
+    from letter a to (a + 1 + r % (q-1)) mod q, a uniform other letter.
+    The class of a vertex is its number of nonzero digits, read from a
+    q**n table; no class probability is used, so it agrees with `simulate`
+    in distribution only.
     """
     params = cfg.params
     n, q = params.n, params.q
@@ -159,26 +140,18 @@ def simulate_literal(cfg: SimConfig, max_states: int = 10 ** 4) -> EmpiricalResu
         raise ResourceBudgetError(
             f"q**n = {params.size} exceeds the literal-state budget {max_states}"
         )
-    deg = params.degree
+    weight = np.zeros(1, dtype=np.int64)  # nonzero digits of each vertex
+    for _ in range(n):  # prepend one digit: vertex a * q**i + v
+        weight = ((np.arange(q) > 0)[:, None] + weight[None, :]).ravel()
+    place = q ** np.arange(n, dtype=np.int64)
+    gen = np.random.Generator(np.random.Philox(key=cfg.seed))
     counts = np.zeros(n + 1, dtype=np.int64)
     for start in range(0, cfg.walks, _BLOCK):
-        stop = min(start + _BLOCK, cfg.walks)
-        size = stop - start
-        words = np.zeros((size, n), dtype=np.int64)
-        if cfg.k:
-            for lo, hi, u in _sub_blocks(cfg, start, stop):
-                sub = words[lo:hi]  # a view
-                rows = np.arange(hi - lo)
-                for t in range(cfg.k):
-                    v = (u[:, t] * deg).astype(np.int64)
-                    coord = v // (q - 1)
-                    shift = v % (q - 1)
-                    old = sub[rows, coord]
-                    sub[rows, coord] = (old + 1 + shift) % q
-                del u  # free this sub-block before the next is drawn
-        dist = np.count_nonzero(words, axis=1)
-        counts += np.bincount(dist, minlength=n + 1)
-    freq = counts / cfg.walks
-    stderr = np.sqrt(freq * (1 - freq) / cfg.walks)
-    estimate = RadialDistribution(params, freq, "float")
-    return EmpiricalResult(cfg, counts, estimate, stderr)
+        v = np.zeros(min(_BLOCK, cfg.walks - start), dtype=np.int64)
+        for _ in range(cfg.k):
+            coord, shift = np.divmod(gen.integers(params.degree, size=v.size), q - 1)
+            p = place[coord]
+            a = v // p % q
+            v += ((a + 1 + shift) % q - a) * p
+        counts += np.bincount(weight[v], minlength=n + 1)
+    return _result(cfg, counts)

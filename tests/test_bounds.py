@@ -251,6 +251,21 @@ def test_minorant_value_past_the_float_range():
     assert minorant(10 ** 400, 1.0, log_4q - 709.783) == -math.inf
 
 
+@pytest.mark.parametrize("q", [10 ** 160, 10 ** 400], ids=["1e160", "1e400"])
+def test_minorant_diagnostics_past_the_float_range(q):
+    # (4q+b)(q-1) overflows a float from q ~ 1e154 on, so the fields come
+    # from logs: beta**2 = q e**c/((4q+b)(q-1)) ~ e**c/(4q), 1/beta**2 past
+    # the float range is inf
+    p = make_scheme(3, q)
+    d = minorant_diagnostics(p, math.floor(schedule_step(p, -1.0)), 1.0, 1.0, "float")
+    log_beta2 = 1.0 - math.log(4 * q)
+    assert d.beta == pytest.approx(math.exp(log_beta2 / 2), rel=1e-10)
+    assert d.markov_lb == pytest.approx(1 - 4 * math.exp(-1.0), rel=1e-12)
+    assert d.chebyshev_ub == (pytest.approx(math.exp(-log_beta2), rel=1e-10)
+                              if -log_beta2 < 709 else math.inf)
+    assert d.pi_B >= d.markov_lb
+
+
 def test_minorant_diagnostics_exact_sums_the_spectral_law():
     # nu(B) comes from the radial chain; spectral inversion stays the
     # independent check, and the diagnostics build no Krawtchouk row

@@ -2,10 +2,9 @@
 
 Each example is a command line of small valid values in which at most
 one value is replaced by an invalid one (out of range, non-finite or
-malformed).  Sizes stay small (n <= 12, walks <= 10**4, streams <= 4) so
-no example is slow or starts more than a few threads.  `verify lemmas`
-takes no size argument and runs for seconds, so `tests/test_cli.py`
-covers it instead.
+malformed).  Sizes stay small (n <= 12, walks <= 10**4) so no example
+is slow.  `verify lemmas` takes no size argument and runs for seconds,
+so `tests/test_cli.py` covers it instead.
 """
 
 import contextlib
@@ -72,7 +71,7 @@ COMMANDS = {
         ("--backend", BACKEND, False),
     ],
 }
-Q80 = str(10 ** 80)
+Q80, Q400 = str(10 ** 80), str(10 ** 400)
 HEADS = [["profile"], ["verify", "upper"], ["verify", "majorant"],
          ["verify", "minorant"], ["verify", "bogus"], ["simulate"], ["table"]]
 
@@ -102,7 +101,9 @@ def command_lines(draw):
 @example(["profile", "--n", "3", "--q", Q80, "--k-max", "3", "--backend", "float"])
 @example(["verify", "majorant", "--q", Q80, "--n-max", "2"])
 @example(["verify", "minorant", "--q", Q80, "--n-max", "5"])
-@example(["profile", "--n", "2", "--q", str(10 ** 400), "--k-max", "1", "--backend", "exact"])
+@example(["profile", "--n", "2", "--q", Q400, "--k-max", "1", "--backend", "exact"])
+@example(["verify", "minorant", "--q", Q400, "--n-max", "5"])
+@example(["table", "--n", "3", "--q", Q400, "--backend", "float"])
 def test_cli_exits_with_a_documented_code(args):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

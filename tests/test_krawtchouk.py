@@ -173,6 +173,16 @@ def test_phi_row_matches_table():
     assert phi_row(p, 11, "exact") == exact
 
 
+@pytest.mark.parametrize("n, q", [(3, 10 ** 10), (1, 3), (2, 2), (5, 3), (40, 4), (200, 3)])
+def test_float_row_1_is_the_correctly_rounded_exact_row(n, q):
+    # phi_1(l) = phi_l(1) = lam_l; at (3, 10**10) the old pin 1 - lq/(n(q-1))
+    # printed phi_1(3) = -1.000000082740371e-10 against -1.0000000001e-10
+    p = make_scheme(n, q)
+    fl = build_table(p, "float").phi
+    assert fl[1].tolist() == [float(v) for v in phi_row(p, 1, "exact")]
+    assert fl[1].tobytes() == np.ascontiguousarray(fl[:, 1]).tobytes()
+
+
 def test_phi_row_unknown_backend():
     with pytest.raises(ParameterError, match="unknown backend 'bogus'"):
         phi_row(make_scheme(5, 3), 1, "bogus")

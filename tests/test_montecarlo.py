@@ -39,28 +39,42 @@ def test_two_step_frequencies_within_four_sigma():
         assert abs(res.counts[l] / walks - exact[l]) < 4 * sigma
 
 
-def test_determinism_across_stream_counts():
+def test_same_seed_gives_same_counts():
     p = make_scheme(4, 3)
-    base = simulate(SimConfig(p, k=7, walks=200_000, seed=9, streams=1))
-    for streams in (2, 4, 7):
-        again = simulate(SimConfig(p, k=7, walks=200_000, seed=9, streams=streams))
-        assert np.array_equal(base.counts, again.counts)
+    base = simulate(SimConfig(p, k=7, walks=200_000, seed=9))
+    again = simulate(SimConfig(p, k=7, walks=200_000, seed=9))
+    assert np.array_equal(base.counts, again.counts)
 
 
-def test_literal_sub_block_size_leaves_counts_unchanged(monkeypatch):
-    from hamming_cutoff import montecarlo
-
+def test_literal_counts_are_a_function_of_the_seed():
+    # 70,001 walks cross a chunk boundary; k = 0 draws nothing
     p = make_scheme(3, 4)
-    cases = [(10, SimConfig(p, k=3, walks=70_001, seed=13)),  # 3 walks each
-             (1, SimConfig(p, k=5, walks=3001, seed=14))]  # fewer doubles than k
-    for draws, cfg in cases:
-        base = simulate_literal(cfg).counts
-        with monkeypatch.context() as m:
-            m.setattr(montecarlo, "_SUB_BLOCK_DRAWS", draws)
-            assert np.array_equal(simulate_literal(cfg).counts, base)
+
+    def counts(k, walks, seed):
+        return simulate_literal(SimConfig(p, k=k, walks=walks, seed=seed)).counts
+
+    assert np.array_equal(counts(3, 70_001, 13), counts(3, 70_001, 13))
+    assert not np.array_equal(counts(3, 70_001, 13), counts(3, 70_001, 14))
+    assert list(counts(0, 5000, 13)) == [5000, 0, 0, 0]
 
 
-def test_counts_have_the_multinomial_law_of_independent_walks():
+def test_literal_memory_does_not_grow_with_walks():
+    import tracemalloc
+
+    cfg = SimConfig(make_scheme(4, 3), k=3, walks=4 * 10 ** 6, seed=1)
+    tracemalloc.start()
+    try:
+        counts = simulate_literal(cfg).counts
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert int(counts.sum()) == cfg.walks
+    assert peak < 16 * 2 ** 20, peak
+
+
+@pytest.mark.parametrize("sampler", [simulate, simulate_literal],
+                         ids=["simulate", "simulate_literal"])
+def test_counts_have_the_multinomial_law_of_independent_walks(sampler):
     # over 2000 seeds, the mean and covariance of the class counts match
     # walks*nu and walks*(diag nu - nu nu^T); q = 2 has no stays, and
     # parity leaves classes with nu = 0, whose counts must be exactly 0
@@ -68,7 +82,7 @@ def test_counts_have_the_multinomial_law_of_independent_walks():
     for n, q, k in ((4, 3, 6), (3, 2, 5), (5, 4, 7)):
         p = make_scheme(n, q)
         nu = np.array([float(v) for v in kstep_oracle(p, k).mass])
-        x = np.array([simulate(SimConfig(p, k=k, walks=walks, seed=s)).counts
+        x = np.array([sampler(SimConfig(p, k=k, walks=walks, seed=s)).counts
                       for s in range(seeds)], dtype=float)
         dev = x - walks * nu
         cov = walks * (np.diag(nu) - np.outer(nu, nu))
