@@ -21,10 +21,11 @@ in k.  Bounds that are vacuous (majorant > 1, minorant < 0) are reported
 satisfied-vacuously rather than dropped, so grids stay informative.
 
 Every majorant and minorant verdict (`check_majorant`, `check_minorant`,
-the `verify` grids) comes from `majorant_cells` or `minorant_cells`: one
-schedule rule and one formula per bound, then one shared decision path
-(one trajectory per scheme, float verdicts certified by an a-priori
-roundoff bound, else exact).
+the `verify` grids) comes from `majorant_cells` or `minorant_cells`, or
+their grid forms `majorant_grid` and `minorant_grid`: one schedule rule
+and one formula per bound, then one shared decision path (one lockstep
+float pass over every scheme, float verdicts certified by an a-priori
+roundoff bound, else exact, scheme by scheme).
 """
 
 import math
@@ -35,12 +36,13 @@ from typing import Literal
 
 import numpy as np
 
-from .radial import kstep_trajectory, kstep_tv
+from .radial import float_lockstep, kstep_trajectory, kstep_tv
 from .scheme import (
     Backend,
     ParameterError,
     SchemeParams,
     log_class_weights,
+    tv_distance,
     uniform,
 )
 from .spectral import spectrum
@@ -179,7 +181,8 @@ def majorant(q: int, c: float) -> float:
 
 
 def float_tv_error(n: int, k: int) -> float:
-    """eps >= |tv_float - tv| for `radial.kstep_tv(..., "float")` at step k.
+    """eps >= |tv_float - tv| for `radial.kstep_tv(..., "float")` at step k,
+    or for `scheme.tv_distance` of a law `radial.float_lockstep` yields.
 
     eps = gamma_4k/2 + 3u + (3k+2)(n+1) 2**-1074, u = 2**-53, gamma_m =
     mu/(1 - mu) (Higham, *Accuracy and Stability of Numerical Algorithms*,
@@ -194,6 +197,11 @@ def float_tv_error(n: int, k: int) -> float:
     |tv_float - tv| <= E/2 + (u + u**2/2)(2 + E) + 2**-1074, as
     sum_l |nu - pi| = 2 tv <= 2: at most gamma_4k/2 + 2.51u + the
     underflow term.  The spare 0.49u covers evaluating eps in float.
+    A stacked step rounds each class exactly as a scheme's own step
+    does: IEEE elementwise operations do not depend on the array's shape
+    (Higham, §2.2), and the zero padding past class n and the unreached
+    classes add exact zeros.  So the bound holds for every row of a
+    lockstep pass as it stands.
     """
     u = 2.0 ** -53  # unit roundoff of float64
     m = 4 * k * u
@@ -230,53 +238,55 @@ def _float_verdict(tv: float, eps: float, bound: float, lower: bool):
     return None
 
 
-def _bound_reports(params: SchemeParams, which: str, cells, backend: str) -> list:
-    """The BoundReport of each cell (k, c, bound): tv >= bound for `which`
+def _bound_reports(jobs, backend: str, on_law=None):
+    """Yield the BoundReports of each job (params, which, cells) in turn,
+    one list per job: per cell (k, c, bound), tv >= bound for `which`
     "minorant" (vacuous below 0), else tv**2 <= bound (vacuous from 1).
 
-    One trajectory (`radial.kstep_tv`, no bit budget) over the distinct ks
-    serves every cell.  A float cell is decided in float only when tv +-
-    `float_tv_error` lies on one side of the bound; any other, pass or
-    fail, is re-decided exactly within the default bit budget
+    One lockstep pass (`radial.float_lockstep`) serves every float job's
+    distinct ks, and `on_law(job index, k, law)` sees each law it yields;
+    an exact job walks its own `radial.kstep_tv` (no bit budget).  A
+    float cell is decided in float only when tv +- `float_tv_error` lies
+    on one side of the bound; any other, pass or fail, is re-decided
+    exactly, scheme by scheme, within the default bit budget
     (`ResourceBudgetError` past it).
     """
-    lower = which == "minorant"
-    be = resolve_backend(params, backend)
-    tvs = dict(kstep_tv(params, sorted({k for k, _, _ in cells}), be, math.inf))
-    verdicts = [None] * len(cells)
-    if be == "float":
-        verdicts = [_float_verdict(tvs[k], float_tv_error(params.n, k), bound, lower)
-                    for k, _, bound in cells]
-        undecided = {k for (k, _, _), v in zip(cells, verdicts) if v is None}
-        if undecided:  # the exact chain's setup is O(n) big integers
-            tvs.update(kstep_tv(params, sorted(undecided), "exact"))
-    return [
-        BoundReport(which, k, c, float(tvs[k]), bound,
-                    (tvs[k] >= bound if lower else tvs[k] * tvs[k] <= bound)
-                    if v is None else v,
-                    bound < 0 if lower else bound >= 1.0)
-        for (k, c, bound), v in zip(cells, verdicts)
-    ]
+    bes = [resolve_backend(params, backend) for params, _, _ in jobs]
+    tvs = [{} for _ in jobs]
+    floats = [i for i, be in enumerate(bes) if be == "float"]
+    steps = [(jobs[i][0], sorted({k for k, _, _ in jobs[i][2]})) for i in floats]
+    pis = {}  # the uniform law of each float job that has more ks to come
+    for j, k, dist in float_lockstep(steps):
+        params, ks = steps[j]
+        if j not in pis:
+            pis[j] = uniform(params, "float")
+        tvs[floats[j]][k] = tv_distance(dist, pis.pop(j) if k == ks[-1] else pis[j])
+        if on_law is not None:
+            on_law(floats[j], k, dist)
+    for (params, which, cells), be, tv in zip(jobs, bes, tvs):
+        lower = which == "minorant"
+        if be == "exact":
+            tv.update(kstep_tv(params, sorted({k for k, _, _ in cells}), be, math.inf))
+            verdicts = [None] * len(cells)
+        else:
+            verdicts = [_float_verdict(tv[k], float_tv_error(params.n, k), bound, lower)
+                        for k, _, bound in cells]
+            undecided = {k for (k, _, _), v in zip(cells, verdicts) if v is None}
+            if undecided:  # the exact chain's setup is O(n) big integers
+                tv.update(kstep_tv(params, sorted(undecided), "exact"))
+        yield [
+            BoundReport(which, k, c, float(tv[k]), bound,
+                        (tv[k] >= bound if lower else tv[k] * tv[k] <= bound)
+                        if v is None else v,
+                        bound < 0 if lower else bound >= 1.0)
+            for (k, c, bound), v in zip(cells, verdicts)
+        ]
 
 
-def majorant_cells(
-    params: SchemeParams,
-    c_values,
-    rounding: Literal["ceil", "exact"] = "ceil",
-    backend: str = "auto",
-) -> list:
-    """The BoundReport of tv**2 <= majorant at each scheduled step.
-
-    `ceil`: k = ceil(b_n (log n(q-1) + c)) per c.  `exact`: the literal
-    theorem, at every integer k with `offset_from_step(k)` in [min c,
-    max c] (schedule within 1e-9); none is a usage error.  The cells are
-    decided on the path `minorant_cells` shares: one trajectory, float
-    verdicts certified by `float_tv_error`, else exact.
-    """
-    n, q = params.n, params.q
-    if not majorant_in_scope(params):
-        raise ParameterError(f"no majorant theorem covers n={n}, q={q}")
-    given = [(c, majorant(q, c)) for c in c_values]  # 0 < c < inf, or a usage error
+def _majorant_job(params: SchemeParams, given, rounding: str):
+    """(params, which, cells) of tv**2 <= majorant at each scheduled step,
+    for `given` (c, majorant(q, c)) pairs."""
+    q = params.q
     if rounding == "ceil":
         cells = [(math.ceil(schedule_step(params, c)), c, v) for c, v in given]
     elif rounding == "exact":
@@ -291,8 +301,43 @@ def majorant_cells(
             )
     else:
         raise ParameterError(f"unknown rounding {rounding!r}")
-    return _bound_reports(params, {3: "thm-q3", 4: "thm-q4"}.get(q, "thm-q5"),
-                          cells, backend)
+    return params, {3: "thm-q3", 4: "thm-q4"}.get(q, "thm-q5"), cells
+
+
+def majorant_cells(
+    params: SchemeParams,
+    c_values,
+    rounding: Literal["ceil", "exact"] = "ceil",
+    backend: str = "auto",
+) -> list:
+    """The BoundReport of tv**2 <= majorant at each scheduled step.
+
+    `ceil`: k = ceil(b_n (log n(q-1) + c)) per c.  `exact`: the literal
+    theorem, at every integer k with `offset_from_step(k)` in [min c,
+    max c] (schedule within 1e-9); none is a usage error.  The cells are
+    decided on the path `minorant_cells` shares: one float trajectory,
+    verdicts certified by `float_tv_error`, else exact.
+    """
+    (reports,) = majorant_grid((params,), c_values, rounding, backend)
+    return reports
+
+
+def majorant_grid(
+    schemes,
+    c_values,
+    rounding: Literal["ceil", "exact"] = "ceil",
+    backend: str = "auto",
+):
+    """Yield `majorant_cells` of each scheme in turn, all from one
+    lockstep float pass."""
+    given, jobs = {}, []
+    for p in schemes:
+        if not majorant_in_scope(p):
+            raise ParameterError(f"no majorant theorem covers n={p.n}, q={p.q}")
+        if p.q not in given:  # 0 < c < inf, or a usage error
+            given[p.q] = [(c, majorant(p.q, c)) for c in c_values]
+        jobs.append(_majorant_job(p, given[p.q], rounding))
+    return _bound_reports(jobs, backend)
 
 
 def check_majorant(
@@ -340,6 +385,17 @@ def minorant(q: int, b: float, c: float) -> float:
     return minorant_value(q, b, c)
 
 
+def _minorant_job(params: SchemeParams, b: float, c_values):
+    """(params, "minorant", cells) of tv >= minorant(q, b, c) per c."""
+    log_d = math.log(params.degree)
+    cells = []
+    for c in c_values:
+        if not 0 <= c <= log_d:  # NaN fails too
+            raise ParameterError("need 0 <= c <= log n(q-1) for the minorant schedule")
+        cells.append((math.floor(schedule_step(params, -c)), c, minorant(params.q, b, c)))
+    return params, "minorant", cells
+
+
 def minorant_cells(params: SchemeParams, b: float, c_values, backend: str = "auto") -> list:
     """The BoundReport of tv >= minorant(q, b, c) at k = floor(b_n (log
     n(q-1) - c)) for each 0 <= c <= log n(q-1); a bound below 0 is vacuous.
@@ -347,13 +403,28 @@ def minorant_cells(params: SchemeParams, b: float, c_values, backend: str = "aut
     Decided on the path `majorant_cells` shares: one trajectory, float
     verdicts certified by `float_tv_error`, else exact.
     """
-    log_d = math.log(params.degree)
-    cells = []
-    for c in c_values:
-        if not 0 <= c <= log_d:  # NaN fails too
-            raise ParameterError("need 0 <= c <= log n(q-1) for the minorant schedule")
-        cells.append((math.floor(schedule_step(params, -c)), c, minorant(params.q, b, c)))
-    return _bound_reports(params, "minorant", cells, backend)
+    (reports,) = _bound_reports([_minorant_job(params, b, c_values)], backend)
+    return reports
+
+
+def minorant_grid(schemes, b: float, c: float, backend: str = "auto"):
+    """Yield (report, diagnostics) per scheme in turn: `minorant_cells` at
+    the one offset c and `minorant_diagnostics` at its k.
+
+    One lockstep float pass serves every float scheme's report, and its
+    diagnostics read nu_k from the same pass; an exact scheme's nu_k is
+    `radial.kstep_trajectory`'s exact law (default bit budget).
+    """
+    jobs = [_minorant_job(p, b, (c,)) for p in schemes]
+    diags = {}
+
+    def diagnose(i, k, walk):
+        diags[i] = _diagnostics(jobs[i][0], k, b, c, walk)
+
+    for i, (r,) in enumerate(_bound_reports(jobs, backend, diagnose)):
+        if i not in diags:
+            diagnose(i, r.k, next(kstep_trajectory(jobs[i][0], (r.k,), "exact"))[1])
+        yield r, diags.pop(i)
 
 
 def check_minorant(
@@ -403,44 +474,58 @@ def minorant_diagnostics(
     `minorant_cells`), while a float call after `minorant_cells` at the
     same k resumes from the checkpoint that call left and takes no step.
     """
-    n, q = params.n, params.q
     if not (0 <= b < math.inf and 0 <= c < math.inf):
         raise ParameterError("need finite b >= 0 and c >= 0")
+    be = resolve_backend(params, backend)
+    return _diagnostics(params, k, b, c, next(kstep_trajectory(params, (k,), be))[1])
+
+
+def _diagnostics(params: SchemeParams, k: int, b: float, c: float,
+                 walk) -> MinorantDiagnostics:
+    """`minorant_diagnostics` with nu_k = `walk`, the law after k steps."""
+    n, q, d = params.n, params.q, params.degree
     try:
         beta = math.sqrt(q / ((4 * q + b) * (q - 1))) * math.exp(c / 2)
         markov_lb = 1 - 1 / (beta * beta * (q - 1))
         chebyshev_ub = 1 / (beta * beta)
+        log_beta = math.log(beta)
     except (OverflowError, ZeroDivisionError):  # (4q+b)(q-1) or e**(c/2) past float range
         # in logs: 1/(beta**2 (q-1)) = (4q+b)/(q e**c); b's fraction is below
         # the ulp of 4q + b wherever it could show
         x = math.log(4 * q + int(b)) - math.log(q) - c
-        beta = _exp(-0.5 * (x + math.log(q - 1)))
+        log_beta = -0.5 * (x + math.log(q - 1))
+        beta = _exp(log_beta)
         markov_lb = 1 - _exp(x)
         chebyshev_ub = _exp(x + math.log(q - 1))
+    # |phi_1(l)| = |d - l q| / d < threshold = beta/sqrt(n), compared
+    # exactly in integers with the float threshold; where that underflows
+    # (huge q) or overflows (c past ~1419), with m 2**e = e**log(threshold)
     threshold = beta / math.sqrt(n)
-    d = params.degree
-    # |phi_1(l)| = |d - l q| / d < threshold, compared exactly in integers
-    tn, td = threshold.as_integer_ratio()
+    if 2.0 ** -1022 <= threshold < math.inf:
+        tn, td = threshold.as_integer_ratio()
+        applicable = ((d - q) / d) ** k >= 2 * threshold  # E phi_1 = lam[1]**k
+    else:
+        log_t = log_beta - 0.5 * math.log(n)
+        e = math.floor(log_t / math.log(2))
+        tn, td = math.exp(log_t - e * math.log(2)).as_integer_ratio()
+        tn, td = (tn << e, td) if e >= 0 else (tn, td << -e)
+        applicable = d > q and k * math.log((d - q) / d) >= math.log(2) + log_t
     in_b = [l for l in range(n + 1) if abs(d - l * q) * td < tn * d]
 
-    be = resolve_backend(params, backend)
-    walk = next(kstep_trajectory(params, (k,), be))[1]
-    pi = uniform(params, be)
-    if be == "exact":
+    pi = uniform(params, walk.backend)
+    if walk.backend == "exact":
         pi_mass = float(sum((pi.mass[l] for l in in_b), Fraction(0)))
         nu_mass = float(sum((walk.mass[l] for l in in_b), Fraction(0)))
     else:
         pi_mass = math.fsum(pi.mass[l] for l in in_b)
         nu_mass = math.fsum(walk.mass[l] for l in in_b)
-    mean_phi1 = ((d - q) / d) ** k  # E phi_1 = lam[1]**k
-    applicable = mean_phi1 >= 2 * threshold and (n - 2) * (q - 1) >= 2
     return MinorantDiagnostics(
         beta=beta,
         pi_B=pi_mass,
         nu_B=nu_mass,
         markov_lb=markov_lb,
         chebyshev_ub=chebyshev_ub,
-        chebyshev_applicable=applicable,
+        chebyshev_applicable=applicable and (n - 2) * (q - 1) >= 2,
     )
 
 

@@ -16,13 +16,21 @@ Exact powering keeps integer numerators over the common denominator
 and `power_step` are the Fraction reference for one step.  The uniform
 law is stationary, so the excess e = num q**n - w (n(q-1))**k of the
 k-step law over it obeys the same integer step (`kstep_excess`); both
-walk one loop.  Float powering resumes from per-scheme checkpoints that
-earlier float trajectories yielded.  `kstep_tv` turns the exact excess,
-or the float trajectory, into the distance to uniform.
+walk one loop.  Float powering has one loop too, `float_lockstep`: it
+stacks the schemes of a whole grid as zero-padded rows of one array and
+steps them all with one `float_power_step` call per step, each row
+resuming from the checkpoints earlier float trajectories on its scheme
+yielded; a single trajectory is its one-row case.  Elementwise IEEE
+arithmetic rounds the same at any array shape and padding adds exact
+zeros, so a row's masses are bit for bit those of its scheme walked
+alone.  `kstep_tv` turns the exact excess, or the float trajectory, into
+the distance to uniform.
 """
 
+import bisect
 import math
 import threading
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -159,6 +167,11 @@ def kstep_excess(params: SchemeParams, ks, bit_budget=DEFAULT_BIT_BUDGET):
 _MARKS_LOCK = threading.Lock()  # guards every `_float_marks` dict
 
 
+class _Marks(dict):
+    """One scheme's float checkpoints, k -> mass; a plain dict that a
+    trajectory can reference weakly."""
+
+
 @lru_cache(maxsize=32)
 def _float_marks(params: SchemeParams) -> dict:
     """Float states earlier trajectories on this scheme yielded: k -> mass.
@@ -166,9 +179,12 @@ def _float_marks(params: SchemeParams) -> dict:
     Each mass is the read-only array of a yielded `RadialDistribution`
     and is never written.  At most min(64, 2**16 // (n+1)) states per
     scheme (a full scheme drops every other one) and 32 schemes are
-    kept, so the cache holds at most 2**21 float64s (16 MiB).
+    kept, so the cache holds at most 2**21 float64s (16 MiB).  A
+    trajectory holds its scheme's states weakly and stops recording once
+    the cache drops them, so a pass over more than 32 schemes keeps no
+    more.
     """
-    return {}
+    return _Marks()
 
 
 def kstep_trajectory(
@@ -177,11 +193,11 @@ def kstep_trajectory(
     """Yield (k, distribution) for sorted, distinct ks in one pass.
 
     Exact: Fractions over `kstep_numerators`, bounded by `bit_budget`.
-    Float: the package's one float k-step loop, O(n * (max(ks) - k0))
-    work.  It resumes from the largest checkpoint k0 <= min(ks) that an
-    earlier float trajectory on the scheme yielded (`_float_marks`; else
-    k0 = 0) and records each state it yields.  The steps from k0 are the
-    ones a walk from k = 0 takes, so the output is bit for bit the same.
+    Float: the one-row case of `float_lockstep`, the package's one float
+    k-step loop: O(n * (max(ks) - k0)) work from the largest checkpoint
+    k0 <= min(ks) that an earlier float trajectory on the scheme yielded.
+    Every class is rounded as in a walk from k = 0 on the scheme's own
+    1-D arrays, so the masses are bit for bit the same, alone or stacked.
     """
     if backend == "exact":
         d = params.degree
@@ -192,25 +208,101 @@ def kstep_trajectory(
         return
     if backend != "float":
         raise ParameterError(f"unknown backend {backend!r}")
-    ks = _sorted_steps(ks)
-    marks = _float_marks(params)
-    cap = min(64, 2 ** 16 // (params.n + 1))
-    with _MARKS_LOCK:
-        done = max((m for m in marks if ks and m <= ks[0]), default=0)
-        mass = marks[done] if done else point_mass(params, "float").mass
-    down, stay, up = float_step_arrays(params)
-    for k in ks:
-        for _ in range(k - done):
-            mass = float_power_step(mass, down, stay, up)
-        done = k
-        dist = RadialDistribution(params, mass, "float")
-        with _MARKS_LOCK:
-            if k and k not in marks and cap:
-                if len(marks) >= cap:  # thin out, keeping every other state
-                    for m in sorted(marks)[::2]:
-                        del marks[m]
-                marks[k] = dist.mass
+    for _, k, dist in float_lockstep(((params, ks),)):
         yield k, dist
+
+
+def float_lockstep(jobs):
+    """Yield (i, k, float distribution) for each job i = (params, ks), ks
+    sorted and distinct: the package's one float k-step loop.
+
+    Every job's scheme is one row of a stack, its `float_step_arrays`
+    zero-padded to the widest n, and one `float_power_step` call steps
+    all rows still short of their last k.  A row resumes from the largest
+    checkpoint k0 <= min(ks) that an earlier float trajectory on its
+    scheme yielded (`_float_marks`; else k0 = 0) and records each state
+    it yields.  Rows are ordered by the steps they have left, so finished
+    rows leave the stack as a prefix, and only the columns a row can
+    have reached (class <= k) are stepped.  Elementwise IEEE operations
+    round the same at any array shape, a padded or unreached entry adds
+    an exact 0.0 to its neighbours, and the steps from k0 are the ones a
+    walk from k = 0 takes; so each row is bit for bit the trajectory of
+    its scheme alone from k = 0.  Yields come in order of steps taken.
+    """
+    jobs = [(params, _sorted_steps(ks)) for params, ks in jobs]
+    rows, starts = [], []  # (steps left, job index, params, ks, k0, weak marks, cap)
+    for i, (params, ks) in enumerate(jobs):
+        if not ks:
+            continue
+        marks = _float_marks(params)
+        with _MARKS_LOCK:
+            k0 = max((m for m in marks if m <= ks[0]), default=0)
+            starts.append(marks[k0] if k0 else point_mass(params, "float").mass)
+        cap = min(64, 2 ** 16 // (params.n + 1))  # states kept per scheme
+        rows.append((ks[-1] - k0, i, params, ks, k0, weakref.ref(marks), cap))
+    if not rows:
+        return
+    order = sorted(range(len(rows)), key=lambda r: rows[r][:2])
+    rows = [rows[r] for r in order]
+    lefts = [row[0] for row in rows]
+    coeffs = [float_step_arrays(row[2]) for row in rows]
+    full = max(c.shape[1] for c in coeffs)
+    reach = max(row[4] for row in rows) + 2  # step `done` needs reach + done columns
+    mass = np.zeros((len(rows), min(full, reach)))
+    due, nxt = {}, [0] * len(rows)  # steps taken -> rows yielding; next k
+    for j, r in enumerate(order):
+        mass[j, :starts[r].size] = starts[r][:reach]
+        _, _, _, ks, k0, _, _ = rows[j]
+        due.setdefault(ks[0] - k0, []).append(j)
+    del starts
+
+    def stacked(width):  # down, stay, up of rows[lo:], zero-padded to width
+        out = np.zeros((3, len(rows) - lo, width))
+        for j in range(lo, len(rows)):
+            out[:, j - lo, :coeffs[j].shape[1]] = coeffs[j][:, :width]
+        return out
+
+    done = lo = 0  # steps taken; rows[:lo] are finished
+    down, stay, up = stacked(mass.shape[1])
+    while True:
+        for j in due.pop(done, ()):
+            _, i, params, ks, k0, ref, cap = rows[j]
+            k = ks[nxt[j]]
+            nxt[j] += 1
+            if nxt[j] < len(ks):
+                due.setdefault(ks[nxt[j]] - k0, []).append(j)
+            row = mass[j - lo, :params.n + 1]
+            if row.size <= params.n:  # classes past the reach hold 0
+                row = np.concatenate((row, np.zeros(params.n + 1 - row.size)))
+            dist = RadialDistribution(params, row, "float")
+            with _MARKS_LOCK:
+                marks = ref()
+                if marks is not None and k and k not in marks and cap:
+                    if len(marks) >= cap:  # thin out, keeping every other state
+                        for m in sorted(marks)[::2]:
+                            del marks[m]
+                    marks[k] = dist.mass
+            yield i, k, dist
+        if not due:
+            return
+        if lefts[lo] <= done:  # drop finished rows
+            drop = bisect.bisect_right(lefts, done, lo)
+            down, stay, up = (c[drop - lo:] for c in (down, stay, up))
+            mass, lo = mass[drop - lo:], drop
+        until = min(due)  # the next yield
+        while done < until:
+            width = mass.shape[1]
+            if width < full and width < reach + done:  # widen the stepped columns
+                width = min(full, max(reach + done, 2 * width))
+                grown = np.zeros((len(mass), width))
+                grown[:, :mass.shape[1]] = mass
+                mass = grown
+                down, stay, up = stacked(width)
+            # step up to the next yield, or as far as the width reaches
+            stop = until if width == full else min(until, width - reach + 1)
+            for _ in range(stop - done):
+                mass = float_power_step(mass, down, stay, up)
+            done = stop
 
 
 def kstep_tv(params: SchemeParams, ks, backend: Backend, bit_budget=DEFAULT_BIT_BUDGET):
@@ -299,8 +391,8 @@ def enumerate_tiny(
 
 @lru_cache(maxsize=32)
 def float_step_arrays(params: SchemeParams):
-    """down/stay/up rows as read-only float64 arrays, for the float
-    powering engine; every trajectory on a scheme reads the same three.
+    """down/stay/up rows as one read-only (3, n+1) float64 array, for the
+    float powering engine; every trajectory on a scheme reads the same.
 
     Each entry is one correctly rounded division of two exact (Python)
     integers, so it equals the float of the matching `radial_matrix`
@@ -309,19 +401,19 @@ def float_step_arrays(params: SchemeParams):
     n, q = params.n, params.q
     d = params.degree
     l = np.arange(n + 1, dtype=object)
-    rows = tuple(np.asarray(v, dtype=np.float64)
-                 for v in (l / d, l * (q - 2) / d, (n - l) / n))
-    for row in rows:
-        row.flags.writeable = False
+    rows = np.array([l / d, l * (q - 2) / d, (n - l) / n], dtype=np.float64)
+    rows.flags.writeable = False
     return rows
 
 
 def float_power_step(mass: np.ndarray, down, stay, up) -> np.ndarray:
-    """One float radial step; all coefficients nonnegative, so no
-    cancellation and errors stay at the roundoff level for any k."""
+    """One float radial step of a row, or of each row of a stack, along
+    the last axis: (stay + up) + down per class.  All coefficients are
+    nonnegative, so no cancellation and errors stay at the roundoff
+    level for any k."""
     new = mass * stay
-    new[1:] += mass[:-1] * up[:-1]
-    new[:-1] += mass[1:] * down[1:]
+    new[..., 1:] += mass[..., :-1] * up[..., :-1]
+    new[..., :-1] += mass[..., 1:] * down[..., 1:]
     return new
 
 

@@ -10,9 +10,10 @@ big-integer comparison per grid cell.  Unit tests pin the numerators to
 the Fraction reference `radial.power_step`, and the suites to their
 Fraction statements, on subgrids.
 
-The majorant and minorant suites decide nothing themselves: each grid
-point is one `bounds.majorant_cells` or `bounds.minorant_cells` call, the
-decision path `check_majorant` and `check_minorant` use.
+The majorant and minorant suites decide nothing themselves: each builds
+its whole grid of schemes first and makes one `bounds.majorant_grid` or
+`bounds.minorant_grid` call, the decision path `check_majorant` and
+`check_minorant` use, whose one lockstep float pass steps every scheme.
 
 All suite functions return a report with the cells checked, the violations
 found (empty means the inequality held everywhere) and the cells skipped
@@ -99,26 +100,30 @@ def verify_majorant(
 ) -> SuiteReport:
     """tv**2 <= regime majorant at scheduled k, over an (q, n, c) grid.
 
-    Each (q, n) in the theorems' scope is one `bounds.majorant_cells`
-    call (exact recheck past the default bit budget: `ResourceBudgetError`);
-    the others are recorded as skipped, not checked.
+    Every (q, n) in the theorems' scope goes into one
+    `bounds.majorant_grid` call (exact recheck past the default bit
+    budget: `ResourceBudgetError`); the others are recorded as skipped,
+    not checked.
     """
     for q in q_values:  # q >= 3 and 0 < c < inf, or a usage error
         for c in c_values:
             bounds.majorant(q, c)
     report = SuiteReport("majorant")
+    schemes = []
     for q in q_values:
         for n in range(1, n_max + 1):
             params = make_scheme(n, q)
-            if not bounds.majorant_in_scope(params):
+            if bounds.majorant_in_scope(params):
+                schemes.append(params)
+            else:
                 report.skipped.append((n, q))
-                continue
-            for r in bounds.majorant_cells(params, c_values, rounding, backend):
-                report.checked += 1
-                if not r.satisfied:
-                    report.violations.append(
-                        Violation(r.which, n, q, r.k, r.c, r.tv_exact ** 2, r.bound_value)
-                    )
+    grid = bounds.majorant_grid(schemes, c_values, rounding, backend)
+    for params, reports in zip(schemes, grid):
+        for r in reports:
+            report.checked += 1
+            if not r.satisfied:
+                report.violations.append(Violation(
+                    r.which, params.n, params.q, r.k, r.c, r.tv_exact ** 2, r.bound_value))
     return report
 
 
@@ -178,11 +183,11 @@ def minorant_sweep(
     """Empirical threshold sweep for the minorant theorem.
 
     Records per tested n whether tv >= 1 - (4q+b) e**-c at the floored
-    schedule step (one `bounds.minorant_cells` call, the decision path
-    `check_minorant` uses), plus the Markov/Chebyshev/event diagnostics
-    that are unconditional.  c defaults to min(c0, 3).  n_star is the
-    smallest tested n from which the bound held through the end of the
-    grid (None if it failed at the ceiling).
+    schedule step, plus the Markov/Chebyshev/event diagnostics that are
+    unconditional: one `bounds.minorant_grid` call over the whole grid,
+    the decision path `check_minorant` uses.  c defaults to min(c0, 3).
+    n_star is the smallest tested n from which the bound held through the
+    end of the grid (None if it failed at the ceiling).
     """
     if c is None:
         c = min(c0, 3.0)
@@ -199,11 +204,9 @@ def minorant_sweep(
     n_grid = sorted(n for n in set(n_grid) if math.log(n * (q - 1)) >= c)
     bounds.minorant(q, b, c)  # a bad b is a usage error before any n
 
-    def run(n):
-        params = make_scheme(n, q)
-        (r,) = bounds.minorant_cells(params, b, (c,), backend)
-        diag = bounds.minorant_diagnostics(params, r.k, b, c, backend)
-        return SweepRecord(
+    grid = bounds.minorant_grid([make_scheme(n, q) for n in n_grid], b, c, backend)
+    records = [
+        SweepRecord(
             n=n,
             k=r.k,
             tv=r.tv_exact,
@@ -219,8 +222,8 @@ def minorant_sweep(
             or diag.nu_B <= diag.chebyshev_ub + 1e-12,
             chebyshev_applicable=diag.chebyshev_applicable,
         )
-
-    records = [run(n) for n in n_grid]
+        for n, (r, diag) in zip(n_grid, grid)
+    ]
 
     n_star = None
     for rec in reversed(records):

@@ -251,11 +251,13 @@ def test_minorant_value_past_the_float_range():
     assert minorant(10 ** 400, 1.0, log_4q - 709.783) == -math.inf
 
 
-@pytest.mark.parametrize("q", [10 ** 160, 10 ** 400], ids=["1e160", "1e400"])
+@pytest.mark.parametrize("q", [10 ** 160, 10 ** 400, 10 ** 700],
+                         ids=["1e160", "1e400", "1e700"])
 def test_minorant_diagnostics_past_the_float_range(q):
     # (4q+b)(q-1) overflows a float from q ~ 1e154 on, so the fields come
     # from logs: beta**2 = q e**c/((4q+b)(q-1)) ~ e**c/(4q), 1/beta**2 past
-    # the float range is inf
+    # the float range is inf; at q = 1e700 beta/sqrt(n) underflows to 0.0,
+    # yet |phi_1(n)| = 1/(q-1) lies below it, so B is not empty
     p = make_scheme(3, q)
     d = minorant_diagnostics(p, math.floor(schedule_step(p, -1.0)), 1.0, 1.0, "float")
     log_beta2 = 1.0 - math.log(4 * q)
@@ -264,6 +266,7 @@ def test_minorant_diagnostics_past_the_float_range(q):
     assert d.chebyshev_ub == (pytest.approx(math.exp(-log_beta2), rel=1e-10)
                               if -log_beta2 < 709 else math.inf)
     assert d.pi_B >= d.markov_lb
+    assert d.pi_B == 1.0  # B = {n}, whose uniform mass ((q-1)/q)**n rounds to 1
 
 
 def test_minorant_diagnostics_exact_sums_the_spectral_law():
@@ -495,6 +498,12 @@ def test_minorant_event_b_matches_fraction_comparison():
                 ]
                 d = minorant_diagnostics(p, n, b, c, "float")
                 assert d.pi_B == math.fsum(pi[l] for l in in_b), (n, q, b, c)
+    # past c ~ 1419, e**(c/2) and beta leave the float range: B is every class
+    p = make_scheme(3, 3)
+    for backend in ("float", "exact"):
+        d = minorant_diagnostics(p, 2, 1.0, 1500.0, backend)
+        assert d.beta == math.inf and not d.chebyshev_applicable
+        assert d.pi_B == math.fsum(uniform(p, "float").mass) and d.nu_B == d.pi_B
 
 
 def test_minorant_diagnostics_rejects_non_finite_offsets():

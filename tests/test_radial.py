@@ -341,6 +341,53 @@ def test_float_checkpoints_leave_outputs_bit_identical(calls):
         assert got == _run_float_call(call), call
 
 
+lockstep_jobs = st.lists(
+    st.tuples(
+        st.integers(1, 40),  # n
+        st.integers(2, 9),  # q
+        st.lists(st.integers(0, 120), max_size=6, unique=True).map(sorted),
+        st.lists(st.integers(1, 120), max_size=3, unique=True).map(sorted),  # warm-up ks
+    ),
+    max_size=7,
+)
+
+
+def _walk_alone(p, ks):
+    """(k, masses) of one scheme on its own 1-D float arrays from k = 0."""
+    down, stay, up = float_step_arrays(p)
+    mass, done, out = point_mass(p, "float").mass, 0, []
+    for k in ks:
+        for _ in range(k - done):
+            mass = radial.float_power_step(mass, down, stay, up)
+        done = k
+        out.append((k, mass.tolist()))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(lockstep_jobs)
+def test_lockstep_pass_is_bit_identical_to_each_scheme_alone(jobs):
+    # mixed n and q in one stack, rows resumed from checkpoints at
+    # different k0: every mass and tv equals the scheme's own cold walk
+    schemes = [make_scheme(n, q) for n, q, _, _ in jobs]
+    cold = []
+    for p, (_, _, ks, _) in zip(schemes, jobs):
+        _float_marks.cache_clear()
+        masses = _masses(kstep_trajectory(p, ks, "float"))
+        _float_marks.cache_clear()
+        cold.append((masses, list(kstep_tv(p, ks, "float"))))
+        assert masses == _walk_alone(p, ks)
+    _float_marks.cache_clear()
+    for p, (_, _, _, warm) in zip(schemes, jobs):
+        list(kstep_trajectory(p, warm, "float"))
+    got = [([], []) for _ in jobs]
+    stack = [(p, ks) for p, (_, _, ks, _) in zip(schemes, jobs)]
+    for i, k, dist in radial.float_lockstep(stack):
+        got[i][0].append((k, dist.mass.tolist()))
+        got[i][1].append((k, tv_distance(dist, uniform(schemes[i], "float"))))
+    assert got == cold
+
+
 def test_one_c_majorant_calls_resume_from_checkpoints(monkeypatch):
     steps = []
     step = radial.float_power_step
@@ -360,6 +407,23 @@ def test_one_c_majorant_calls_resume_from_checkpoints(monkeypatch):
     for c in cs:
         bounds.check_majorant(p, c, "ceil", "float")
     assert steps == []
+
+
+def test_verify_majorant_steps_its_whole_grid_in_lockstep(monkeypatch):
+    steps = []
+    step = radial.float_power_step
+
+    def counting_step(*args):
+        steps.append(1)
+        return step(*args)
+
+    monkeypatch.setattr(radial, "float_power_step", counting_step)
+    _float_marks.cache_clear()
+    report = verify.verify_majorant()
+    k_max = max(math.ceil(bounds.schedule_step(make_scheme(n, q), 6.0))
+                for q in range(3, 9) for n in range(1, 41))
+    assert report.checked == 5688 and report.ok
+    assert 0 < len(steps) <= k_max + 1  # one scheme after another: ~21,000
 
 
 def test_float_checkpoints_stay_within_their_cap(capsys):

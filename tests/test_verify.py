@@ -209,6 +209,14 @@ def test_minorant_sweep_decides_a_roundoff_cell_exactly(monkeypatch):
     assert not rec.satisfied and sweep.n_star is None
 
 
+@pytest.mark.parametrize("q", [10 ** 400, 10 ** 700], ids=["1e400", "1e700"])
+def test_minorant_sweep_at_a_huge_alphabet_has_no_false_diagnostics(q):
+    # at q = 1e700, beta/sqrt(n) underflows; the event B is still {n}
+    sweep = minorant_sweep(q=q, n_grid=range(1, 6))
+    assert len(sweep.records) == 5 and sweep.diagnostic_violations == []
+    assert all(r.pi_B >= r.markov_lb > 0.8 for r in sweep.records)
+
+
 def test_minorant_sweep_offset_defaults_to_min_c0_3():
     assert minorant_sweep(n_grid=[40]).c == 3.0
     assert minorant_sweep(c0=2.0, n_grid=[40]).c == 2.0
