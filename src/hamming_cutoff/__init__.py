@@ -54,7 +54,6 @@ from .radial import (
     RadialMatrix,
     enumerate_tiny,
     kstep_excess,
-    kstep_float_powering,
     kstep_numerators,
     kstep_oracle,
     kstep_trajectory,

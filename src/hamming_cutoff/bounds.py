@@ -203,10 +203,10 @@ def float_tv_error(n: int, k: int) -> float:
     classes add exact zeros.  So the bound holds for every row of a
     lockstep pass as it stands.
     """
+    if k > 2 ** 41:  # 4ku > 2**-10, decided in integers: k may be past the float range
+        return math.inf
     u = 2.0 ** -53  # unit roundoff of float64
     m = 4 * k * u
-    if m > 2.0 ** -10:
-        return math.inf
     return m / (1 - m) / 2 + 3 * u + (3 * k + 2) * (n + 1) * 2.0 ** -1074
 
 
@@ -245,24 +245,24 @@ def _bound_reports(jobs, backend: str, on_law=None):
 
     One lockstep pass (`radial.float_lockstep`) serves every float job's
     distinct ks, and `on_law(job index, k, law)` sees each law it yields;
-    an exact job walks its own `radial.kstep_tv` (no bit budget).  A
-    float cell is decided in float only when tv +- `float_tv_error` lies
-    on one side of the bound; any other, pass or fail, is re-decided
-    exactly, scheme by scheme, within the default bit budget
-    (`ResourceBudgetError` past it).
+    an exact job takes no step there and walks its own `radial.kstep_tv`
+    (no bit budget).  A float cell is decided in float only when tv +-
+    `float_tv_error` lies on one side of the bound; any other, pass or
+    fail, is re-decided exactly, scheme by scheme, within the default bit
+    budget (`ResourceBudgetError` past it).
     """
     bes = [resolve_backend(params, backend) for params, _, _ in jobs]
     tvs = [{} for _ in jobs]
-    floats = [i for i, be in enumerate(bes) if be == "float"]
-    steps = [(jobs[i][0], sorted({k for k, _, _ in jobs[i][2]})) for i in floats]
+    steps = [(params, sorted({k for k, _, _ in cells}) if be == "float" else ())
+             for (params, _, cells), be in zip(jobs, bes)]  # exact jobs take no step
     pis = {}  # the uniform law of each float job that has more ks to come
-    for j, k, dist in float_lockstep(steps):
-        params, ks = steps[j]
-        if j not in pis:
-            pis[j] = uniform(params, "float")
-        tvs[floats[j]][k] = tv_distance(dist, pis.pop(j) if k == ks[-1] else pis[j])
+    for i, k, dist in float_lockstep(steps):
+        params, ks = steps[i]
+        if i not in pis:
+            pis[i] = uniform(params, "float")
+        tvs[i][k] = tv_distance(dist, pis.pop(i) if k == ks[-1] else pis[i])
         if on_law is not None:
-            on_law(floats[j], k, dist)
+            on_law(i, k, dist)
     for (params, which, cells), be, tv in zip(jobs, bes, tvs):
         lower = which == "minorant"
         if be == "exact":
@@ -290,6 +290,8 @@ def _majorant_job(params: SchemeParams, given, rounding: str):
     if rounding == "ceil":
         cells = [(math.ceil(schedule_step(params, c)), c, v) for c, v in given]
     elif rounding == "exact":
+        if not given:
+            raise ParameterError("exact rounding needs at least one offset c")
         lo = schedule_step(params, min(given)[0])
         hi = schedule_step(params, max(given)[0])
         pairs = [(k, offset_from_step(params, k))
@@ -407,13 +409,10 @@ def minorant_cells(params: SchemeParams, b: float, c_values, backend: str = "aut
     return reports
 
 
-def minorant_grid(schemes, b: float, c: float, backend: str = "auto"):
+def minorant_grid(schemes, b: float, c: float):
     """Yield (report, diagnostics) per scheme in turn: `minorant_cells` at
-    the one offset c and `minorant_diagnostics` at its k.
-
-    One lockstep float pass serves every float scheme's report, and its
-    diagnostics read nu_k from the same pass; an exact scheme's nu_k is
-    `radial.kstep_trajectory`'s exact law (default bit budget).
+    the one offset c on the float backend, and `minorant_diagnostics` at
+    its k with nu_k read from the same lockstep float pass.
     """
     jobs = [_minorant_job(p, b, (c,)) for p in schemes]
     diags = {}
@@ -421,9 +420,7 @@ def minorant_grid(schemes, b: float, c: float, backend: str = "auto"):
     def diagnose(i, k, walk):
         diags[i] = _diagnostics(jobs[i][0], k, b, c, walk)
 
-    for i, (r,) in enumerate(_bound_reports(jobs, backend, diagnose)):
-        if i not in diags:
-            diagnose(i, r.k, next(kstep_trajectory(jobs[i][0], (r.k,), "exact"))[1])
+    for i, (r,) in enumerate(_bound_reports(jobs, "float", diagnose)):
         yield r, diags.pop(i)
 
 

@@ -417,16 +417,6 @@ def float_power_step(mass: np.ndarray, down, stay, up) -> np.ndarray:
     return new
 
 
-def kstep_float_powering(params: SchemeParams, k: int) -> RadialDistribution:
-    """k float steps of the distance chain from the basepoint.
-
-    The float k-step engine: O(n k) work from a cold start, less from the
-    scheme's float checkpoints (`kstep_trajectory`); stable at any (n, k),
-    because every step only adds nonnegative products.
-    """
-    return next(kstep_trajectory(params, (k,), "float"))[1]
-
-
 def reversibility_holds(params: SchemeParams) -> bool:
     """Detailed balance w[l] up[l] == w[l+1] down[l+1], exactly."""
     m = radial_matrix(params)

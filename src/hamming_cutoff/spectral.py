@@ -6,20 +6,20 @@ transform gives the per-point probability at distance l after k steps,
 
     p_k(l) = q**-n * sum_j d_j * lam[j]**k * phi_j(l),
 
-with multiplicities d_j = (q-1)**j * C(n, j).  The exact backend evaluates
-this in integers: with K[j][l] = d_j phi_j(l) (`krawtchouk.scaled_rows`)
-and d = n(q-1), the class mass is
+with multiplicities d_j = (q-1)**j * C(n, j).  `kstep_distribution`
+evaluates this exactly, in integers: with K[j][l] = d_j phi_j(l)
+(`krawtchouk.scaled_rows`) and d = n(q-1), the class mass is
 
     mass[l] = w[l] * sum_j K[j][l] (d - jq)**k / (q**n d**k),
 
 and it must reproduce the radial-chain oracle bit for bit without ever
 taking a radial step.
 
-The float backend does not sum this series: its terms alternate in sign
-and grow far past 1 below the cutoff, so float64 loses their cancellation.
-It powers the distance chain instead (`radial.kstep_float_powering`),
-whose steps add only nonnegative products and so stay at roundoff level
-for every (n, k).
+There is no float inversion: the series' terms alternate in sign and grow
+far past 1 below the cutoff, so float64 loses their cancellation.  Float
+k-step laws come from powering the distance chain
+(`radial.kstep_trajectory`), whose steps add only nonnegative products and
+so stay at roundoff level for every (n, k).
 
 The second half of the module carries the moment identities of the
 distance-1 spherical function phi_1: its square linearizes as
@@ -68,21 +68,20 @@ def spectrum(params: SchemeParams) -> SpectrumTable:
 def kstep_distribution(
     params: SchemeParams, k: int, backend: Backend = "exact"
 ) -> RadialDistribution:
-    """k-step distribution: spectral inversion on the exact backend.
+    """k-step distribution by exact spectral inversion.
 
     mass[l] = w[l] * sum_j K[j][l] (n(q-1) - jq)**k / (q**n (n(q-1))**k)
     over the integer rows K = `scaled_rows`, with one Fraction per class
     at the end; validated against the radial oracle, which it never calls.
-    Past the rows' bit budget it raises `ResourceBudgetError`.  The float
-    backend is float powering of the distance chain (see module notes),
-    which needs no table.
+    Past the rows' bit budget it raises `ResourceBudgetError`.  `backend`
+    must be "exact"; any other value, "float" included, is a
+    `ParameterError` (float laws: `radial.kstep_trajectory`).
     """
     if k < 0:
         raise ParameterError("step count k must be >= 0")
-    if backend == "float":
-        return radial.kstep_float_powering(params, k)
     if backend != "exact":
-        raise ParameterError(f"unknown backend {backend!r}")
+        raise ParameterError(f"spectral inversion is exact only, not {backend!r}; "
+                             "float k-step laws come from radial.kstep_trajectory")
     n, q, d = params.n, params.q, params.degree
     rows = scaled_rows(params)
     w = class_weights(params)

@@ -1,19 +1,21 @@
 """Grid verification suites: every inequality checked over whole ranges.
 
-The exact suites run on plain integers with the common denominator
-(n(q-1))**k factored out, which is orders of magnitude faster than
-per-entry rationals: class masses are the integer numerators of
+The exact suites except lemma 4.1 run on plain integers with the common
+denominator (n(q-1))**k factored out, which is orders of magnitude faster
+than per-entry rationals: class masses are the integer numerators of
 `radial.kstep_numerators`, the distance to uniform is the summed
 integer excess of `radial.kstep_excess`, eigenvalue powers become
 integer powers of n(q-1) - j*q, and each inequality reduces to one
-big-integer comparison per grid cell.  Unit tests pin the numerators to
-the Fraction reference `radial.power_step`, and the suites to their
-Fraction statements, on subgrids.
+big-integer comparison per grid cell.  Lemma 4.1 compares Fractions
+phi_j(l) = K[j][l] / d_j built from the integer rows.  Unit tests pin the
+numerators to the Fraction reference `radial.power_step`, and the suites
+to their Fraction statements, on subgrids.
 
-The majorant and minorant suites decide nothing themselves: each builds
-its whole grid of schemes first and makes one `bounds.majorant_grid` or
-`bounds.minorant_grid` call, the decision path `check_majorant` and
-`check_minorant` use, whose one lockstep float pass steps every scheme.
+The majorant and minorant suites decide nothing themselves and take no
+backend option: each builds its whole grid of schemes first and makes
+one float `bounds.majorant_grid` or `bounds.minorant_grid` call, the
+decision path `check_majorant` and `check_minorant` use, whose one
+lockstep float pass steps every scheme.
 
 All suite functions return a report with the cells checked, the violations
 found (empty means the inequality held everywhere) and the cells skipped
@@ -96,11 +98,10 @@ def verify_majorant(
     n_max: int = 40,
     c_values: Sequence[float] = tuple(0.25 * i for i in range(1, 25)),
     rounding: str = "ceil",
-    backend: str = "float",
 ) -> SuiteReport:
     """tv**2 <= regime majorant at scheduled k, over an (q, n, c) grid.
 
-    Every (q, n) in the theorems' scope goes into one
+    Every (q, n) in the theorems' scope goes into one float
     `bounds.majorant_grid` call (exact recheck past the default bit
     budget: `ResourceBudgetError`); the others are recorded as skipped,
     not checked.
@@ -117,7 +118,7 @@ def verify_majorant(
                 schemes.append(params)
             else:
                 report.skipped.append((n, q))
-    grid = bounds.majorant_grid(schemes, c_values, rounding, backend)
+    grid = bounds.majorant_grid(schemes, c_values, rounding, "float")
     for params, reports in zip(schemes, grid):
         for r in reports:
             report.checked += 1
@@ -178,33 +179,32 @@ def minorant_sweep(
     c0: float = 3.0,
     c: Optional[float] = None,
     n_grid: Optional[Sequence[int]] = None,
-    backend: str = "float",
 ) -> SweepReport:
     """Empirical threshold sweep for the minorant theorem.
 
     Records per tested n whether tv >= 1 - (4q+b) e**-c at the floored
     schedule step, plus the Markov/Chebyshev/event diagnostics that are
     unconditional: one `bounds.minorant_grid` call over the whole grid,
-    the decision path `check_minorant` uses.  c defaults to min(c0, 3).
-    n_star is the smallest tested n from which the bound held through the
-    end of the grid (None if it failed at the ceiling).
+    the float decision path `check_minorant` uses.  c defaults to
+    min(c0, 3) and must be finite.  The grid, `n_grid` or else
+    `default_sweep_grid(1)`, keeps only the n with log n(q-1) >= c, which
+    the schedule needs.  n_star is the smallest tested n from which the
+    bound held through the end of the grid (None if it failed at the
+    ceiling).
     """
     if c is None:
         c = min(c0, 3.0)
     if q < 2:
         raise bounds.ParameterError(f"alphabet size q must be >= 2, got {q}")
-    if not 0 <= c <= c0:
-        raise bounds.ParameterError("need 0 <= c <= c0")
+    if not (0 <= c <= c0 and c < math.inf):  # NaN fails too
+        raise bounds.ParameterError("need 0 <= c <= c0 and a finite c")
     if n_grid is None:
-        n_min = max(1, math.ceil(math.exp(c) / (q - 1)))
-        while math.log(n_min * (q - 1)) < c:
-            n_min += 1
-        n_grid = default_sweep_grid(n_min)
+        n_grid = default_sweep_grid(1)
     # the schedule needs c <= log n(q-1); quietly drop n below that
     n_grid = sorted(n for n in set(n_grid) if math.log(n * (q - 1)) >= c)
     bounds.minorant(q, b, c)  # a bad b is a usage error before any n
 
-    grid = bounds.minorant_grid([make_scheme(n, q) for n in n_grid], b, c, backend)
+    grid = bounds.minorant_grid([make_scheme(n, q) for n in n_grid], b, c)
     records = [
         SweepRecord(
             n=n,

@@ -473,6 +473,13 @@ def test_float_tv_error_bounds_the_observed_error():
             assert abs(Fraction(tv) - exact[k]) <= Fraction(eps), (p, k, tv)
 
 
+def test_float_tv_error_is_inf_past_its_range():
+    # 4ku = 2**-10 at k = 2**41; k = 10**400 has no float
+    assert bounds.float_tv_error(3, 2 ** 41) == pytest.approx(4.8876e-4, rel=1e-4)
+    assert bounds.float_tv_error(3, 2 ** 41 + 1) == math.inf
+    assert bounds.float_tv_error(3, 10 ** 400) == math.inf
+
+
 def test_check_majorant_float_decides_below_the_roundoff_floor(monkeypatch):
     # at c = 100 the bound (9.3e-44) is far below the float tv's roundoff;
     # only the exact tv can decide it, whichever way it goes

@@ -257,6 +257,17 @@ def test_verify_minorant_small(capsys):
     assert "n*=" in out
 
 
+def test_verify_minorant_default_grid_at_extreme_offsets(capsys):
+    # the default grid (no --n-max) at offsets whose e**c has no float
+    code, out, err = run(["verify", "minorant", "--q", "3", "--c", "inf", "--c0", "inf"],
+                         capsys)
+    assert (code, out) == (2, "") and "finite" in err
+    code, out, err = run(["verify", "minorant", "--q", "3", "--c", "1e308", "--c0", "inf"],
+                         capsys)
+    assert (code, err) == (0, "")
+    assert out == "minorant: 0 points, empirical threshold n*=None, 0 diagnostic violations\n"
+
+
 def test_verify_lemmas_exit0(capsys):
     code, out, _ = run(["verify", "lemmas"], capsys)
     assert code == 0

@@ -30,7 +30,12 @@ def words(good, bad):
 
 
 N, Q = ints(1, 12, (0, -2)), ints(2, 6, (0, 1, -3))
-REAL = words(["0.25", "0.5", "1", "2.5", "3"], ["0", "-1", "7", "nan", "inf", "-inf"])
+OFFSETS = ["0.25", "0.5", "1", "2.5", "3"]
+BAD_OFFSETS = ["0", "-1", "7", "nan", "inf", "-inf"]
+REAL = words(OFFSETS, BAD_OFFSETS + ["1e308"])
+# `verify majorant --c 1e308` walks ~1e308 float steps and never returns,
+# so --c is fuzzed without 1e308; the minorant's cases are examples below
+C = words(OFFSETS, BAD_OFFSETS)
 FORMAT = words(["csv", "json"], ["xml"])
 BACKEND = words(["auto", "exact", "float"], ["spectral"])
 
@@ -51,7 +56,7 @@ COMMANDS = {
         ("--n-max", ints(1, 12, (0, -2)), True),
         ("--q", Q, False),
         ("--k-max", ints(0, 30, (-1,)), False),
-        ("--c", REAL, False),
+        ("--c", C, False),
         ("--c0", REAL, False),
         ("--b", REAL, False),
         ("--rounding", words(["ceil", "exact"], ["floor"]), False),
@@ -96,6 +101,9 @@ def command_lines(draw):
 @example(["verify", "majorant", "--n-max", "4", "--c", "-1"])
 @example(["verify", "upper", "--n-max", "0"])
 @example(["verify", "minorant", "--n-max", "0"])
+# the default minorant grid, which `--n-max` replaces (exit 2 and 0)
+@example(["verify", "minorant", "--q", "3", "--c", "inf", "--c0", "inf"])
+@example(["verify", "minorant", "--q", "3", "--c", "1e308", "--c0", "inf"])
 # q past int64 and the float range, on float and exact paths
 @example(["table", "--n", "3", "--q", Q80, "--backend", "float"])
 @example(["profile", "--n", "3", "--q", Q80, "--k-max", "3", "--backend", "float"])

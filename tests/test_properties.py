@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from hamming_cutoff import (
     kstep_distribution,
-    kstep_float_powering,
     kstep_oracle,
     kstep_trajectory,
     make_scheme,
@@ -41,7 +40,7 @@ def test_oracle_spectral_and_fraction_step_agree(n, q, k):
 def test_float_within_roundoff_of_exact(n, q, k):
     p = make_scheme(n, q)
     exact = kstep_oracle(p, k).mass
-    fl = kstep_float_powering(p, k).mass
+    fl = next(kstep_trajectory(p, (k,), "float"))[1].mass
     assert max(abs(float(a) - b) for a, b in zip(exact, fl)) <= 1e-12
 
 

@@ -11,6 +11,7 @@ from hamming_cutoff import (
     expectation_phi_by_sum,
     kstep_distribution,
     kstep_oracle,
+    kstep_trajectory,
     linearization_phi1_squared,
     make_scheme,
     phi_row,
@@ -90,14 +91,16 @@ def test_float_backend_close_to_exact():
             p = make_scheme(n, q)
             for k in (0, 1, 3, 17, 64):
                 ex = kstep_distribution(p, k)
-                fl = kstep_distribution(p, k, "float")
+                fl = next(kstep_trajectory(p, (k,), "float"))[1]
                 err = max(abs(float(a) - b) for a, b in zip(ex.mass, fl.mass))
                 assert err < 1e-12
+    with pytest.raises(ParameterError, match="radial.kstep_trajectory"):
+        kstep_distribution(make_scheme(5, 3), 3, "float")
 
 
 def test_float_backend_needs_no_table_budget():
     p = make_scheme(5000, 3)
-    d = kstep_distribution(p, 3, "float")
+    d = next(kstep_trajectory(p, (3,), "float"))[1]
     assert d.mass[0] == pytest.approx(1 / p.degree ** 2, rel=1e-15)
     assert d.total_mass() == pytest.approx(1.0, abs=1e-15)
     with pytest.raises(ResourceBudgetError):

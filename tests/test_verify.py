@@ -130,6 +130,16 @@ def test_verify_majorant_exact_mode_needs_an_integer_step():
         verify_majorant(q_values=(3,), n_max=2, c_values=(-1.0,))
 
 
+def test_exact_rounding_over_no_offset_is_a_usage_error():
+    # no offset leaves no integer step to check
+    p = make_scheme(6, 5)
+    with pytest.raises(ParameterError, match="at least one offset"):
+        majorant_cells(p, (), "exact")
+    with pytest.raises(ParameterError, match="at least one offset"):
+        verify_majorant(c_values=(), rounding="exact")
+    assert majorant_cells(p, ()) == []
+
+
 def test_lemma_suites_reduced():
     assert verify_lemma32(points=2000).ok
     assert verify_lemma35(m_max=25).ok
@@ -215,6 +225,20 @@ def test_minorant_sweep_at_a_huge_alphabet_has_no_false_diagnostics(q):
     sweep = minorant_sweep(q=q, n_grid=range(1, 6))
     assert len(sweep.records) == 5 and sweep.diagnostic_violations == []
     assert all(r.pi_B >= r.markov_lb > 0.8 for r in sweep.records)
+
+
+def test_minorant_sweep_default_grid_is_the_filtered_sweep_grid(monkeypatch):
+    # e**c has no float past c ~ 709, so the grid is found without it
+    seen = []
+    monkeypatch.setattr(bounds, "minorant_grid",
+                        lambda schemes, b, c: seen.append([p.n for p in schemes]) or ())
+    minorant_sweep(q=4, b=1.0, c0=4.0, c=4.0)
+    minorant_sweep(q=3, c=1e308, c0=math.inf)
+    grid = [n for n in default_sweep_grid(1) if math.log(3 * n) >= 4.0]
+    assert seen == [grid, []] and grid[0] == 19
+    for c in (math.inf, math.nan):
+        with pytest.raises(ParameterError, match="finite"):
+            minorant_sweep(c=c, c0=math.inf)
 
 
 def test_minorant_sweep_offset_defaults_to_min_c0_3():
