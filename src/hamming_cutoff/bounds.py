@@ -29,6 +29,7 @@ roundoff bound, else exact, scheme by scheme).
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -36,7 +37,7 @@ from typing import Literal
 
 import numpy as np
 
-from .radial import float_lockstep, kstep_trajectory, kstep_tv
+from .radial import DEFAULT_BIT_BUDGET, float_lockstep, kstep_trajectory, kstep_tv
 from .scheme import (
     Backend,
     ParameterError,
@@ -141,8 +142,6 @@ def upper_bound_lemma_rhs(params: SchemeParams, k: int, backend: Backend = "exac
     # lam**0 = 1 even where lam = 0 (log -inf)
     exponents = logd if k == 0 else logd + 2 * k * loglam
     top = float(np.max(exponents))
-    if top == -math.inf:
-        return 0.0
     s = top + math.log(float(np.sum(np.exp(exponents - top))))
     return math.inf if s > 700 else math.exp(s) / 4
 
@@ -173,11 +172,17 @@ def majorant(q: int, c: float) -> float:
     """Regime majorant of tv**2 at window offset 0 < c < inf.
 
     (1/4)(e**(e**-c) - 1) for q >= 5, constant 5/2 for q = 3, 9/4 for q = 4.
-    Values above 1 are vacuous but still returned.
+    Values above 1 are vacuous but still returned.  A value below the
+    smallest normal float (c past ~707.0 for q >= 5, ~709.2 for q = 4 and
+    ~709.3 for q = 3) is a usage error: rounded to a subnormal or to 0, it
+    is no longer the bound.
     """
     if not 0 < c < math.inf:  # NaN fails too
         raise ParameterError("the majorant theorems need 0 < c < inf")
-    return majorant_value(q, c)
+    value = majorant_value(q, c)
+    if value < sys.float_info.min:
+        raise ParameterError(f"the majorant at c={c} is below the normal float range")
+    return value
 
 
 def float_tv_error(n: int, k: int) -> float:
@@ -244,12 +249,13 @@ def _bound_reports(jobs, backend: str, on_law=None):
     "minorant" (vacuous below 0), else tv**2 <= bound (vacuous from 1).
 
     One lockstep pass (`radial.float_lockstep`) serves every float job's
-    distinct ks, and `on_law(job index, k, law)` sees each law it yields;
-    an exact job takes no step there and walks its own `radial.kstep_tv`
-    (no bit budget).  A float cell is decided in float only when tv +-
-    `float_tv_error` lies on one side of the bound; any other, pass or
-    fail, is re-decided exactly, scheme by scheme, within the default bit
-    budget (`ResourceBudgetError` past it).
+    distinct ks, and `on_law(job index, k, law)` sees each law it yields.
+    A float cell is decided in float only when tv +- `float_tv_error`
+    lies on one side of the bound; every other cell is undecided, and so
+    is every cell of an exact job, which takes no step in the pass.  One
+    exact `radial.kstep_tv` walk per job, scheme by scheme, decides its
+    undecided cells: unbudgeted for an exact job, within the default bit
+    budget for a float one (`ResourceBudgetError` past it).
     """
     bes = [resolve_backend(params, backend) for params, _, _ in jobs]
     tvs = [{} for _ in jobs]
@@ -265,15 +271,13 @@ def _bound_reports(jobs, backend: str, on_law=None):
             on_law(i, k, dist)
     for (params, which, cells), be, tv in zip(jobs, bes, tvs):
         lower = which == "minorant"
-        if be == "exact":
-            tv.update(kstep_tv(params, sorted({k for k, _, _ in cells}), be, math.inf))
-            verdicts = [None] * len(cells)
-        else:
-            verdicts = [_float_verdict(tv[k], float_tv_error(params.n, k), bound, lower)
-                        for k, _, bound in cells]
-            undecided = {k for (k, _, _), v in zip(cells, verdicts) if v is None}
-            if undecided:  # the exact chain's setup is O(n) big integers
-                tv.update(kstep_tv(params, sorted(undecided), "exact"))
+        verdicts = [None if be == "exact" else
+                    _float_verdict(tv[k], float_tv_error(params.n, k), bound, lower)
+                    for k, _, bound in cells]
+        undecided = {k for (k, _, _), v in zip(cells, verdicts) if v is None}
+        if undecided:  # the exact chain's setup is O(n) big integers
+            budget = math.inf if be == "exact" else DEFAULT_BIT_BUDGET
+            tv.update(kstep_tv(params, sorted(undecided), "exact", budget))
         yield [
             BoundReport(which, k, c, float(tv[k]), bound,
                         (tv[k] >= bound if lower else tv[k] * tv[k] <= bound)
@@ -529,10 +533,10 @@ def _diagnostics(params: SchemeParams, k: int, b: float, c: float,
 def hora_limit(c: float, side: Literal["plus", "minus"]) -> float:
     """Limiting distance profile erf(e**(-c/2)/(2 sqrt 2)) (plus side)
     or erf(e**(c/2)/(2 sqrt 2)) (minus side)."""
-    if side == "plus":
-        x = math.exp(-c / 2)
+    if side == "plus":  # erf(inf) = 1 where e**(-+c/2) overflows
+        x = _exp(-c / 2)
     elif side == "minus":
-        x = math.exp(c / 2)
+        x = _exp(c / 2)
     else:
         raise ParameterError(f"side must be 'plus' or 'minus', got {side!r}")
     return math.erf(x / (2 * math.sqrt(2)))

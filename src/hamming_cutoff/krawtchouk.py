@@ -138,10 +138,6 @@ class KrawtchoukTable:
     phi: Union[tuple, np.ndarray]
     backend: Backend
 
-    def value(self, j: int, l: int):
-        _check_indices(self.params, j, l)
-        return self.phi[j][l]
-
 
 def float_table_supported(params: SchemeParams) -> bool:
     """Whether the symmetrized rows stay inside float64 range.

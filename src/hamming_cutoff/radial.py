@@ -27,7 +27,6 @@ alone.  `kstep_tv` turns the exact excess, or the float trajectory, into
 the distance to uniform.
 """
 
-import bisect
 import math
 import threading
 import weakref
@@ -221,40 +220,38 @@ def float_lockstep(jobs):
     all rows still short of their last k.  A row resumes from the largest
     checkpoint k0 <= min(ks) that an earlier float trajectory on its
     scheme yielded (`_float_marks`; else k0 = 0) and records each state
-    it yields.  Rows are ordered by the steps they have left, so finished
+    it yields.  Rows are sorted by the steps they have left, so finished
     rows leave the stack as a prefix, and only the columns a row can
-    have reached (class <= k) are stepped.  Elementwise IEEE operations
-    round the same at any array shape, a padded or unreached entry adds
-    an exact 0.0 to its neighbours, and the steps from k0 are the ones a
-    walk from k = 0 takes; so each row is bit for bit the trajectory of
-    its scheme alone from k = 0.  Yields come in order of steps taken.
+    have reached (class <= k) are stepped.  One sorted schedule of
+    events (k - k0, row, k) drives the pass: the stack is stepped up to
+    each event's step count, then the event's law is yielded, so yields
+    come in order of steps taken.  Elementwise IEEE operations round the
+    same at any array shape, a padded or unreached entry adds an exact
+    0.0 to its neighbours, and the steps from k0 are the ones a walk from
+    k = 0 takes; so each row is bit for bit the trajectory of its scheme
+    alone from k = 0.
     """
-    jobs = [(params, _sorted_steps(ks)) for params, ks in jobs]
-    rows, starts = [], []  # (steps left, job index, params, ks, k0, weak marks, cap)
+    rows = []  # (steps left, job index, params, ks, k0, start mass, weak marks, cap)
     for i, (params, ks) in enumerate(jobs):
+        ks = _sorted_steps(ks)
         if not ks:
             continue
         marks = _float_marks(params)
         with _MARKS_LOCK:
             k0 = max((m for m in marks if m <= ks[0]), default=0)
-            starts.append(marks[k0] if k0 else point_mass(params, "float").mass)
+            start = marks[k0] if k0 else point_mass(params, "float").mass
         cap = min(64, 2 ** 16 // (params.n + 1))  # states kept per scheme
-        rows.append((ks[-1] - k0, i, params, ks, k0, weakref.ref(marks), cap))
+        rows.append((ks[-1] - k0, i, params, ks, k0, start, weakref.ref(marks), cap))
     if not rows:
         return
-    order = sorted(range(len(rows)), key=lambda r: rows[r][:2])
-    rows = [rows[r] for r in order]
-    lefts = [row[0] for row in rows]
+    rows.sort(key=lambda row: row[:2])
+    events = sorted((k - row[4], j, k) for j, row in enumerate(rows) for k in row[3])
     coeffs = [float_step_arrays(row[2]) for row in rows]
     full = max(c.shape[1] for c in coeffs)
     reach = max(row[4] for row in rows) + 2  # step `done` needs reach + done columns
     mass = np.zeros((len(rows), min(full, reach)))
-    due, nxt = {}, [0] * len(rows)  # steps taken -> rows yielding; next k
-    for j, r in enumerate(order):
-        mass[j, :starts[r].size] = starts[r][:reach]
-        _, _, _, ks, k0, _, _ = rows[j]
-        due.setdefault(ks[0] - k0, []).append(j)
-    del starts
+    for j, row in enumerate(rows):
+        mass[j, :row[5].size] = row[5][:reach]
 
     def stacked(width):  # down, stay, up of rows[lo:], zero-padded to width
         out = np.zeros((3, len(rows) - lo, width))
@@ -264,32 +261,11 @@ def float_lockstep(jobs):
 
     done = lo = 0  # steps taken; rows[:lo] are finished
     down, stay, up = stacked(mass.shape[1])
-    while True:
-        for j in due.pop(done, ()):
-            _, i, params, ks, k0, ref, cap = rows[j]
-            k = ks[nxt[j]]
-            nxt[j] += 1
-            if nxt[j] < len(ks):
-                due.setdefault(ks[nxt[j]] - k0, []).append(j)
-            row = mass[j - lo, :params.n + 1]
-            if row.size <= params.n:  # classes past the reach hold 0
-                row = np.concatenate((row, np.zeros(params.n + 1 - row.size)))
-            dist = RadialDistribution(params, row, "float")
-            with _MARKS_LOCK:
-                marks = ref()
-                if marks is not None and k and k not in marks and cap:
-                    if len(marks) >= cap:  # thin out, keeping every other state
-                        for m in sorted(marks)[::2]:
-                            del marks[m]
-                    marks[k] = dist.mass
-            yield i, k, dist
-        if not due:
-            return
-        if lefts[lo] <= done:  # drop finished rows
-            drop = bisect.bisect_right(lefts, done, lo)
+    for until, j, k in events:
+        if done < until and rows[lo][0] <= done:  # drop finished rows
+            drop = next(d for d in range(lo, len(rows)) if rows[d][0] > done)
             down, stay, up = (c[drop - lo:] for c in (down, stay, up))
             mass, lo = mass[drop - lo:], drop
-        until = min(due)  # the next yield
         while done < until:
             width = mass.shape[1]
             if width < full and width < reach + done:  # widen the stepped columns
@@ -298,11 +274,24 @@ def float_lockstep(jobs):
                 grown[:, :mass.shape[1]] = mass
                 mass = grown
                 down, stay, up = stacked(width)
-            # step up to the next yield, or as far as the width reaches
+            # step up to the next event, or as far as the width reaches
             stop = until if width == full else min(until, width - reach + 1)
             for _ in range(stop - done):
                 mass = float_power_step(mass, down, stay, up)
             done = stop
+        _, i, params, _, _, _, ref, cap = rows[j]
+        row = mass[j - lo, :params.n + 1]
+        if row.size <= params.n:  # classes past the reach hold 0
+            row = np.concatenate((row, np.zeros(params.n + 1 - row.size)))
+        dist = RadialDistribution(params, row, "float")
+        with _MARKS_LOCK:
+            marks = ref()
+            if marks is not None and k and k not in marks and cap:
+                if len(marks) >= cap:  # thin out, keeping every other state
+                    for m in sorted(marks)[::2]:
+                        del marks[m]
+                marks[k] = dist.mass
+        yield i, k, dist
 
 
 def kstep_tv(params: SchemeParams, ks, backend: Backend, bit_budget=DEFAULT_BIT_BUDGET):

@@ -180,6 +180,7 @@ def variance_phi1_kstep(params: SchemeParams, k: int) -> VariancePhi1:
         a0, a1, a2 = linearization_phi1_squared(params)
         value = a0 + a1 * p1 + a2 * (spec.lam[2] ** k) - p1 * p1
     else:
-        # n = 1: phi_1 is +-1-valued, phi_1**2 == 1
-        value = 1 - p1 * p1
+        # n = 1: phi_1**2 = (1 + (q-2) phi_1)/(q-1), the linearization
+        # without its phi_2 term, whose coefficient (n-1)/n is 0
+        value = (1 + (params.q - 2) * p1) / params.degree - p1 * p1
     return VariancePhi1(value, value <= Fraction(1, n))

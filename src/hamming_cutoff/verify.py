@@ -11,11 +11,14 @@ phi_j(l) = K[j][l] / d_j built from the integer rows.  Unit tests pin the
 numerators to the Fraction reference `radial.power_step`, and the suites
 to their Fraction statements, on subgrids.
 
-The majorant and minorant suites decide nothing themselves and take no
-backend option: each builds its whole grid of schemes first and makes
-one float `bounds.majorant_grid` or `bounds.minorant_grid` call, the
-decision path `check_majorant` and `check_minorant` use, whose one
-lockstep float pass steps every scheme.
+The majorant and minorant suites take no backend option: each builds
+its whole grid of schemes first and makes one float
+`bounds.majorant_grid` or `bounds.minorant_grid` call, the decision path
+`check_majorant` and `check_minorant` use, whose one lockstep float pass
+steps every scheme.  That path decides every bound.  `minorant_sweep`
+decides only the proof diagnostics itself, in float with a 1e-12 slack
+each: Markov pi(B) >= its lower bound, the event bound tv >= pi(B) -
+nu_k(B) and, where it applies, Chebyshev nu_k(B) <= 1/beta**2.
 
 All suite functions return a report with the cells checked, the violations
 found (empty means the inequality held everywhere) and the cells skipped
@@ -156,10 +159,6 @@ class SweepReport:
     records: list
     n_star: Optional[int]
     diagnostic_violations: list
-
-    @property
-    def ok(self) -> bool:
-        return not self.diagnostic_violations and self.n_star is not None
 
 
 def default_sweep_grid(n_min: int, n_ceiling: int = 2000) -> list:

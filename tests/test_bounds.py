@@ -148,6 +148,19 @@ def test_majorant_examples():
         majorant(5, 0.0)
 
 
+def test_majorant_below_the_normal_float_range_is_a_usage_error():
+    # C (e**(e**-c) - 1) leaves the normal range past c ~ 707 (C = 1/4) and
+    # ~ 709.3 (C = 5/2), and is 0.0 by c ~ 746
+    assert majorant(5, 706.0) >= 2.0 ** -1022 and majorant(3, 709.0) >= 2.0 ** -1022
+    for q, c in ((5, 708.0), (3, 710.0), (4, 744.0), (5, 746.0), (3, 1e308)):
+        assert bounds.majorant_value(q, c) < 2.0 ** -1022  # the profile column's value
+        with pytest.raises(ParameterError, match="normal float range"):
+            majorant(q, c)
+    for backend in ("auto", "exact", "float"):  # auto: exact, which has no budget
+        with pytest.raises(ParameterError, match="normal float range"):
+            check_majorant(make_scheme(3, 5), 1e308, backend=backend)
+
+
 def test_check_majorant_examples():
     r = check_majorant(make_scheme(20, 5), 2.0)
     assert r.satisfied and r.which == "thm-q5"
@@ -235,6 +248,18 @@ def test_minorant_bound_at_the_float_tv_is_decided_exactly(monkeypatch):
     r = check_minorant(p, 3.0, 1.0, 3.0, "float")
     assert r.k == 0 and r.bound_value == tv
     assert not r.satisfied
+
+
+def test_minorant_failure_decided_in_float(monkeypatch):
+    # a bound of 1 exceeds every tv by far more than the roundoff band, so
+    # the float pass decides the failure and no exact walk is taken
+    assert bounds._float_verdict(0.5, 1e-15, 0.75, lower=True) is False
+    monkeypatch.setattr(bounds, "minorant", lambda q, b, c: 1.0)
+    monkeypatch.setattr(bounds, "kstep_tv", lambda *a: pytest.fail("rechecked exactly"))
+    p = make_scheme(30, 3)
+    for r in minorant_cells(p, 1.0, (0.0, 1.0, 3.0), "float"):
+        assert not r.satisfied and r.bound_value == 1.0
+        assert r.tv_exact == next(kstep_tv(p, (r.k,), "float"))[1]
 
 
 def test_minorant_value_past_the_float_range():
@@ -351,6 +376,12 @@ def test_hora_limit_tails_and_monotonicity():
     assert all(0 <= v <= 1 for v in plus + minus)
     with pytest.raises(ParameterError):
         hora_limit(1.0, "sideways")
+
+
+def test_hora_limit_past_the_float_range_of_its_exponent():
+    # past |c| ~ 1419, e**(|c|/2) overflows and erf reaches 1
+    assert (hora_limit(1500.0, "minus"), hora_limit(-1500.0, "plus")) == (1.0, 1.0)
+    assert (hora_limit(1500.0, "plus"), hora_limit(-1500.0, "minus")) == (0.0, 0.0)
 
 
 def test_lemma32_examples():

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 
@@ -98,6 +99,19 @@ def test_profile_minorant_offset_outside_the_theorem_usage_error(b, fmt, capsys,
     assert err == f"usage error: {exc.value}\n"
 
 
+def test_profile_past_the_float_range_of_the_limit_profile(capsys):
+    # c_equiv = 2500 at k = 3000 on H(3, 5), and -1612 at k = 0 for q =
+    # 10**700: e**(|c|/2) has no float there and the hora columns read 1
+    code, out, err = run(["profile", "--n", "3", "--q", "5", "--k-min", "2996",
+                          "--k-max", "3000", "--k-step", "4", "--backend", "float"], capsys)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1].endswith(",0,1")
+    code, out, err = run(["profile", "--n", "3", "--q", str(10 ** 700), "--k-max", "0",
+                          "--backend", "float"], capsys)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1].endswith(",1,0")
+
+
 def test_profile_resource_cap(capsys):
     code, _, err = run(
         ["profile", "--n", "40", "--q", "6", "--k-max", "400", "--backend", "exact",
@@ -167,6 +181,22 @@ def test_verify_majorant_below_the_float_roundoff_floor(capsys):
     code, out, err = run(["verify", "majorant", "--n-max", "12", "--c", "100"], capsys)
     assert code == 0, err
     assert "69 checks, 0 violations" in out
+
+
+def test_verify_majorant_past_the_normal_float_range_usage_error(capsys):
+    # C (e**(e**-c) - 1) is subnormal past c ~ 707 and 0.0 by c ~ 746, where
+    # an exact tv**2 > 0 used to be reported as a violation of it; at c =
+    # 1e308 the float pass used to walk ~1e308 steps
+    for q, c in (("5", "744"), ("3", "746"), ("5", "746"), ("5", "1e308")):
+        start = time.perf_counter()
+        code, out, err = run(["verify", "majorant", "--q", q, "--n-max", "4", "--c", c],
+                             capsys)
+        assert (code, out) == (2, ""), (q, c)
+        assert "below the normal float range" in err and "FAIL" not in err
+        assert time.perf_counter() - start < 5
+    code, out, err = run(["verify", "majorant", "--q", "5", "--n-max", "4", "--c", "700"],
+                         capsys)
+    assert (code, out, err) == (0, "majorant: 4 checks, 0 violations, 0 skipped\n", "")
 
 
 def test_verify_majorant_genuine_violations_still_reported(monkeypatch, capsys):
@@ -268,6 +298,22 @@ def test_verify_minorant_default_grid_at_extreme_offsets(capsys):
     assert out == "minorant: 0 points, empirical threshold n*=None, 0 diagnostic violations\n"
 
 
+def test_verify_minorant_reports_diagnostic_violations_with_exit_1(monkeypatch, capsys):
+    import hamming_cutoff.verify as verify_mod
+    from hamming_cutoff.verify import SweepRecord, SweepReport
+
+    rec = SweepRecord(n=5, k=3, tv=0.5, bound=0.25, satisfied=True, pi_B=0.2,
+                      nu_B=0.375, markov_lb=0.4, markov_ok=False, event_ok=True,
+                      chebyshev_ub=1.0, chebyshev_ok=True, chebyshev_applicable=True)
+    monkeypatch.setattr(verify_mod, "minorant_sweep",
+                        lambda **kw: SweepReport(3, 1.0, 3.0, 3.0, [rec], 5, [rec]))
+    code, out, err = run(["verify", "minorant"], capsys)
+    assert code == 1
+    assert err == ("FAIL minorant-diagnostics: n=5 k=3 pi_B=0.2 nu_B=0.375 "
+                   "markov_lb=0.4 tv=0.5\n")
+    assert out == "minorant: 1 points, empirical threshold n*=5, 1 diagnostic violations\n"
+
+
 def test_verify_lemmas_exit0(capsys):
     code, out, _ = run(["verify", "lemmas"], capsys)
     assert code == 0
@@ -326,6 +372,18 @@ def test_simulate_json(capsys):
     assert code == 0
     assert sum(payload["counts"]) == 5000
     assert payload["exact_mass"] == [0.25, 0.25, 0.5]
+
+
+def test_simulate_leaves_exact_mass_empty_past_the_oracle_budget(capsys):
+    # the exact numerators pass the default bit budget at k = 372
+    args = ["simulate", "--n", "300", "--q", "3", "--k", "400", "--walks", "50"]
+    code, out, err = run(args, capsys)
+    assert (code, err) == (0, "")
+    rows = out.splitlines()[1:-1]
+    assert len(rows) == 301 and all(row.endswith(",") for row in rows)
+    code, out, _ = run(args + ["--format", "json"], capsys)
+    payload = json.loads(out)
+    assert code == 0 and payload["exact_mass"] is None and sum(payload["counts"]) == 50
 
 
 def test_simulate_resource_cap(capsys):

@@ -33,9 +33,7 @@ N, Q = ints(1, 12, (0, -2)), ints(2, 6, (0, 1, -3))
 OFFSETS = ["0.25", "0.5", "1", "2.5", "3"]
 BAD_OFFSETS = ["0", "-1", "7", "nan", "inf", "-inf"]
 REAL = words(OFFSETS, BAD_OFFSETS + ["1e308"])
-# `verify majorant --c 1e308` walks ~1e308 float steps and never returns,
-# so --c is fuzzed without 1e308; the minorant's cases are examples below
-C = words(OFFSETS, BAD_OFFSETS)
+C = words(OFFSETS, BAD_OFFSETS + ["746", "1e308"])
 FORMAT = words(["csv", "json"], ["xml"])
 BACKEND = words(["auto", "exact", "float"], ["spectral"])
 

@@ -82,6 +82,22 @@ def test_uniform_examples():
             assert uniform(make_scheme(n, q)).total_mass() == 1
 
 
+def test_float_point_probability_past_the_float_range_of_the_weights():
+    # w[l] = C(1100, l) has 988 bits at l = 350, 1009 at l = 370 and 1043
+    # at l = 410 (past float64): mass / w goes through logs from 2**1000 on
+    p = make_scheme(1100, 2)
+    w = class_weights(p).w
+    mass = np.zeros(1101)
+    mass[[200, 350, 370, 410]] = 0.25, 0.75, 0.5, -0.125
+    dist = RadialDistribution(p, mass, "float")
+    for l in (200, 350, 370, 410):
+        got = dist.point_probability(l)
+        assert got == pytest.approx(float(Fraction(mass[l]) / w[l]), rel=1e-12), l
+        assert got != 0.0
+    assert w[410] > 2 ** 1024 and dist.point_probability(410) < 0
+    assert dist.point_probability(400) == 0.0 and dist.point_probability(1) == 0.0
+
+
 def test_point_mass_examples():
     assert point_mass(make_scheme(3, 3)).mass == (1, 0, 0, 0)
     assert point_mass(make_scheme(1, 2)).mass == (1, 0)

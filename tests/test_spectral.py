@@ -179,6 +179,23 @@ def test_variance_phi1_examples():
     assert isinstance(r.bound_holds, bool)
 
 
+def test_variance_at_n1_matches_weighted_sums():
+    # n = 1: phi_1 takes 1 and -1/(q-1), so phi_1**2 = 1 only at q = 2
+    from hamming_cutoff import build_table
+
+    for q in (2, 3, 5):
+        p = make_scheme(1, q)
+        t = build_table(p).phi
+        for k in range(6):
+            d = kstep_distribution(p, k)
+            mean = sum(d.mass[l] * t[1][l] for l in range(2))
+            second = sum(d.mass[l] * t[1][l] ** 2 for l in range(2))
+            r = variance_phi1_kstep(p, k)
+            assert r.value == second - mean * mean and r.bound_holds, (q, k)
+    # one step from H(1, 3)'s basepoint lands on class 1, where phi_1 = -1/2
+    assert variance_phi1_kstep(make_scheme(1, 3), 1).value == 0
+
+
 def test_variance_matches_weighted_sums():
     # independent path: moments of phi_1 under the exact k-step masses
     from hamming_cutoff import build_table

@@ -151,6 +151,106 @@ def test_lemma_suites_reduced():
     assert (1, 2) in r.skipped  # (n-2)(q-1) < 2 is out of the lemma's scope
 
 
+def test_lemma32_suite_reports_each_failing_grid_point(monkeypatch):
+    # e**-x scaled by 1/2 (low regime) or 2 (high regime) fails near the
+    # regimes' edges; each failing x is reported with the true e**-x, |1-x|
+    import types
+
+    import numpy as np
+
+    import hamming_cutoff.verify as verify_mod
+
+    for factor, which, xs in ((0.5, "lemma-3.2-low", np.linspace(-10.0, 1.25, 500)),
+                              (2.0, "lemma-3.2-high", np.linspace(4 / 3, 20.0, 500))):
+        scaled = types.SimpleNamespace(linspace=np.linspace, abs=np.abs,
+                                       exp=lambda x, f=factor: f * np.exp(x))
+        monkeypatch.setattr(verify_mod, "np", scaled)
+        r = verify_lemma32(points=500)
+        bad = [float(x) for x in xs
+               if (factor * math.exp(-x) < abs(1 - x) if factor < 1
+                   else factor * math.exp(-x) > abs(1 - x))]
+        assert r.checked == 1000 and 0 < len(bad) < 500
+        assert [(v.which, v.c, v.lhs, v.rhs) for v in r.violations] == [
+            (which, x, math.exp(-x), abs(1 - x)) for x in bad]
+
+
+def test_lemma35_suite_reports_each_ratio_past_a_lowered_cap(monkeypatch):
+    import dataclasses
+
+    real = bounds.lemma35_ratio_chain
+
+    def capped(q_case, m):
+        return tuple(dataclasses.replace(r, cap=2, holds=max(r.ratios) <= 2)
+                     for r in real(q_case, m))
+
+    monkeypatch.setattr(bounds, "lemma35_ratio_chain", capped)
+    r = verify_lemma35(m_max=12)
+    expect = [(f"lemma-3.5-q{res.q_case}", m, res.q_case, float(res.l),
+               float(max(res.ratios)), 2)
+              for m in range(2, 13) for res in real(3, m) + real(4, m)
+              if max(res.ratios) > 2]
+    assert 0 < len(expect) < r.checked
+    assert [(v.which, v.n, v.q, v.c, v.lhs, v.rhs) for v in r.violations] == expect
+
+
+def test_lemma41_suite_reports_both_sides_of_a_shifted_linearization(monkeypatch):
+    import hamming_cutoff.verify as verify_mod
+
+    real = verify_mod.linearization_phi1_squared
+    monkeypatch.setattr(verify_mod, "linearization_phi1_squared",
+                        lambda p: (real(p)[0] + Fraction(1, 2),) + real(p)[1:])
+    r = verify_lemma41(n_max=6, q_values=(2, 3))
+    expect = []
+    for q in (2, 3):
+        for n in range(2, 7):
+            for l in range(n + 1):
+                phi1 = 1 - Fraction(l * q, n * (q - 1))
+                expect.append(("lemma-4.1", n, q, float(l), float(phi1 * phi1),
+                               float(phi1 * phi1 + Fraction(1, 2))))
+    assert r.checked == len(expect)
+    assert [(v.which, v.n, v.q, v.c, v.lhs, v.rhs) for v in r.violations] == expect
+
+
+def _shifted_rows(monkeypatch, double_row1):
+    """Patch the suites' Krawtchouk rows: K_0 + 1, and 2 K_1 if asked."""
+    import hamming_cutoff.verify as verify_mod
+
+    real = verify_mod.scaled_rows
+
+    def shifted(p):
+        rows = [list(row) for row in real(p)]
+        rows[0] = [v + 1 for v in rows[0]]
+        if double_row1:
+            rows[1] = [2 * v for v in rows[1]]
+        return rows
+
+    monkeypatch.setattr(verify_mod, "scaled_rows", shifted)
+
+
+def test_lemma42_suite_reports_mean_and_variance_violations(monkeypatch):
+    # K_0 + 1 doubles the j = 0 sum; 2 K_1 keeps its mean 0, quadruples Var
+    _shifted_rows(monkeypatch, double_row1=True)
+    r = verify_lemma42(n_max=5, q_values=(2, 3))
+    expect = []
+    for q in (2, 3):
+        for n in range(1, 6):
+            expect.append(("lemma-4.2-mean", n, q, 0.0, float(2 * q ** n), float(q ** n)))
+            expect.append(("lemma-4.2-var", n, q, None, 4.0, 1.0))
+    assert r.checked == sum(n + 2 for n in range(1, 6)) * 2
+    assert [(v.which, v.n, v.q, v.c, v.lhs, v.rhs) for v in r.violations] == expect
+
+
+def test_lemma43_moment_suite_reports_every_step_of_a_shifted_row(monkeypatch):
+    # sum_l num[l] (K_0[l] + 1) = 2 (n(q-1))**k against (n(q-1))**k
+    _shifted_rows(monkeypatch, double_row1=False)
+    r = verify_lemma43_moments(n_max=4, q_values=(2, 3), k_max=6)
+    expect = [("lemma-4.3(1)", n, q, k, 0.0, float(2 * (n * (q - 1)) ** k),
+               float((n * (q - 1)) ** k))
+              for q in (2, 3) for n in range(1, 5) for k in range(7)]
+    assert r.checked == sum((n + 1) * 7 for n in range(1, 5)) * 2
+    assert [(v.which, v.n, v.q, v.k, v.c, v.lhs, v.rhs) for v in r.violations] == expect
+
+
 def test_variance_suite_reports_the_fraction_value(monkeypatch):
     # shift a0 by 1/2 so every cell fails, then check each reported value
     import hamming_cutoff.verify as verify_mod
@@ -169,6 +269,12 @@ def test_default_sweep_grid_shape():
     grid = default_sweep_grid(11, 2000)
     assert grid[0] == 11 and grid[-1] == 2000
     assert all(a < b for a, b in zip(grid, grid[1:]))
+
+
+def test_default_sweep_grid_appends_a_ceiling_off_its_steps():
+    assert default_sweep_grid(1, 103)[-3:] == [99, 100, 103]
+    assert default_sweep_grid(1, 2010)[-3:] == [1950, 2000, 2010]
+    assert default_sweep_grid(1, 2000)[-2:] == [1950, 2000]  # on the grid: once
 
 
 def test_minorant_sweep_small():
