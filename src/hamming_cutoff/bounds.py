@@ -41,9 +41,9 @@ from .radial import DEFAULT_BIT_BUDGET, float_lockstep, kstep_trajectory, kstep_
 from .scheme import (
     Backend,
     ParameterError,
+    RadialDistribution,
     SchemeParams,
     log_class_weights,
-    tv_distance,
     uniform,
 )
 from .spectral import spectrum
@@ -138,12 +138,18 @@ def upper_bound_lemma_rhs(params: SchemeParams, k: int, backend: Backend = "exac
         )
     if backend != "float":
         raise ParameterError(f"unknown backend {backend!r}")
+    s = lemma_log_sum(params, k)
+    return math.inf if s > 700 else math.exp(s) / 4
+
+
+def lemma_log_sum(params: SchemeParams, k: int) -> float:
+    """log sum_{j=1}^{n} d_j lam[j]**(2k) in float, by log-sum-exp: the
+    log of 4 `upper_bound_lemma_rhs`, also where that underflows."""
     logd, loglam = _lemma_terms(params)
     # lam**0 = 1 even where lam = 0 (log -inf)
     exponents = logd if k == 0 else logd + 2 * k * loglam
     top = float(np.max(exponents))
-    s = top + math.log(float(np.sum(np.exp(exponents - top))))
-    return math.inf if s > 700 else math.exp(s) / 4
+    return top + math.log(float(np.sum(np.exp(exponents - top))))
 
 
 _MAJORANT_CONSTANTS = {3: Fraction(5, 2), 4: Fraction(9, 4)}
@@ -187,7 +193,7 @@ def majorant(q: int, c: float) -> float:
 
 def float_tv_error(n: int, k: int) -> float:
     """eps >= |tv_float - tv| for `radial.kstep_tv(..., "float")` at step k,
-    or for `scheme.tv_distance` of a law `radial.float_lockstep` yields.
+    or for a tv `radial.float_lockstep` yields.
 
     eps = gamma_4k/2 + 3u + (3k+2)(n+1) 2**-1074, u = 2**-53, gamma_m =
     mu/(1 - mu) (Higham, *Accuracy and Stability of Numerical Algorithms*,
@@ -202,11 +208,11 @@ def float_tv_error(n: int, k: int) -> float:
     |tv_float - tv| <= E/2 + (u + u**2/2)(2 + E) + 2**-1074, as
     sum_l |nu - pi| = 2 tv <= 2: at most gamma_4k/2 + 2.51u + the
     underflow term.  The spare 0.49u covers evaluating eps in float.
-    A stacked step rounds each class exactly as a scheme's own step
-    does: IEEE elementwise operations do not depend on the array's shape
-    (Higham, §2.2), and the zero padding past class n and the unreached
-    classes add exact zeros.  So the bound holds for every row of a
-    lockstep pass as it stands.
+    A packed step rounds each class as a scheme's own step does (IEEE
+    elementwise operations do not depend on the array's layout, Higham,
+    §2.2; other rows and unreached classes add exact zeros), and the
+    pass takes each tv with the subtraction, abs and sorted `fsum` of
+    `scheme.tv_distance`, so the bound holds for it as it stands.
     """
     if k > 2 ** 41:  # 4ku > 2**-10, decided in integers: k may be past the float range
         return math.inf
@@ -248,8 +254,8 @@ def _bound_reports(jobs, backend: str, on_law=None):
     one list per job: per cell (k, c, bound), tv >= bound for `which`
     "minorant" (vacuous below 0), else tv**2 <= bound (vacuous from 1).
 
-    One lockstep pass (`radial.float_lockstep`) serves every float job's
-    distinct ks, and `on_law(job index, k, law)` sees each law it yields.
+    One lockstep pass (`radial.float_lockstep`) yields the tv at every
+    float job's distinct ks, and `on_law(job index, k, law)` sees each law.
     A float cell is decided in float only when tv +- `float_tv_error`
     lies on one side of the bound; every other cell is undecided, and so
     is every cell of an exact job, which takes no step in the pass.  One
@@ -261,14 +267,10 @@ def _bound_reports(jobs, backend: str, on_law=None):
     tvs = [{} for _ in jobs]
     steps = [(params, sorted({k for k, _, _ in cells}) if be == "float" else ())
              for (params, _, cells), be in zip(jobs, bes)]  # exact jobs take no step
-    pis = {}  # the uniform law of each float job that has more ks to come
-    for i, k, dist in float_lockstep(steps):
-        params, ks = steps[i]
-        if i not in pis:
-            pis[i] = uniform(params, "float")
-        tvs[i][k] = tv_distance(dist, pis.pop(i) if k == ks[-1] else pis[i])
+    for i, k, tv, mass in float_lockstep(steps):
+        tvs[i][k] = tv
         if on_law is not None:
-            on_law(i, k, dist)
+            on_law(i, k, RadialDistribution(steps[i][0], mass, "float"))
     for (params, which, cells), be, tv in zip(jobs, bes, tvs):
         lower = which == "minorant"
         verdicts = [None if be == "exact" else
@@ -511,15 +513,9 @@ def _diagnostics(params: SchemeParams, k: int, b: float, c: float,
         tn, td = math.exp(log_t - e * math.log(2)).as_integer_ratio()
         tn, td = (tn << e, td) if e >= 0 else (tn, td << -e)
         applicable = d > q and k * math.log((d - q) / d) >= math.log(2) + log_t
-    in_b = [l for l in range(n + 1) if abs(d - l * q) * td < tn * d]
-
-    pi = uniform(params, walk.backend)
-    if walk.backend == "exact":
-        pi_mass = float(sum((pi.mass[l] for l in in_b), Fraction(0)))
-        nu_mass = float(sum((walk.mass[l] for l in in_b), Fraction(0)))
-    else:
-        pi_mass = math.fsum(pi.mass[l] for l in in_b)
-        nu_mass = math.fsum(walk.mass[l] for l in in_b)
+    in_b = _event_b(n, q, tn, td)
+    add = math.fsum if walk.backend == "float" else lambda v: float(sum(v, Fraction(0)))
+    pi_mass, nu_mass = (add(law.mass[in_b]) for law in (uniform(params, walk.backend), walk))
     return MinorantDiagnostics(
         beta=beta,
         pi_B=pi_mass,
@@ -528,6 +524,13 @@ def _diagnostics(params: SchemeParams, k: int, b: float, c: float,
         chebyshev_ub=chebyshev_ub,
         chebyshev_applicable=applicable and (n - 2) * (q - 1) >= 2,
     )
+
+
+def _event_b(n: int, q: int, tn: int, td: int) -> slice:
+    """The classes l in 0..n with |d - lq| td < tn d (d = n(q-1), tn, td
+    > 0): d(td - tn) < lq td < d(td + tn), an interval, by floor division."""
+    d, step = n * (q - 1), q * td
+    return slice(max(0, d * (td - tn) // step + 1), max(0, -(-d * (td + tn) // step)))
 
 
 def hora_limit(c: float, side: Literal["plus", "minus"]) -> float:

@@ -31,15 +31,22 @@ def _write(text: str, out: str) -> None:
             fh.write(text)
 
 
+def _sqrt(value: float, log_value) -> float:
+    """sqrt(value); in logs (log_value() = log value) below the normal
+    float range, where value has lost digits or is 0 but its root not."""
+    return math.sqrt(value) if value >= sys.float_info.min else math.exp(log_value() / 2)
+
+
 def _profile_row(params, k: int, tv: float, b: float) -> dict:
-    c = bounds.offset_from_step(params, k)
+    c, q = bounds.offset_from_step(params, k), params.q
     rhs = bounds.upper_bound_lemma_rhs(params, k, "float")
     return {
         "k": k,
         "c_equiv": c,
         "tv_exact": tv,
-        "ub_lemma": math.sqrt(rhs) if math.isfinite(rhs) else math.inf,
-        "majorant": (math.sqrt(bounds.majorant_value(params.q, c))
+        "ub_lemma": _sqrt(rhs, lambda: bounds.lemma_log_sum(params, k) - math.log(4)),
+        "majorant": (_sqrt(bounds.majorant_value(q, c),  # there expm1(e**-c) = e**-c
+                           lambda: math.log(bounds.majorant_constant(q)) - c)
                      if bounds.majorant_in_scope(params) else math.nan),
         "minorant": bounds.minorant_value(params.q, b, c),
         "hora_plus": bounds.hora_limit(c, "plus"),

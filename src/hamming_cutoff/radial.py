@@ -17,14 +17,14 @@ and `power_step` are the Fraction reference for one step.  The uniform
 law is stationary, so the excess e = num q**n - w (n(q-1))**k of the
 k-step law over it obeys the same integer step (`kstep_excess`); both
 walk one loop.  Float powering has one loop too, `float_lockstep`: it
-stacks the schemes of a whole grid as zero-padded rows of one array and
-steps them all with one `float_power_step` call per step, each row
-resuming from the checkpoints earlier float trajectories on its scheme
-yielded; a single trajectory is its one-row case.  Elementwise IEEE
-arithmetic rounds the same at any array shape and padding adds exact
-zeros, so a row's masses are bit for bit those of its scheme walked
-alone.  `kstep_tv` turns the exact excess, or the float trajectory, into
-the distance to uniform.
+packs the schemes of a whole grid end to end in one array, steps them
+all with one `float_power_step` call per step, each row resuming from
+the checkpoints earlier float trajectories on its scheme yielded, and
+takes each law's distance to uniform on that array.  Elementwise IEEE
+arithmetic rounds the same at any array layout and a neighbouring row
+adds exact zeros, so a row's masses and distance are bit for bit those
+of its scheme walked alone.  `kstep_tv` turns the exact excess, or the
+float pass, into the distance to uniform.
 """
 
 import math
@@ -33,6 +33,7 @@ import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -44,7 +45,7 @@ from .scheme import (
     SchemeParams,
     class_weights,
     point_mass,
-    tv_distance,
+    tv_of_gaps,
     uniform,
 )
 
@@ -207,29 +208,29 @@ def kstep_trajectory(
         return
     if backend != "float":
         raise ParameterError(f"unknown backend {backend!r}")
-    for _, k, dist in float_lockstep(((params, ks),)):
-        yield k, dist
+    for _, k, _, mass in float_lockstep(((params, ks),)):
+        yield k, RadialDistribution(params, mass, "float")
 
 
 def float_lockstep(jobs):
-    """Yield (i, k, float distribution) for each job i = (params, ks), ks
-    sorted and distinct: the package's one float k-step loop.
+    """Yield (i, k, tv, mass) for each job i = (params, ks), ks sorted and
+    distinct: the package's one float k-step loop; mass is the law's
+    read-only masses, tv its distance to `uniform(params, "float")`.
 
-    Every job's scheme is one row of a stack, its `float_step_arrays`
-    zero-padded to the widest n, and one `float_power_step` call steps
-    all rows still short of their last k.  A row resumes from the largest
-    checkpoint k0 <= min(ks) that an earlier float trajectory on its
-    scheme yielded (`_float_marks`; else k0 = 0) and records each state
-    it yields.  Rows are sorted by the steps they have left, so finished
-    rows leave the stack as a prefix, and only the columns a row can
-    have reached (class <= k) are stepped.  One sorted schedule of
-    events (k - k0, row, k) drives the pass: the stack is stepped up to
-    each event's step count, then the event's law is yielded, so yields
-    come in order of steps taken.  Elementwise IEEE operations round the
-    same at any array shape, a padded or unreached entry adds an exact
-    0.0 to its neighbours, and the steps from k0 are the ones a walk from
-    k = 0 takes; so each row is bit for bit the trajectory of its scheme
-    alone from k = 0.
+    The rows lie end to end in one zero-guarded array (down[0] = up[n] =
+    0, so no mass crosses between rows), and one `float_power_step` call
+    into the other of two reused buffers steps every row short of its
+    last k.  A row resumes from the largest checkpoint k0 <= min(ks) of
+    its scheme (`_float_marks`; else k0 = 0) and records each state it
+    yields.  Rows are sorted by the steps they have left, so finished
+    rows leave as a prefix; the tail row steps only the classes it can
+    have reached (class <= k), widened by doubling.  Sorted events (k -
+    k0, row, k) drive the pass: step up to each event, then yield its
+    row, with tv = `scheme.tv_of_gaps` of its slice of |mass - pi|,
+    formed once per step count.  IEEE elementwise operations round the
+    same at any layout and a neighbouring row or unreached class adds an
+    exact 0.0, so each mass and tv is bit for bit that of the scheme
+    walked alone from k = 0 and `tv_distance` to the float uniform law.
     """
     rows = []  # (steps left, job index, params, ks, k0, start mass, weak marks, cap)
     for i, (params, ks) in enumerate(jobs):
@@ -246,52 +247,48 @@ def float_lockstep(jobs):
         return
     rows.sort(key=lambda row: row[:2])
     events = sorted((k - row[4], j, k) for j, row in enumerate(rows) for k in row[3])
-    coeffs = [float_step_arrays(row[2]) for row in rows]
-    full = max(c.shape[1] for c in coeffs)
-    reach = max(row[4] for row in rows) + 2  # step `done` needs reach + done columns
-    mass = np.zeros((len(rows), min(full, reach)))
+    offs = list(accumulate((row[2].n + 1 for row in rows), initial=1))  # row j: offs[j]:offs[j+1]
+    down, stay, up, pi, *bufs = arrays = np.zeros((7, offs[-1] + 1))  # bufs: 2 masses, scratch
     for j, row in enumerate(rows):
-        mass[j, :row[5].size] = row[5][:reach]
-
-    def stacked(width):  # down, stay, up of rows[lo:], zero-padded to width
-        out = np.zeros((3, len(rows) - lo, width))
-        for j in range(lo, len(rows)):
-            out[:, j - lo, :coeffs[j].shape[1]] = coeffs[j][:, :width]
-        return out
-
-    done = lo = 0  # steps taken; rows[:lo] are finished
-    down, stay, up = stacked(mass.shape[1])
+        arrays[:3, offs[j]:offs[j + 1]] = float_step_arrays(row[2])
+        pi[offs[j]:offs[j + 1]] = uniform(row[2], "float").mass
+        bufs[0][offs[j]:offs[j + 1]] = row[5]
+    full, reach = rows[-1][2].n + 1, rows[-1][4] + 2  # step `done` needs reach + done classes
+    width = min(full, reach)  # of the tail row's classes, stepped
+    done = lo = cur = 0  # steps taken; rows[:lo] are finished; bufs[cur] holds the masses
+    live = gaps = None
     for until, j, k in events:
-        if done < until and rows[lo][0] <= done:  # drop finished rows
-            drop = next(d for d in range(lo, len(rows)) if rows[d][0] > done)
-            down, stay, up = (c[drop - lo:] for c in (down, stay, up))
-            mass, lo = mass[drop - lo:], drop
-        while done < until:
-            width = mass.shape[1]
-            if width < full and width < reach + done:  # widen the stepped columns
-                width = min(full, max(reach + done, 2 * width))
-                grown = np.zeros((len(mass), width))
-                grown[:, :mass.shape[1]] = mass
-                mass = grown
-                down, stay, up = stacked(width)
-            # step up to the next event, or as far as the width reaches
-            stop = until if width == full else min(until, width - reach + 1)
-            for _ in range(stop - done):
-                mass = float_power_step(mass, down, stay, up)
-            done = stop
+        if gaps is None or done < until:
+            while done < until and rows[lo][0] <= done:  # drop finished rows
+                lo += 1
+            while done < until:
+                if width < full and width < reach + done:  # widen the tail's classes
+                    width = min(full, max(reach + done, 2 * width))
+                if live != (lo, width):  # views of classes a..b-1, from either buffer
+                    live, a, b = (lo, width), offs[lo], offs[-2] + width
+                    ops = [(bufs[s][a:b], stay[a:b], bufs[s][a - 1:b - 1], up[a - 1:b - 1],
+                            bufs[s][a + 1:b + 1], down[a + 1:b + 1], bufs[1 - s][a:b],
+                            bufs[2][a:b]) for s in (0, 1)]
+                # step up to the next event, or as far as the width reaches
+                stop = until if width == full else min(until, width - reach + 1)
+                for _ in range(stop - done):
+                    float_power_step(*ops[cur])
+                    cur = 1 - cur
+                done = stop
+            a = offs[lo]  # |mass - uniform| of the live rows at this step count
+            gaps = np.abs(bufs[cur][a:] - pi[a:])
         _, i, params, _, _, _, ref, cap = rows[j]
-        row = mass[j - lo, :params.n + 1]
-        if row.size <= params.n:  # classes past the reach hold 0
-            row = np.concatenate((row, np.zeros(params.n + 1 - row.size)))
-        dist = RadialDistribution(params, row, "float")
+        tv = tv_of_gaps(gaps[offs[j] - a:offs[j + 1] - a])
+        mass = bufs[cur][offs[j]:offs[j + 1]].copy()
+        mass.flags.writeable = False
         with _MARKS_LOCK:
             marks = ref()
             if marks is not None and k and k not in marks and cap:
                 if len(marks) >= cap:  # thin out, keeping every other state
                     for m in sorted(marks)[::2]:
                         del marks[m]
-                marks[k] = dist.mass
-        yield i, k, dist
+                marks[k] = mass
+        yield i, k, tv, mass
 
 
 def kstep_tv(params: SchemeParams, ks, backend: Backend, bit_budget=DEFAULT_BIT_BUDGET):
@@ -301,11 +298,11 @@ def kstep_tv(params: SchemeParams, ks, backend: Backend, bit_budget=DEFAULT_BIT_
     classes (Levin-Peres-Wilmer, *Markov Chains and Mixing Times*, Prop.
     4.2).  Exact: the Fraction sum(map(abs, e)) / (2 q**n (n(q-1))**k)
     over `kstep_excess` (`bit_budget` caps e's bits); no distribution is
-    built.  Float: `scheme.tv_distance` of each float distribution
-    against the float uniform law, the package's one float TV reduction,
-    over `kstep_trajectory` (so resumed from the scheme's float
-    checkpoints).  A negative `bit_budget` is a `ParameterError` before
-    any step on either backend, though only the exact one reads it.
+    built.  Float: the tv of the one-row `float_lockstep` pass (resumed
+    from the scheme's float checkpoints), bit for bit `scheme.tv_distance`
+    of the law against the float uniform law; no distribution is built.
+    A negative `bit_budget` is a `ParameterError` before any step on
+    either backend, though only the exact one reads it.
     """
     _check_bit_budget(bit_budget)
     if backend == "exact":
@@ -313,9 +310,10 @@ def kstep_tv(params: SchemeParams, ks, backend: Backend, bit_budget=DEFAULT_BIT_
         for k, e in kstep_excess(params, ks, bit_budget):
             yield k, Fraction(sum(map(abs, e)), 2 * big_q * d ** k)
         return
-    pi = uniform(params, "float")
-    for k, dist in kstep_trajectory(params, ks, backend):
-        yield k, tv_distance(dist, pi)
+    if backend != "float":
+        raise ParameterError(f"unknown backend {backend!r}")
+    for _, k, tv, _ in float_lockstep(((params, ks),)):
+        yield k, tv
 
 
 def kstep_oracle(
@@ -395,15 +393,17 @@ def float_step_arrays(params: SchemeParams):
     return rows
 
 
-def float_power_step(mass: np.ndarray, down, stay, up) -> np.ndarray:
-    """One float radial step of a row, or of each row of a stack, along
-    the last axis: (stay + up) + down per class.  All coefficients are
-    nonnegative, so no cancellation and errors stay at the roundoff
-    level for any k."""
-    new = mass * stay
-    new[..., 1:] += mass[..., :-1] * up[..., :-1]
-    new[..., :-1] += mass[..., 1:] * down[..., 1:]
-    return new
+def float_power_step(mass, stay, prev, up, nxt, down, out, tmp) -> np.ndarray:
+    """One float radial step into `out`, allocating nothing: (mass stay +
+    prev up) + nxt down per class, prev and nxt the masses one class
+    below and above (`tmp` is scratch).  No coefficient is negative, so
+    nothing cancels and errors stay at the roundoff level for any k."""
+    np.multiply(mass, stay, out=out)
+    np.multiply(prev, up, out=tmp)
+    out += tmp
+    np.multiply(nxt, down, out=tmp)
+    out += tmp
+    return out
 
 
 def reversibility_holds(params: SchemeParams) -> bool:

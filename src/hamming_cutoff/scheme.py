@@ -162,7 +162,7 @@ def _log_int(v: int) -> float:
     return math.log(v >> shift) + shift * math.log(2.0)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=256)
 def uniform(params: SchemeParams, backend: Backend = "exact") -> RadialDistribution:
     """The stationary distribution: mass[l] = w[l] / q**n."""
     cw = class_weights(params)
@@ -201,6 +201,11 @@ def tv_distance(a: RadialDistribution, b: RadialDistribution):
         return sum((abs(x - y) for x, y in zip(a.mass, b.mass)), Fraction(0)) / 2
     ax = np.asarray(a.mass, dtype=np.float64)
     bx = np.asarray(b.mass, dtype=np.float64)
-    # a correctly rounded sum does not depend on the order of its terms,
-    # so sorting only changes the cost, never the bits
-    return 0.5 * math.fsum(np.sort(np.abs(ax - bx))[::-1].tolist())
+    return tv_of_gaps(np.abs(ax - bx))
+
+
+def tv_of_gaps(gaps: np.ndarray) -> float:
+    """`tv_distance`'s float sum: half the `math.fsum` of gaps = |a.mass -
+    b.mass|, largest first (sorted in place: the order sets the cost only)."""
+    gaps.sort()
+    return 0.5 * math.fsum(gaps[::-1].tolist())

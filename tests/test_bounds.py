@@ -544,6 +544,36 @@ def test_minorant_event_b_matches_fraction_comparison():
         assert d.pi_B == math.fsum(uniform(p, "float").mass) and d.nu_B == d.pi_B
 
 
+def test_minorant_event_b_interval_matches_the_per_class_definition(monkeypatch):
+    # B = {l : |d - lq| td < tn d} is taken as an interval of classes by
+    # floor division; on every threshold the diagnostics form (a normal
+    # float, logs at q = 10**700 where it underflows and at c > 1419 where
+    # beta overflows) it holds exactly the classes of the per-class test
+    event_b, seen = bounds._event_b, []
+
+    def per_class(n, q, tn, td):
+        got, d = event_b(n, q, tn, td), n * (q - 1)
+        assert list(range(n + 1))[got] == [l for l in range(n + 1)
+                                           if abs(d - l * q) * td < tn * d]
+        seen.append((tn, td))
+        return got
+
+    monkeypatch.setattr(bounds, "_event_b", per_class)
+    for q in (3, 5, 10 ** 400, 10 ** 700):
+        for n in (1, 2, 5, 30):
+            p = make_scheme(n, q)
+            for c in (0.0, 3.0, 700.0, 1419.5, 1500.0):
+                minorant_diagnostics(p, n, 1.0, c, "float")
+    assert any(td > 2 ** 1074 for _, td in seen)  # threshold below the float range
+    assert any(tn >= 2 ** 1024 for tn, _ in seen)  # and above it
+    # thresholds on a class: |d - lq| td = tn d leaves l out
+    for n, q in [(1, 2), (4, 3), (30, 5), (7, 10 ** 400)]:
+        d = n * (q - 1)
+        for l in range(n + 1):
+            per_class(n, q, abs(d - l * q) or 1, d)
+            per_class(n, q, 2 * abs(d - l * q) + 1, 2 * d)
+
+
 def test_minorant_diagnostics_rejects_non_finite_offsets():
     p = make_scheme(10, 3)
     for b, c in [(math.nan, 1.0), (1.0, math.inf), (-1.0, 1.0)]:

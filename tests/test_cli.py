@@ -1,11 +1,13 @@
 import json
 import math
+import sys
 import time
+from fractions import Fraction
 
 import pytest
 
-from hamming_cutoff import cli
-from hamming_cutoff.bounds import minorant
+from hamming_cutoff import class_weights, cli, make_scheme
+from hamming_cutoff.bounds import majorant_value, minorant, upper_bound_lemma_rhs
 from hamming_cutoff.cli import PROFILE_HEADER, main
 from hamming_cutoff.scheme import ParameterError
 
@@ -110,6 +112,34 @@ def test_profile_past_the_float_range_of_the_limit_profile(capsys):
                           "--backend", "float"], capsys)
     assert (code, err) == (0, "")
     assert out.splitlines()[-1].endswith(",1,0")
+
+
+def test_profile_bound_roots_past_the_normal_float_range(capsys):
+    # on H(3, 5) the majorant leaves the normal float range at c ~ 707 and
+    # is 0 past c ~ 745, the lemma bound already at k ~ 850, while their
+    # roots stay normal floats: those roots are taken in logs, and a row
+    # whose bound is a normal float keeps its plain square root
+    p = make_scheme(3, 5)
+    lam = [Fraction(p.degree - j * p.q, p.degree) for j in range(4)]
+    w = class_weights(p).w
+    code, out, err = run(["profile", "--n", "3", "--q", "5", "--k-min", "600",
+                          "--k-max", "1300", "--k-step", "7", "--backend", "float"], capsys)
+    assert (code, err) == (0, "")
+    rows = [list(map(float, line.split(","))) for line in out.splitlines()[1:]]
+    assert len(rows) == 101
+    for k, c, _, ub, maj, *_ in rows:
+        k = int(k)
+        rhs = upper_bound_lemma_rhs(p, k, "float")
+        exact = sum(w[j] * lam[j] ** (2 * k) for j in range(1, 4)) / 4
+        log_exact = math.log(exact.numerator) - math.log(exact.denominator)
+        assert math.isclose(ub, math.exp(log_exact / 2), rel_tol=1e-12), k
+        assert math.isclose(maj, 0.5 * math.exp(-c / 2), rel_tol=1e-12), k
+        if rhs >= sys.float_info.min:
+            assert ub == math.sqrt(rhs), k
+        if majorant_value(5, c) >= sys.float_info.min:
+            assert maj == math.sqrt(majorant_value(5, c)), k
+    assert rows[0][3] == math.sqrt(upper_bound_lemma_rhs(p, 600, "float"))  # both normal
+    assert rows[-1][4] < math.sqrt(sys.float_info.min)  # c ~ 1,081: both in logs
 
 
 def test_profile_resource_cap(capsys):

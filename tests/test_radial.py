@@ -7,10 +7,11 @@ from itertools import islice
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hamming_cutoff import (
     ParameterError,
+    RadialDistribution,
     ResourceBudgetError,
     class_weights,
     enumerate_tiny,
@@ -356,12 +357,16 @@ lockstep_jobs = st.lists(
 
 
 def _walk_alone(p, ks):
-    """(k, masses) of one scheme on its own 1-D float arrays from k = 0."""
+    """(k, masses) of one scheme on its own 1-D float arrays from k = 0,
+    each class stepped as (stay + up) + down."""
     down, stay, up = float_step_arrays(p)
     mass, done, out = point_mass(p, "float").mass, 0, []
     for k in ks:
         for _ in range(k - done):
-            mass = radial.float_power_step(mass, down, stay, up)
+            new = mass * stay
+            new[1:] += mass[:-1] * up[:-1]
+            new[:-1] += mass[1:] * down[1:]
+            mass = new
         done = k
         out.append((k, mass.tolist()))
     return out
@@ -369,25 +374,31 @@ def _walk_alone(p, ks):
 
 @settings(max_examples=60, deadline=None)
 @given(lockstep_jobs)
+@example([(1, 3, [0, 1, 2], []), (40, 5, [0, 3, 10], []), (1, 2, [0], [])])
+@example([(1, 4, [0, 7], [5]), (30, 3, [4, 9, 21], [2, 3]), (6, 9, [], [1])])
 def test_lockstep_pass_is_bit_identical_to_each_scheme_alone(jobs):
-    # mixed n and q in one stack, rows resumed from checkpoints at
-    # different k0: every mass and tv equals the scheme's own cold walk
+    # mixed n and q in one packed array (n = 1 rows, k = 0 events, a tail
+    # row short of class n), rows resumed from checkpoints at different
+    # k0: every mass equals the scheme's own cold 1-D walk, and every tv
+    # is tv_distance of that law to the float uniform law
     schemes = [make_scheme(n, q) for n, q, _, _ in jobs]
     cold = []
     for p, (_, _, ks, _) in zip(schemes, jobs):
+        alone = _walk_alone(p, ks)
+        cold.append([(k, mass, tv_distance(RadialDistribution(p, mass, "float"),
+                                           uniform(p, "float"))) for k, mass in alone])
         _float_marks.cache_clear()
-        masses = _masses(kstep_trajectory(p, ks, "float"))
+        assert _masses(kstep_trajectory(p, ks, "float")) == alone
         _float_marks.cache_clear()
-        cold.append((masses, list(kstep_tv(p, ks, "float"))))
-        assert masses == _walk_alone(p, ks)
+        assert list(kstep_tv(p, ks, "float")) == [(k, tv) for k, _, tv in cold[-1]]
     _float_marks.cache_clear()
     for p, (_, _, _, warm) in zip(schemes, jobs):
         list(kstep_trajectory(p, warm, "float"))
-    got = [([], []) for _ in jobs]
+    got = [[] for _ in jobs]
     stack = [(p, ks) for p, (_, _, ks, _) in zip(schemes, jobs)]
-    for i, k, dist in radial.float_lockstep(stack):
-        got[i][0].append((k, dist.mass.tolist()))
-        got[i][1].append((k, tv_distance(dist, uniform(schemes[i], "float"))))
+    for i, k, tv, mass in radial.float_lockstep(stack):
+        assert not mass.flags.writeable
+        got[i].append((k, mass.tolist(), tv))
     assert got == cold
 
 
@@ -427,6 +438,30 @@ def test_verify_majorant_steps_its_whole_grid_in_lockstep(monkeypatch):
                 for q in range(3, 9) for n in range(1, 41))
     assert report.checked == 5688 and report.ok
     assert 0 < len(steps) <= k_max + 1  # one scheme after another: ~21,000
+
+
+def test_verify_majorant_steps_only_the_live_rows_unpadded(monkeypatch):
+    # each call steps at most the n+1 classes of every row still short of
+    # its last k, end to end: no padding to the widest n
+    sizes = []
+    step = radial.float_power_step
+
+    def counting_step(mass, *args):
+        sizes.append(len(mass))
+        return step(mass, *args)
+
+    monkeypatch.setattr(radial, "float_power_step", counting_step)
+    _float_marks.cache_clear()
+    verify.verify_majorant()
+    cs = tuple(0.25 * i for i in range(1, 25))
+    schemes = [p for q in range(3, 9) for p in map(make_scheme, range(1, 41), [q] * 40)
+               if bounds.majorant_in_scope(p)]
+    last = [max(math.ceil(bounds.schedule_step(p, c)) for c in cs) for p in schemes]
+    assert len(sizes) == max(last)
+    live = [sum(p.n + 1 for p, k in zip(schemes, last) if k >= t)
+            for t in range(1, len(sizes) + 1)]
+    assert all(size <= bound for size, bound in zip(sizes, live))
+    assert sizes[-1] == live[-1] and sizes[0] < sum(p.n + 1 for p in schemes)
 
 
 def test_float_checkpoints_stay_within_their_cap(capsys):
