@@ -13,7 +13,7 @@ import sys
 from . import bounds, verify
 from .krawtchouk import build_table
 from .montecarlo import SimConfig, plugin_tv, simulate
-from .radial import DEFAULT_BIT_BUDGET, kstep_oracle, kstep_tv
+from .radial import DEFAULT_BIT_BUDGET, kstep_oracle, kstep_tv, numerators_must_exceed
 from .scheme import ParameterError, ResourceBudgetError, make_scheme
 
 PROFILE_HEADER = "k,c_equiv,tv_exact,ub_lemma,majorant,minorant,hora_plus,hora_minus"
@@ -172,11 +172,12 @@ def cmd_simulate(args) -> int:
     params = make_scheme(args.n, args.q)
     result = simulate(SimConfig(params, args.k, args.walks, args.seed))
     tv = plugin_tv(result)
-    exact = None
-    try:
-        exact = [float(v) for v in kstep_oracle(params, args.k).mass]
-    except ResourceBudgetError:
-        pass
+    exact = None  # the exact column, filled iff the oracle fits its bit budget
+    if not numerators_must_exceed(params, args.k):  # else it must trip: skip the walk
+        try:
+            exact = [float(v) for v in kstep_oracle(params, args.k).mass]
+        except ResourceBudgetError:
+            pass
     freq = result.point_estimate.mass
     if args.format == "csv":
         lines = ["l,count,freq,stderr,exact_mass"]

@@ -16,7 +16,10 @@ Exact powering keeps integer numerators over the common denominator
 and `power_step` are the Fraction reference for one step.  The uniform
 law is stationary, so the excess e = num q**n - w (n(q-1))**k of the
 k-step law over it obeys the same integer step (`kstep_excess`); both
-walk one loop.  Float powering has one loop too, `float_lockstep`: it
+walk one loop.  `numerators_must_exceed` proves, with no exact step,
+that the numerators must pass a bit budget: a float max-plus shadow of
+the integer step (`_bit_floors`) gives a certified floor on their bits.
+Float powering has one loop too, `float_lockstep`: it
 packs the schemes of a whole grid end to end in one array, steps them
 all with one `float_power_step` call per step, each row resuming from
 the checkpoints earlier float trajectories on its scheme yielded, and
@@ -51,6 +54,17 @@ from .scheme import (
 
 DEFAULT_BIT_BUDGET = 10 ** 6
 DEFAULT_STATE_BUDGET = 10 ** 6
+FLOAT_STEP_BUDGET = 10 ** 11
+"""Most class-steps, sum over rows of (last k - resumed k0)(n+1), one
+`float_lockstep` pass may plan.  The largest passes asked of the package
+are dense grids of every n <= 2000 at c = 3 (`minorant_sweep(q, 1, c=3,
+n_grid=range(1, 2001))`): 4.4e9 class-steps at q = 3 (66 s in process),
+6.0e9 at q = 5 (119 s) and 7.3e9 at q = 8.  The default minorant sweeps
+plan <= 1.6e8, default `verify majorant` 6.0e5 and the n = 500 window
+9.1e5.  10**11 leaves ten times the largest of these, yet refuses 10**12
+steps of H(3, 3) (4e12 class-steps), where `bounds.float_tv_error` is
+inf past k = 2**41 anyway.  Narrow rows pay a per-step overhead of
+microseconds, so at small n this bounds the work, not the time."""
 
 
 @dataclass(frozen=True)
@@ -231,6 +245,9 @@ def float_lockstep(jobs):
     same at any layout and a neighbouring row or unreached class adds an
     exact 0.0, so each mass and tv is bit for bit that of the scheme
     walked alone from k = 0 and `tv_distance` to the float uniform law.
+    A pass that plans more than `FLOAT_STEP_BUDGET` class-steps, sum over
+    rows of (last k - k0)(n+1), raises `ResourceBudgetError` before its
+    first step.
     """
     rows = []  # (steps left, job index, params, ks, k0, start mass, weak marks, cap)
     for i, (params, ks) in enumerate(jobs):
@@ -245,6 +262,11 @@ def float_lockstep(jobs):
         rows.append((ks[-1] - k0, i, params, ks, k0, start, weakref.ref(marks), cap))
     if not rows:
         return
+    planned = sum(row[0] * (row[2].n + 1) for row in rows)
+    if planned > FLOAT_STEP_BUDGET:
+        raise ResourceBudgetError(
+            f"float pass of {planned} class-steps exceeds the budget {FLOAT_STEP_BUDGET}"
+        )
     rows.sort(key=lambda row: row[:2])
     events = sorted((k - row[4], j, k) for j, row in enumerate(rows) for k in row[3])
     offs = list(accumulate((row[2].n + 1 for row in rows), initial=1))  # row j: offs[j]:offs[j+1]
@@ -321,6 +343,87 @@ def kstep_oracle(
 ) -> RadialDistribution:
     """k exact steps of the distance chain from the basepoint."""
     return next(kstep_trajectory(params, (k,), "exact", bit_budget))[1]
+
+
+_LOG2_ERR = 2.0 ** -40  # eta: relative error allowed to math.log2 of an int
+
+
+def _bit_floors(params: SchemeParams, k: int, first: int = 1):
+    """Yield (s, reached, floor) after each step s = first .. min(k, 2**51)
+    of `kstep_numerators`: reached[l] is True exactly where num[l] != 0,
+    and floor <= sum(map(int.bit_length, num)), the bits `_int_chain`
+    counts against its budget.
+
+    The walk is the max-plus shadow of `int_power_step`: L[l] is log2 of
+    the heaviest single path to class l, L[l] <- max(L[l] + log2 l(q-2),
+    L[l-1] + log2 (n-l+1)(q-1), L[l+1] + log2 (l+1)), from L = (0, -inf,
+    ...).  No coefficient is negative, so num[l] >= 2**L[l], and L[l] =
+    -inf (a zero coefficient, as the stay at l = 0 and every stay at
+    q = 2, has log -inf) exactly where num[l] = 0.  A reached class holds
+    >= 1, so bitlen(num[l]) >= max(1, floor(L_hat[l] - delta) + 1) for
+    any delta >= L_hat[l] - L[l], and floor sums these over the reached
+    classes in Python integers.
+
+    delta: each coefficient log is `math.log2` of an exact Python integer
+    (its correctly rounded double, or past the float range its frexp
+    mantissa plus exponent, so any q works), within a few ulps of log2 c
+    >= 0; eta = 2**-40 allows 2**10 times that, relative.  L_hat[l] is the
+    float sum, taken left to right, of the s computed logs along one path
+    (max is exact), so with S their exact sum, |L_hat - S| <= gamma_s S
+    (nonnegative terms; Higham, *Accuracy and Stability of Numerical
+    Algorithms*, §4.2), gamma_s = su/(1 - su), u = 2**-53, and S - P <=
+    eta P <= eta S/(1 - eta) for P the path's true log <= L[l].  For su <=
+    1/4 (gamma_s <= 1/3) that gives L_hat - L <= (gamma_s + eta/(1 -
+    eta))/(1 - gamma_s) L_hat <= (2su + 1.6 eta) M, M = max L_hat; the
+    rounding of L_hat - delta adds <= uM <= suM, so delta = (3su + 2eta) M
+    holds with 0.4 eta M to spare for evaluating delta in float.
+    """
+    n, q = params.n, params.q
+
+    def log2(c):
+        return math.log2(c) if c else -math.inf
+
+    stay = np.array([log2(l * (q - 2)) for l in range(n + 1)])
+    up = np.array([log2((n - l + 1) * (q - 1)) for l in range(n + 1)])
+    down = np.array([log2(l + 1) for l in range(n + 1)])
+    ext = np.full(n + 3, -math.inf)  # L between two -inf guards
+    ext[1] = 0.0
+    shadow = ext[1:-1]
+    u = 2.0 ** -53
+    for s in range(1, min(k, 2 ** 51) + 1):  # su <= 1/4
+        shadow[:] = np.maximum(np.maximum(shadow + stay, ext[:-2] + up), ext[2:] + down)
+        if s >= first:
+            reached = shadow > -math.inf
+            logs = shadow[reached]
+            delta = (3 * s * u + 2 * _LOG2_ERR) * logs.max()
+            floors = np.maximum(np.floor(logs - delta) + 1, 1).tolist()
+            yield s, reached, sum(map(int, floors))
+
+
+def numerators_must_exceed(
+    params: SchemeParams, k: int, bit_budget=DEFAULT_BIT_BUDGET
+) -> bool:
+    """True only if `kstep_numerators` must pass `bit_budget` at some step
+    s <= k, so `kstep_oracle(params, k, bit_budget)` raises
+    `ResourceBudgetError`: some `_bit_floors` floor exceeds the budget.
+    False when no trip is proven.
+
+    Costs nothing while (n+1)(k log2 n(q-1) + 1), which bounds the bits
+    at step k (num[l] <= (n(q-1))**k), stays within the budget; otherwise
+    the shadow walks O(n) numpy work per step, checks its floor from the
+    first step that bound admits a trip and stops at the first step that
+    proves one.
+    """
+    _check_bit_budget(bit_budget)
+    room = bit_budget / (params.n + 1) - 1  # bits a class may hold with no trip
+    log_d = math.log2(params.degree)
+    if room < 0:
+        first = 1
+    elif log_d == 0 or k <= room / log_d:  # no trip up to step k
+        return False
+    else:
+        first = math.floor(room / log_d) + 1
+    return any(floor > bit_budget for _, _, floor in _bit_floors(params, k, first))
 
 
 def enumerate_tiny_steps(

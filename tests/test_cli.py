@@ -1,12 +1,13 @@
 import json
 import math
+import re
 import sys
 import time
 from fractions import Fraction
 
 import pytest
 
-from hamming_cutoff import class_weights, cli, make_scheme
+from hamming_cutoff import class_weights, cli, make_scheme, radial
 from hamming_cutoff.bounds import majorant_value, minorant, upper_bound_lemma_rhs
 from hamming_cutoff.cli import PROFILE_HEADER, main
 from hamming_cutoff.scheme import ParameterError
@@ -150,6 +151,18 @@ def test_profile_resource_cap(capsys):
     )
     assert code == 3
     assert "resource cap" in err
+
+
+def test_profile_float_step_budget_exits_3_at_once(monkeypatch, capsys):
+    # 10**12 steps of H(3, 3) used to run until killed
+    monkeypatch.setattr(radial, "float_power_step", lambda *a: pytest.fail("stepped"))
+    start = time.perf_counter()
+    code, out, err = run(["profile", "--n", "3", "--q", "3", "--k-min", str(10 ** 12),
+                          "--k-max", str(10 ** 12), "--backend", "float"], capsys)
+    assert (code, out) == (3, "") and time.perf_counter() - start < 5
+    # 4 * 10**12 class-steps, less those a checkpoint of H(3, 3) may spare
+    assert re.fullmatch(r"resource cap: float pass of (4000000000000|3999999\d{6}) "
+                        r"class-steps exceeds the budget 100000000000\n", err)
 
 
 def test_profile_negative_bit_budget_usage_error(capsys):
@@ -414,6 +427,36 @@ def test_simulate_leaves_exact_mass_empty_past_the_oracle_budget(capsys):
     code, out, _ = run(args + ["--format", "json"], capsys)
     payload = json.loads(out)
     assert code == 0 and payload["exact_mass"] is None and sum(payload["counts"]) == 50
+
+
+def test_simulate_skips_the_oracle_where_the_bit_floor_proves_a_trip(monkeypatch, capsys):
+    # the benchmark's large request: the floor proves the trip by step 386,
+    # so the exact walk takes no step and the column stays empty
+    monkeypatch.setattr(radial, "int_power_step", lambda *a: pytest.fail("stepped"))
+    args = ["simulate", "--n", "300", "--q", "4", "--k", "600", "--walks", "131072"]
+    code, out, err = run(args, capsys)
+    assert (code, err) == (0, "")
+    rows = out.splitlines()[1:-1]
+    assert len(rows) == 301 and all(row.endswith(",") for row in rows)
+    code, out, _ = run(args + ["--format", "json"], capsys)
+    payload = json.loads(out)
+    assert code == 0 and payload["exact_mass"] is None
+    assert sum(payload["counts"]) == 131072
+
+
+@pytest.mark.parametrize("n, q, k", [(100, 3, 200), (3, 10 ** 400, 5)],
+                         ids=["n100", "q10e400"])
+def test_simulate_fills_the_exact_column_within_the_oracle_budget(n, q, k, capsys):
+    # below its budget the column is kstep_oracle's masses, q past the
+    # float range included (a float log of q would overflow)
+    args = ["simulate", "--n", str(n), "--q", str(q), "--k", str(k), "--walks", "100"]
+    exact = [float(v) for v in cli.kstep_oracle(make_scheme(n, q), k).mass]
+    code, out, err = run(args, capsys)
+    assert (code, err) == (0, "")
+    cells = [row.split(",")[4] for row in out.splitlines()[1:-1]]
+    assert cells == [format(v, ".17g") for v in exact]
+    code, out, _ = run(args + ["--format", "json"], capsys)
+    assert code == 0 and json.loads(out)["exact_mass"] == exact
 
 
 def test_simulate_resource_cap(capsys):

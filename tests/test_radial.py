@@ -249,6 +249,57 @@ def test_bit_budget_trips_exactly_past_the_numerator_bits():
     assert kstep_oracle(p, 0, bit_budget=0).mass == point_mass(p).mass
 
 
+def test_bit_floor_bounds_the_numerator_bits_and_finds_the_reached_classes():
+    # the max-plus shadow's floor never exceeds the bits the exact walk
+    # counts, and it reaches exactly the classes with num != 0
+    for n in range(1, 13):
+        for q in range(2, 7):
+            p = make_scheme(n, q)
+            pairs = zip(radial._bit_floors(p, 60),
+                        kstep_numerators(p, range(1, 61), math.inf))
+            for (s, reached, floor), (k, num) in pairs:
+                assert s == k
+                assert reached.tolist() == [v != 0 for v in num], (n, q, k)
+                assert floor <= sum(v.bit_length() for v in num), (n, q, k)
+
+
+def test_proven_trip_means_the_oracle_raises():
+    p = make_scheme(9, 4)
+    bits = [sum(v.bit_length() for v in num)
+            for _, num in kstep_numerators(p, range(41), math.inf)]
+    for k in (1, 17, 40):
+        peak = max(bits[1:k + 1])
+        proven = [b for b in range(peak // 2, peak + 1)
+                  if radial.numerators_must_exceed(p, k, b)]
+        assert proven and not radial.numerators_must_exceed(p, k, peak)
+        for b in proven:
+            with pytest.raises(ResourceBudgetError):
+                kstep_oracle(p, k, bit_budget=b)
+    # no step, no trip; a negative budget is a usage error as in the walk
+    assert not radial.numerators_must_exceed(p, 0, 0)
+    with pytest.raises(ParameterError, match="bit budget"):
+        radial.numerators_must_exceed(p, 5, -1)
+
+
+def test_bit_floor_skips_the_shadow_where_no_trip_is_possible(monkeypatch):
+    monkeypatch.setattr(radial, "_bit_floors", lambda *a: pytest.fail("walked"))
+    # the benchmark's small simulate request: (n+1)(k log2 n(q-1) + 1) << 10**6
+    assert not radial.numerators_must_exceed(make_scheme(20, 3), 40)
+    assert not radial.numerators_must_exceed(make_scheme(300, 4), 600, math.inf)
+    assert not radial.numerators_must_exceed(make_scheme(3, 10 ** 400), 5)
+    assert not radial.numerators_must_exceed(make_scheme(3, 3), 10 ** 400, math.inf)
+
+
+def test_bit_floor_proves_the_simulate_trips_without_an_exact_step(monkeypatch):
+    monkeypatch.setattr(radial, "int_power_step", lambda *a: pytest.fail("stepped"))
+    assert radial.numerators_must_exceed(make_scheme(300, 4), 600)
+    assert radial.numerators_must_exceed(make_scheme(2000, 5), 5000)
+    # coefficient logs of integers past the float range
+    assert radial.numerators_must_exceed(make_scheme(3, 10 ** 400), 500)
+    # the floor proves this trip only past its true step 372
+    assert not radial.numerators_must_exceed(make_scheme(300, 3), 400)
+
+
 def test_excess_chain_is_numerators_minus_uniform():
     # e = num q**n - w (n(q-1))**k, the excess over uniform, at every k
     for n in range(1, 13):
@@ -508,3 +559,24 @@ def test_float_checkpoints_shared_by_threads():
     assert errors == []
     for plan, got in zip(plans, results):
         assert got == [[(k, ref[k]) for k in ks] for ks in plan]
+
+
+def test_float_step_budget_refuses_a_pass_before_its_first_step(monkeypatch):
+    p, q = make_scheme(3, 7), make_scheme(5, 7)
+    jobs = ((p, (4, 10)), (q, (6,)))  # 10 * 4 + 6 * 6 = 76 class-steps from k = 0
+    _float_marks.cache_clear()
+    ref = list(radial.float_lockstep(jobs))
+    _float_marks.cache_clear()
+    monkeypatch.setattr(radial, "FLOAT_STEP_BUDGET", 76)
+    assert [(i, k, tv) for i, k, tv, _ in radial.float_lockstep(jobs)] == [
+        (i, k, tv) for i, k, tv, _ in ref]
+    _float_marks.cache_clear()
+    monkeypatch.setattr(radial, "FLOAT_STEP_BUDGET", 75)
+    monkeypatch.setattr(radial, "float_power_step", lambda *a: pytest.fail("stepped"))
+    with pytest.raises(ResourceBudgetError, match="76 class-steps"):
+        next(radial.float_lockstep(jobs))
+    # a row resumed from a checkpoint plans only the steps it has left
+    _float_marks(p)[4] = next(mass for i, k, _, mass in ref if (i, k) == (0, 4))
+    monkeypatch.setattr(radial, "FLOAT_STEP_BUDGET", 23)
+    with pytest.raises(ResourceBudgetError, match="24 class-steps"):
+        next(radial.float_lockstep(((p, (10,)),)))
