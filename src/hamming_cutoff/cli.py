@@ -13,7 +13,7 @@ import sys
 from . import bounds, verify
 from .krawtchouk import build_table
 from .montecarlo import SimConfig, plugin_tv, simulate
-from .radial import DEFAULT_BIT_BUDGET, kstep_oracle, kstep_tv, numerators_must_exceed
+from .radial import DEFAULT_BIT_BUDGET, kstep_oracle, kstep_tv
 from .scheme import ParameterError, ResourceBudgetError, make_scheme
 
 PROFILE_HEADER = "k,c_equiv,tv_exact,ub_lemma,majorant,minorant,hora_plus,hora_minus"
@@ -40,11 +40,16 @@ def _sqrt(value: float, log_value) -> float:
 def _profile_row(params, k: int, tv: float, b: float) -> dict:
     c, q = bounds.offset_from_step(params, k), params.q
     rhs = bounds.upper_bound_lemma_rhs(params, k, "float")
+
+    def log_rhs():
+        return bounds.lemma_log_sum(params, k) - math.log(4)
+
     return {
         "k": k,
         "c_equiv": c,
         "tv_exact": tv,
-        "ub_lemma": _sqrt(rhs, lambda: bounds.lemma_log_sum(params, k) - math.log(4)),
+        # past e**700 the bound is inf, but its root is finite up to e**1421
+        "ub_lemma": _sqrt(rhs, log_rhs) if rhs < math.inf else bounds._exp(log_rhs() / 2),
         "majorant": (_sqrt(bounds.majorant_value(q, c),  # there expm1(e**-c) = e**-c
                            lambda: math.log(bounds.majorant_constant(q)) - c)
                      if bounds.majorant_in_scope(params) else math.nan),
@@ -173,11 +178,10 @@ def cmd_simulate(args) -> int:
     result = simulate(SimConfig(params, args.k, args.walks, args.seed))
     tv = plugin_tv(result)
     exact = None  # the exact column, filled iff the oracle fits its bit budget
-    if not numerators_must_exceed(params, args.k):  # else it must trip: skip the walk
-        try:
-            exact = [float(v) for v in kstep_oracle(params, args.k).mass]
-        except ResourceBudgetError:
-            pass
+    try:
+        exact = [float(v) for v in kstep_oracle(params, args.k).mass]
+    except ResourceBudgetError:
+        pass
     freq = result.point_estimate.mass
     if args.format == "csv":
         lines = ["l,count,freq,stderr,exact_mass"]

@@ -16,9 +16,10 @@ Exact powering keeps integer numerators over the common denominator
 and `power_step` are the Fraction reference for one step.  The uniform
 law is stationary, so the excess e = num q**n - w (n(q-1))**k of the
 k-step law over it obeys the same integer step (`kstep_excess`); both
-walk one loop.  `numerators_must_exceed` proves, with no exact step,
-that the numerators must pass a bit budget: a float max-plus shadow of
-the integer step (`_bit_floors`) gives a certified floor on their bits.
+walk one loop.  A float max-plus shadow of the integer step
+(`_bit_floors`) gives a certified floor on the numerators' bits, so a
+numerator walk that must pass its bit budget before its first k
+raises with no exact step (`numerators_must_exceed`).
 Float powering has one loop too, `float_lockstep`: it
 packs the schemes of a whole grid end to end in one array, steps them
 all with one `float_power_step` call per step, each row resuming from
@@ -26,8 +27,10 @@ the checkpoints earlier float trajectories on its scheme yielded, and
 takes each law's distance to uniform on that array.  Elementwise IEEE
 arithmetic rounds the same at any array layout and a neighbouring row
 adds exact zeros, so a row's masses and distance are bit for bit those
-of its scheme walked alone.  `kstep_tv` turns the exact excess, or the
-float pass, into the distance to uniform.
+of its scheme walked alone.  Both loops plan before their first step
+(`_check_plan`): a pass or walk past `FLOAT_STEP_BUDGET` class-steps or
+`STEP_CALL_BUDGET` steps raises `ResourceBudgetError`.  `kstep_tv` turns
+the exact excess, or the float pass, into the distance to uniform.
 """
 
 import math
@@ -56,15 +59,29 @@ DEFAULT_BIT_BUDGET = 10 ** 6
 DEFAULT_STATE_BUDGET = 10 ** 6
 FLOAT_STEP_BUDGET = 10 ** 11
 """Most class-steps, sum over rows of (last k - resumed k0)(n+1), one
-`float_lockstep` pass may plan.  The largest passes asked of the package
-are dense grids of every n <= 2000 at c = 3 (`minorant_sweep(q, 1, c=3,
-n_grid=range(1, 2001))`): 4.4e9 class-steps at q = 3 (66 s in process),
-6.0e9 at q = 5 (119 s) and 7.3e9 at q = 8.  The default minorant sweeps
-plan <= 1.6e8, default `verify majorant` 6.0e5 and the n = 500 window
-9.1e5.  10**11 leaves ten times the largest of these, yet refuses 10**12
-steps of H(3, 3) (4e12 class-steps), where `bounds.float_tv_error` is
-inf past k = 2**41 anyway.  Narrow rows pay a per-step overhead of
-microseconds, so at small n this bounds the work, not the time."""
+`float_lockstep` pass may plan, and (last k)(n+1) one exact walk.  The
+largest passes asked of the package are dense grids of every n <= 2000
+at c = 3 (`minorant_sweep(q, 1, c=3, n_grid=range(1, 2001))`): 4.4e9
+class-steps at q = 3 (66 s in process), 6.0e9 at q = 5 (119 s) and
+7.3e9 at q = 8.  The default minorant sweeps plan <= 1.6e8, default
+`verify majorant` 6.0e5 and the n = 500 window 9.1e5 (float or exact).
+10**11 leaves ten times the largest of these, yet refuses 10**12 steps
+of H(3, 3) (4e12 class-steps), where `bounds.float_tv_error` is inf past
+k = 2**41 anyway.  Narrow rows pay a per-step overhead of microseconds,
+so at small n this bounds the work, not the time: `STEP_CALL_BUDGET`
+bounds the steps."""
+STEP_CALL_BUDGET = 10 ** 7
+"""Most steps, max over rows of last k - resumed k0, one `float_lockstep`
+pass may plan: each is one `float_power_step` call, about 2 us of
+dispatch however narrow the rows (H(3, 3), 2-core Intel Xeon), which
+`FLOAT_STEP_BUDGET` does not see.  The largest passes asked of the
+package take about 1.1e4 steps (dense grids of every n <= 2000 at c =
+3, q <= 8), the n = 500 window 1818, and the n = 10**5 cutoff window of
+ROADMAP item 7 about 5.4e5 (k = b_n (log n(q-1) + 4) at q = 3).  10**7
+leaves 18 times the largest of these, about 20 s of narrow steps, and
+refuses the 10**10 steps of a profile of H(3, 3) that plans only 4e10
+class-steps.  The exact chain (`_int_chain`) plans its walk by the same
+two budgets."""
 
 
 @dataclass(frozen=True)
@@ -108,13 +125,37 @@ def power_step(dist: RadialDistribution, m: RadialMatrix) -> RadialDistribution:
     return RadialDistribution(dist.params, new, dist.backend)
 
 
-def _sorted_steps(ks) -> tuple:
-    ks = tuple(ks)
-    if any(k < 0 for k in ks):
+def _sorted_steps(ks):
+    """ks as a sequence, checked to be sorted, distinct and >= 0.  A
+    `range` is checked from its ends and step and returned unbuilt, so a
+    grid of 10**10 steps costs nothing until a planning check refuses it;
+    any other iterable becomes a tuple."""
+    if isinstance(ks, range):
+        low = min(ks[0], ks[-1]) if ks else 0
+        ordered = not ks or ks.step > 0 or ks[0] == ks[-1]
+    else:
+        ks = tuple(ks)
+        low = min(ks, default=0)
+        ordered = all(a < b for a, b in zip(ks, ks[1:]))
+    if low < 0:
         raise ParameterError("step count k must be >= 0")
-    if any(a >= b for a, b in zip(ks, ks[1:])):
+    if not ordered:
         raise ParameterError("step counts must be sorted and distinct")
     return ks
+
+
+def _check_plan(what: str, class_steps: int, steps: int) -> None:
+    """The planning rule of both k-step loops, applied once before the
+    first step: `ResourceBudgetError` past `FLOAT_STEP_BUDGET` class-steps
+    or past `STEP_CALL_BUDGET` steps."""
+    if class_steps > FLOAT_STEP_BUDGET:
+        raise ResourceBudgetError(
+            f"{what} of {class_steps} class-steps exceeds the budget {FLOAT_STEP_BUDGET}"
+        )
+    if steps > STEP_CALL_BUDGET:
+        raise ResourceBudgetError(
+            f"{what} of {steps} steps exceeds the step budget {STEP_CALL_BUDGET}"
+        )
 
 
 def int_power_step(num: list, n: int, q: int) -> list:
@@ -136,19 +177,34 @@ def _check_bit_budget(bit_budget) -> None:
         raise ParameterError(f"bit budget must be >= 0, got {bit_budget}")
 
 
-def _int_chain(params: SchemeParams, vec: list, ks, bit_budget, what: str):
+def _int_chain(params: SchemeParams, vec: list, ks, bit_budget, what: str,
+               floored: bool = False):
     """The package's one exact k-step loop: yield (k, vec after k steps)
     for sorted, distinct ks, max(ks) `int_power_step`s in all.
 
-    A negative `bit_budget` is a `ParameterError` before any step.  Past
-    a step, `ResourceBudgetError` once the sum of the bit lengths of the
-    integers in vec exceeds `bit_budget` (`math.inf`: no bound).
+    Before any step: a negative `bit_budget` is a `ParameterError`, and
+    a walk past `_check_plan`'s budgets (max(ks)(n+1) class-steps, max(ks)
+    steps) a `ResourceBudgetError`.  So is, with `floored` (vec is the
+    point mass, whose bits `numerators_must_exceed` bounds), a walk
+    proven to pass `bit_budget` by its first k, which would raise before
+    its first yield anyway.
+    Past a step, `ResourceBudgetError` once the sum of the bit lengths of
+    the integers in vec exceeds `bit_budget` (`math.inf`: no bound).
     """
     _check_bit_budget(bit_budget)
     n, q = params.n, params.q
+    ks = _sorted_steps(ks)
+    if not ks:
+        return
+    _check_plan(f"exact {what} walk", ks[-1] * (n + 1), ks[-1])
+    trip = floored and numerators_must_exceed(params, ks[0], bit_budget)
+    if trip:
+        raise ResourceBudgetError(
+            f"exact {what} must exceed {bit_budget} bits at n={n} by k={trip}"
+        )
     bounded = bit_budget < math.inf  # the bit count costs ~5 % of a step
     done = 0
-    for k in _sorted_steps(ks):
+    for k in ks:
         for step in range(done + 1, k + 1):
             vec = int_power_step(vec, n, q)
             if bounded and sum(map(int.bit_length, vec)) > bit_budget:
@@ -161,8 +217,10 @@ def _int_chain(params: SchemeParams, vec: list, ks, bit_budget, what: str):
 
 def kstep_numerators(params: SchemeParams, ks, bit_budget=DEFAULT_BIT_BUDGET):
     """Yield (k, num) for sorted, distinct ks; num[l] = mass[l] (n(q-1))**k.
-    `_int_chain` from the point mass; `bit_budget` caps num's bits."""
-    return _int_chain(params, [1] + [0] * params.n, ks, bit_budget, "numerators")
+    `_int_chain` from the point mass; `bit_budget` caps num's bits, and a
+    walk `numerators_must_exceed` shows must pass it by min(ks) takes no
+    step."""
+    return _int_chain(params, [1] + [0] * params.n, ks, bit_budget, "numerators", True)
 
 
 def kstep_excess(params: SchemeParams, ks, bit_budget=DEFAULT_BIT_BUDGET):
@@ -246,8 +304,9 @@ def float_lockstep(jobs):
     exact 0.0, so each mass and tv is bit for bit that of the scheme
     walked alone from k = 0 and `tv_distance` to the float uniform law.
     A pass that plans more than `FLOAT_STEP_BUDGET` class-steps, sum over
-    rows of (last k - k0)(n+1), raises `ResourceBudgetError` before its
-    first step.
+    rows of (last k - k0)(n+1), or more than `STEP_CALL_BUDGET` step
+    calls, max over rows of last k - k0, raises `ResourceBudgetError`
+    before its event list is built (`_check_plan`).
     """
     rows = []  # (steps left, job index, params, ks, k0, start mass, weak marks, cap)
     for i, (params, ks) in enumerate(jobs):
@@ -262,11 +321,8 @@ def float_lockstep(jobs):
         rows.append((ks[-1] - k0, i, params, ks, k0, start, weakref.ref(marks), cap))
     if not rows:
         return
-    planned = sum(row[0] * (row[2].n + 1) for row in rows)
-    if planned > FLOAT_STEP_BUDGET:
-        raise ResourceBudgetError(
-            f"float pass of {planned} class-steps exceeds the budget {FLOAT_STEP_BUDGET}"
-        )
+    _check_plan("float pass", sum(row[0] * (row[2].n + 1) for row in rows),
+                max(row[0] for row in rows))
     rows.sort(key=lambda row: row[:2])
     events = sorted((k - row[4], j, k) for j, row in enumerate(rows) for k in row[3])
     offs = list(accumulate((row[2].n + 1 for row in rows), initial=1))  # row j: offs[j]:offs[j+1]
@@ -402,11 +458,11 @@ def _bit_floors(params: SchemeParams, k: int, first: int = 1):
 
 def numerators_must_exceed(
     params: SchemeParams, k: int, bit_budget=DEFAULT_BIT_BUDGET
-) -> bool:
-    """True only if `kstep_numerators` must pass `bit_budget` at some step
-    s <= k, so `kstep_oracle(params, k, bit_budget)` raises
-    `ResourceBudgetError`: some `_bit_floors` floor exceeds the budget.
-    False when no trip is proven.
+) -> int:
+    """The first step s <= k whose `_bit_floors` floor exceeds
+    `bit_budget`, so `kstep_numerators` must pass the budget by step s and
+    `kstep_oracle(params, k, bit_budget)` raises `ResourceBudgetError`;
+    0 (false) when no trip is proven.
 
     Costs nothing while (n+1)(k log2 n(q-1) + 1), which bounds the bits
     at step k (num[l] <= (n(q-1))**k), stays within the budget; otherwise
@@ -420,10 +476,10 @@ def numerators_must_exceed(
     if room < 0:
         first = 1
     elif log_d == 0 or k <= room / log_d:  # no trip up to step k
-        return False
+        return 0
     else:
         first = math.floor(room / log_d) + 1
-    return any(floor > bit_budget for _, _, floor in _bit_floors(params, k, first))
+    return next((s for s, _, floor in _bit_floors(params, k, first) if floor > bit_budget), 0)
 
 
 def enumerate_tiny_steps(

@@ -79,24 +79,29 @@ class ClassWeights:
     total: int
 
 
+def _weights(params: SchemeParams):
+    """Yield w[0], ..., w[n] by the exact recurrence w[l+1] = w[l] (n-l)
+    (q-1) / (l+1), whose division is exact because w[l] (n-l) = (l+1)
+    C(n, l+1) (q-1)**l.  Only the current weight is held."""
+    n, q = params.n, params.q
+    wl = 1
+    yield wl
+    for l in range(n):
+        wl = wl * (n - l) * (q - 1) // (l + 1)
+        yield wl
+
+
 @lru_cache(maxsize=128)
 def class_weights(params: SchemeParams) -> ClassWeights:
-    """Sizes of the distance classes around the basepoint, as big integers.
-
-    Built by the exact recurrence w[l+1] = w[l] (n-l)(q-1) / (l+1), whose
-    division is exact because w[l] (n-l) = (l+1) C(n, l+1) (q-1)**l.
-    """
-    n, q = params.n, params.q
-    w = [1]
-    for l in range(n):
-        w.append(w[l] * (n - l) * (q - 1) // (l + 1))
-    return ClassWeights(params, tuple(w), params.size)
+    """Sizes of the distance classes around the basepoint, as big integers
+    (`_weights`), cached for the exact paths that read them again."""
+    return ClassWeights(params, tuple(_weights(params)), params.size)
 
 
-@lru_cache(maxsize=64)
 def log_class_weights(params: SchemeParams) -> np.ndarray:
     """log w[l] = log((q-1)**l C(n, l)) via lgamma, as a read-only float64
-    array: `class_weights` for float paths, where w[l] may overflow."""
+    array: `class_weights` for float paths, where w[l] may overflow.  Not
+    cached: its callers cache what they derive from it."""
     n, q = params.n, params.q
     ls = np.arange(n + 1, dtype=np.float64)
     logw = (
@@ -164,12 +169,18 @@ def _log_int(v: int) -> float:
 
 @lru_cache(maxsize=256)
 def uniform(params: SchemeParams, backend: Backend = "exact") -> RadialDistribution:
-    """The stationary distribution: mass[l] = w[l] / q**n."""
-    cw = class_weights(params)
+    """The stationary distribution: mass[l] = w[l] / q**n.
+
+    Exact: Fractions of the cached `class_weights`.  Float: each mass is
+    the correctly rounded quotient of w[l] and q**n, taken as `_weights`
+    yields w[l], so no exact weight is cached or held past its class.
+    """
     if backend == "exact":
+        cw = class_weights(params)
         mass = tuple(Fraction(wl, cw.total) for wl in cw.w)
     else:
-        mass = np.array([wl / cw.total for wl in cw.w], dtype=np.float64)
+        total = params.size
+        mass = np.array([wl / total for wl in _weights(params)], dtype=np.float64)
     return RadialDistribution(params, mass, backend)
 
 

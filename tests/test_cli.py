@@ -143,6 +143,39 @@ def test_profile_bound_roots_past_the_normal_float_range(capsys):
     assert rows[-1][4] < math.sqrt(sys.float_info.min)  # c ~ 1,081: both in logs
 
 
+def test_profile_lemma_root_past_the_top_of_the_float_range(capsys):
+    # on H(1000, 3) the lemma bound (3**1000 - 1)/4 at k = 0 is past the
+    # float range, but its root ~1.8e238 is not; the majorant at c <= -6
+    # stays inf, its log form holding only for large c
+    code, out, err = run(["profile", "--n", "1000", "--q", "3", "--k-min", "0",
+                          "--k-max", "100", "--k-step", "100", "--backend", "float"], capsys)
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [r[0] for r in rows] == ["0", "100"]
+    log_root = (math.log(3 ** 1000 - 1) - math.log(4)) / 2
+    assert math.isclose(float(rows[0][3]), math.exp(log_root), rel_tol=1e-12)
+    assert all(math.isfinite(float(r[3])) and r[4] == "inf" for r in rows)
+    assert upper_bound_lemma_rhs(make_scheme(1000, 3), 100, "float") == math.inf
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", "3", "--k-max", "10000000000", "--backend", "float"],
+    ["--n", "3", "--k-min", "10000000000", "--k-max", "10000000000", "--backend", "float"],
+    ["--n", "1", "--k-min", "1000000000000", "--k-max", "1000000000000", "--backend", "exact"],
+    ["--n", "3", "--k-min", "1000000000000", "--k-max", "1000000000000", "--backend", "exact"],
+], ids=["float-grid", "float-steps", "exact-n1", "exact-n3"])
+def test_profile_refuses_unending_walks_before_the_first_step(argv, monkeypatch, capsys):
+    # a 10**10-step grid used to be built in memory, 10**10 narrow float
+    # steps and 10**12 exact ones used to run for seconds or until killed
+    monkeypatch.setattr(radial, "float_power_step", lambda *a: pytest.fail("stepped"))
+    monkeypatch.setattr(radial, "int_power_step", lambda *a: pytest.fail("stepped"))
+    start = time.perf_counter()
+    code, out, err = run(["profile", "--q", "3", *argv], capsys)
+    assert (code, out) == (3, "") and time.perf_counter() - start < 5
+    assert re.fullmatch(r"resource cap: (float pass|exact excess walk) of \d+ (class-)?steps "
+                        r"exceeds the (step )?budget \d+\n", err)
+
+
 def test_profile_resource_cap(capsys):
     code, _, err = run(
         ["profile", "--n", "40", "--q", "6", "--k-max", "400", "--backend", "exact",

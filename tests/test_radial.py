@@ -300,6 +300,77 @@ def test_bit_floor_proves_the_simulate_trips_without_an_exact_step(monkeypatch):
     assert not radial.numerators_must_exceed(make_scheme(300, 3), 400)
 
 
+def test_numerator_walks_proven_to_trip_take_no_step(monkeypatch):
+    # the floor proves the oracle's trip at n = 300, q = 4 by step 386
+    # (the true trip is at 351), so every exact law raises at once
+    real_step = radial.int_power_step
+    monkeypatch.setattr(radial, "int_power_step", lambda *a: pytest.fail("stepped"))
+    p = make_scheme(300, 4)
+    match = r"^exact numerators must exceed 1000000 bits at n=300 by k=386$"
+    with pytest.raises(ResourceBudgetError, match=match):
+        kstep_oracle(p, 600)
+    with pytest.raises(ResourceBudgetError, match=match):
+        next(kstep_trajectory(p, (600, 700), "exact"))
+    # a trip proven only past the first k: that k is still served, and the
+    # exact walk trips where its own bit count says
+    monkeypatch.setattr(radial, "int_power_step", real_step)
+    p = make_scheme(9, 4)
+    bits = [sum(v.bit_length() for v in num)
+            for _, num in kstep_numerators(p, range(41), math.inf)]
+    budget = max(bits[1:41]) // 2
+    assert radial.numerators_must_exceed(p, 40, budget)
+    assert not radial.numerators_must_exceed(p, 1, budget)
+    walk = kstep_numerators(p, (1, 40), budget)
+    assert next(walk)[0] == 1
+    first = next(s for s, b in enumerate(bits) if b > budget)
+    with pytest.raises(ResourceBudgetError, match=f"exceeded {budget} bits at n=9, k={first}$"):
+        next(walk)
+
+
+def test_a_range_of_steps_is_checked_without_being_built():
+    huge = range(0, 10 ** 30, 7)
+    assert radial._sorted_steps(huge) is huge
+    for ks in (range(3, 3), range(4, 5, -1), range(4, 3, -1), range(0, 10 ** 30)):
+        assert radial._sorted_steps(ks) is ks
+    with pytest.raises(ParameterError, match="sorted"):
+        radial._sorted_steps(range(10 ** 30, 0, -1))
+    with pytest.raises(ParameterError, match=">= 0"):
+        radial._sorted_steps(range(-3, 10 ** 30))
+    with pytest.raises(ParameterError, match=">= 0"):
+        radial._sorted_steps(range(5, -2, -3))
+    assert radial._sorted_steps(iter([2, 5])) == (2, 5)
+
+
+def test_step_call_budget_refuses_a_pass_before_its_first_step(monkeypatch):
+    monkeypatch.setattr(radial, "float_power_step", lambda *a: pytest.fail("stepped"))
+    p, q = make_scheme(3, 7), make_scheme(5, 7)
+    _float_marks.cache_clear()
+    # 4e10 class-steps pass the class-step budget, 10**10 step calls do not
+    with pytest.raises(ResourceBudgetError,
+                       match=r"^float pass of 10000000000 steps exceeds the step budget"):
+        next(radial.float_lockstep(((p, range(0, 10 ** 10 + 1)),)))
+    # the longest row sets the step calls: 10 here, 76 class-steps
+    jobs = ((p, (4, 10)), (q, (6,)))
+    monkeypatch.setattr(radial, "STEP_CALL_BUDGET", 9)
+    with pytest.raises(ResourceBudgetError, match=r"of 10 steps exceeds the step budget 9$"):
+        next(radial.float_lockstep(jobs))
+    # the class-step budget is checked first
+    monkeypatch.setattr(radial, "FLOAT_STEP_BUDGET", 75)
+    with pytest.raises(ResourceBudgetError, match="76 class-steps"):
+        next(radial.float_lockstep(jobs))
+
+
+def test_exact_walks_are_planned_before_their_first_step(monkeypatch):
+    # 10**8 steps of H(1, 3) plan only 2e8 class-steps, under that budget
+    monkeypatch.setattr(radial, "int_power_step", lambda *a: pytest.fail("stepped"))
+    with pytest.raises(ResourceBudgetError,
+                       match="^exact numerators walk of 100000000 steps exceeds the step budget"):
+        next(kstep_numerators(make_scheme(1, 3), range(0, 10 ** 8 + 1), math.inf))
+    monkeypatch.setattr(radial, "FLOAT_STEP_BUDGET", 3 * 7 - 1)
+    with pytest.raises(ResourceBudgetError, match="walk of 21 class-steps"):
+        next(kstep_excess(make_scheme(2, 3), (0, 7), math.inf))
+
+
 def test_excess_chain_is_numerators_minus_uniform():
     # e = num q**n - w (n(q-1))**k, the excess over uniform, at every k
     for n in range(1, 13):

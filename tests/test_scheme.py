@@ -72,6 +72,27 @@ def test_log_class_weights_match_the_exact_weights():
             logw[0] = 0.0
 
 
+def test_log_class_weights_are_not_cached():
+    # its callers (`bounds._lemma_terms`, `krawtchouk._float_table`) cache
+    # what they derive from it
+    assert not hasattr(log_class_weights, "cache_info")
+
+
+@pytest.mark.parametrize("q", [3, 5, 10 ** 400], ids=["q3", "q5", "q10e400"])
+def test_float_uniform_law_reads_no_exact_class_weights(q):
+    # each mass is the correctly rounded w[l] / q**n, taken as the weight
+    # recurrence yields w[l]: the exact weights' cache is neither read
+    # nor filled
+    p = make_scheme(37, q)
+    uniform.cache_clear()
+    class_weights.cache_clear()
+    before = class_weights.cache_info()
+    mass = uniform(p, "float").mass
+    assert class_weights.cache_info() == before
+    expected = [wl / p.size for wl in class_weights(p).w]
+    assert [v.hex() for v in mass.tolist()] == [v.hex() for v in expected]
+
+
 def test_uniform_examples():
     u = uniform(make_scheme(2, 3))
     assert u.mass == (Fraction(1, 9), Fraction(4, 9), Fraction(4, 9))
