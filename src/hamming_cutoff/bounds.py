@@ -357,7 +357,7 @@ def check_majorant(
     """`majorant_cells` at the one offset c; `exact` rounding needs an
     integer schedule value (within 1e-9), checking the literal theorem.
 
-    Float calls resume from the scheme's float checkpoints, so a run of
+    Float calls resume from the scheme's float checkpoint, so a run of
     one-c calls in ascending c takes max k steps in all, not their sum.
     """
     return majorant_cells(params, (c,), rounding, backend)[0]
@@ -442,7 +442,7 @@ def check_minorant(
     The inequality is guaranteed by the minorant theorem only for n past
     an unspecified threshold; callers assert it only where an empirical
     sweep has established validity.  A float tv resumes from the scheme's
-    float checkpoints, so `minorant_diagnostics` at the same k takes no
+    float checkpoint, so `minorant_diagnostics` at the same k takes no
     further step.
     """
     if not c <= c0:

@@ -6,9 +6,12 @@ found, 2 usage error, 3 resource budget exceeded.
 """
 
 import argparse
+import contextlib
+import itertools
 import json
 import math
 import sys
+import textwrap
 
 from . import bounds, verify
 from .krawtchouk import build_table
@@ -23,12 +26,15 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
-def _write(text: str, out: str) -> None:
+def _open(out: str):
     if out in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", newline="") as fh:
-            fh.write(text)
+        return contextlib.nullcontext(sys.stdout)
+    return open(out, "w", newline="")
+
+
+def _write(text: str, out: str) -> None:
+    with _open(out) as fh:
+        fh.write(text)
 
 
 def _sqrt(value: float, log_value) -> float:
@@ -59,6 +65,30 @@ def _profile_row(params, k: int, tv: float, b: float) -> dict:
     }
 
 
+def _json_cell(x):
+    """x, or for a non-finite float the text the CSV prints for it, so the
+    JSON stays standard (RFC 8259 has no NaN or Infinity)."""
+    return _fmt(x) if isinstance(x, float) and not math.isfinite(x) else x
+
+
+def _profile_text(rows, fmt: str, head: dict):
+    """The profile as chunks of text, one per row, so no row is held once
+    written: the CSV lines, or json.dumps(dict(head, rows=[...]), indent=2)."""
+    if fmt == "csv":
+        yield PROFILE_HEADER + "\n"
+        keys = PROFILE_HEADER.split(",")[1:]
+        for r in rows:
+            yield ",".join([str(r["k"])] + [_fmt(r[key]) for key in keys]) + "\n"
+        return
+    yield json.dumps(head, indent=2, allow_nan=False)[:-2] + ',\n  "rows": [\n'  # less "\n}"
+    sep = ""
+    for r in rows:
+        cells = {key: _json_cell(value) for key, value in r.items()}
+        yield sep + textwrap.indent(json.dumps(cells, indent=2, allow_nan=False), "    ")
+        sep = ",\n"
+    yield "\n  ]\n}\n"
+
+
 def cmd_profile(args) -> int:
     params = make_scheme(args.n, args.q)
     if args.k_min > args.k_max or args.k_min < 0 or args.k_step < 1:
@@ -66,29 +96,16 @@ def cmd_profile(args) -> int:
     bounds.minorant_value(params.q, args.b, 0.0)  # reject a bad b before any step
     backend = bounds.resolve_backend(params, args.backend)
     ks = range(args.k_min, args.k_max + 1, args.k_step)
-    rows = [
-        _profile_row(params, k, float(tv), args.b)
-        for k, tv in kstep_tv(params, ks, backend, args.bit_budget)
-    ]
-    if args.format == "csv":
-        lines = [PROFILE_HEADER]
-        for r in rows:
-            lines.append(
-                ",".join(
-                    [str(r["k"])]
-                    + [_fmt(r[key]) for key in PROFILE_HEADER.split(",")[1:]]
-                )
-            )
-        _write("\n".join(lines) + "\n", args.out)
-    else:
-        payload = {
-            "n": params.n,
-            "q": params.q,
-            "backend": backend,
-            "b": args.b,
-            "rows": rows,
-        }
-        _write(json.dumps(payload, indent=2) + "\n", args.out)
+    tvs = kstep_tv(params, ks, backend, args.bit_budget)
+    first = next(tvs)  # a refused plan raises here, before any output
+    rows = (_profile_row(params, k, float(tv), args.b)
+            for k, tv in itertools.chain((first,), tvs))
+    head = {"n": params.n, "q": params.q, "backend": backend, "b": args.b}
+    # each row is written as it is computed; a walk that passes its bit
+    # budget partway keeps the rows before it (exit 3)
+    with _open(args.out) as fh:
+        for text in _profile_text(rows, args.format, head):
+            fh.write(text)
     return 0
 
 

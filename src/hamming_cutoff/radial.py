@@ -23,7 +23,7 @@ raises with no exact step (`numerators_must_exceed`).
 Float powering has one loop too, `float_lockstep`: it
 packs the schemes of a whole grid end to end in one array, steps them
 all with one `float_power_step` call per step, each row resuming from
-the checkpoints earlier float trajectories on its scheme yielded, and
+the latest state an earlier float trajectory on its scheme yielded, and
 takes each law's distance to uniform on that array.  Elementwise IEEE
 arithmetic rounds the same at any array layout and a neighbouring row
 adds exact zeros, so a row's masses and distance are bit for bit those
@@ -33,9 +33,9 @@ of its scheme walked alone.  Both loops plan before their first step
 the exact excess, or the float pass, into the distance to uniform.
 """
 
+import heapq
 import math
 import threading
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -72,16 +72,18 @@ so at small n this bounds the work, not the time: `STEP_CALL_BUDGET`
 bounds the steps."""
 STEP_CALL_BUDGET = 10 ** 7
 """Most steps, max over rows of last k - resumed k0, one `float_lockstep`
-pass may plan: each is one `float_power_step` call, about 2 us of
-dispatch however narrow the rows (H(3, 3), 2-core Intel Xeon), which
-`FLOAT_STEP_BUDGET` does not see.  The largest passes asked of the
-package take about 1.1e4 steps (dense grids of every n <= 2000 at c =
-3, q <= 8), the n = 500 window 1818, and the n = 10**5 cutoff window of
-ROADMAP item 7 about 5.4e5 (k = b_n (log n(q-1) + 4) at q = 3).  10**7
-leaves 18 times the largest of these, about 20 s of narrow steps, and
-refuses the 10**10 steps of a profile of H(3, 3) that plans only 4e10
-class-steps.  The exact chain (`_int_chain`) plans its walk by the same
-two budgets."""
+pass may plan: each is one `float_power_step` call, 2.3-3.9 us of
+dispatch however narrow the rows, which `FLOAT_STEP_BUDGET` does not
+see (10**6 steps of H(3, 3), `profile --n 3 --q 3 --k-min 1000000
+--k-max 1000000 --backend float`, took 2.5-4.1 s with 0.2-0.3 s of
+start-up over 8 runs on a 2-core Intel Xeon).  The largest passes asked
+of the package take about 1.1e4 steps (dense grids of every n <= 2000
+at c = 3, q <= 8), the n = 500 window 1818, and the n = 10**5 cutoff
+window of ROADMAP item 7 about 5.4e5 (k = b_n (log n(q-1) + 4) at q =
+3).  10**7 leaves 18 times the largest of these, 25-40 s of narrow
+steps, and refuses the 10**10 steps of a profile of H(3, 3) that plans
+only 4e10 class-steps.  The exact chain (`_int_chain`) plans its walk by
+the same two budgets."""
 
 
 @dataclass(frozen=True)
@@ -236,27 +238,21 @@ def kstep_excess(params: SchemeParams, ks, bit_budget=DEFAULT_BIT_BUDGET):
     return _int_chain(params, e, ks, bit_budget, "excess")
 
 
-_MARKS_LOCK = threading.Lock()  # guards every `_float_marks` dict
-
-
-class _Marks(dict):
-    """One scheme's float checkpoints, k -> mass; a plain dict that a
-    trajectory can reference weakly."""
+_MARKS_LOCK = threading.Lock()  # guards every `_float_marks` holder
 
 
 @lru_cache(maxsize=32)
-def _float_marks(params: SchemeParams) -> dict:
-    """Float states earlier trajectories on this scheme yielded: k -> mass.
+def _float_marks(params: SchemeParams) -> list:
+    """The latest float state a trajectory on this scheme yielded, as a
+    one-slot holder [k, mass] ([0, None] until one is recorded).
 
-    Each mass is the read-only array of a yielded `RadialDistribution`
-    and is never written.  At most min(64, 2**16 // (n+1)) states per
-    scheme (a full scheme drops every other one) and 32 schemes are
-    kept, so the cache holds at most 2**21 float64s (16 MiB).  A
-    trajectory holds its scheme's states weakly and stops recording once
-    the cache drops them, so a pass over more than 32 schemes keeps no
-    more.
+    Each mass is the read-only array of a yielded law and is never
+    written; every later yield on the scheme overwrites the slot.  32
+    schemes are kept, one (n+1)-class state each.  A pass holds its rows'
+    holders until it ends, so a scheme the cache drops mid-pass costs at
+    most one more state.
     """
-    return _Marks()
+    return [0, None]
 
 
 def kstep_trajectory(
@@ -266,8 +262,8 @@ def kstep_trajectory(
 
     Exact: Fractions over `kstep_numerators`, bounded by `bit_budget`.
     Float: the one-row case of `float_lockstep`, the package's one float
-    k-step loop: O(n * (max(ks) - k0)) work from the largest checkpoint
-    k0 <= min(ks) that an earlier float trajectory on the scheme yielded.
+    k-step loop: O(n * (max(ks) - k0)) work from the scheme's latest
+    checkpoint k0 when 0 < k0 <= min(ks), else from k0 = 0.
     Every class is rounded as in a walk from k = 0 on the scheme's own
     1-D arrays, so the masses are bit for bit the same, alone or stacked.
     """
@@ -292,39 +288,44 @@ def float_lockstep(jobs):
     The rows lie end to end in one zero-guarded array (down[0] = up[n] =
     0, so no mass crosses between rows), and one `float_power_step` call
     into the other of two reused buffers steps every row short of its
-    last k.  A row resumes from the largest checkpoint k0 <= min(ks) of
-    its scheme (`_float_marks`; else k0 = 0) and records each state it
-    yields.  Rows are sorted by the steps they have left, so finished
-    rows leave as a prefix; the tail row steps only the classes it can
-    have reached (class <= k), widened by doubling.  Sorted events (k -
-    k0, row, k) drive the pass: step up to each event, then yield its
-    row, with tv = `scheme.tv_of_gaps` of its slice of |mass - pi|,
-    formed once per step count.  IEEE elementwise operations round the
-    same at any layout and a neighbouring row or unreached class adds an
-    exact 0.0, so each mass and tv is bit for bit that of the scheme
+    last k.  A row resumes from its scheme's latest state k0
+    (`_float_marks`) when 0 < k0 <= min(ks), else from the point mass at
+    k0 = 0, and each state it yields at k > 0 overwrites that holder.
+    Rows are sorted by the steps they have left, so finished rows leave
+    as a prefix; the tail row steps only the classes it can have reached
+    (class <= k), widened by doubling.  Events (k - k0, row, k), merged
+    in order from the rows' own sorted ks and never held as a list, drive
+    the pass: step up to each event, then yield its row, with tv =
+    `scheme.tv_of_gaps` of its slice of |mass - pi|, formed once per step
+    count.  IEEE elementwise operations round the same at any layout and
+    a neighbouring row or unreached class adds an exact 0.0, so each mass and tv is bit for bit that of the scheme
     walked alone from k = 0 and `tv_distance` to the float uniform law.
     A pass that plans more than `FLOAT_STEP_BUDGET` class-steps, sum over
     rows of (last k - k0)(n+1), or more than `STEP_CALL_BUDGET` step
     calls, max over rows of last k - k0, raises `ResourceBudgetError`
-    before its event list is built (`_check_plan`).
+    before its first step (`_check_plan`).
     """
-    rows = []  # (steps left, job index, params, ks, k0, start mass, weak marks, cap)
+    rows = []  # (steps left, job index, params, ks, k0, start mass, holder)
     for i, (params, ks) in enumerate(jobs):
         ks = _sorted_steps(ks)
         if not ks:
             continue
-        marks = _float_marks(params)
+        holder = _float_marks(params)
         with _MARKS_LOCK:
-            k0 = max((m for m in marks if m <= ks[0]), default=0)
-            start = marks[k0] if k0 else point_mass(params, "float").mass
-        cap = min(64, 2 ** 16 // (params.n + 1))  # states kept per scheme
-        rows.append((ks[-1] - k0, i, params, ks, k0, start, weakref.ref(marks), cap))
+            k0, start = holder
+        if not 0 < k0 <= ks[0]:
+            k0, start = 0, point_mass(params, "float").mass
+        rows.append((ks[-1] - k0, i, params, ks, k0, start, holder))
     if not rows:
         return
     _check_plan("float pass", sum(row[0] * (row[2].n + 1) for row in rows),
                 max(row[0] for row in rows))
     rows.sort(key=lambda row: row[:2])
-    events = sorted((k - row[4], j, k) for j, row in enumerate(rows) for k in row[3])
+
+    def schedule(j, row):  # row j's events (k - k0, j, k), already in order
+        return ((k - row[4], j, k) for k in row[3])
+
+    events = heapq.merge(*(schedule(j, row) for j, row in enumerate(rows)))
     offs = list(accumulate((row[2].n + 1 for row in rows), initial=1))  # row j: offs[j]:offs[j+1]
     down, stay, up, pi, *bufs = arrays = np.zeros((7, offs[-1] + 1))  # bufs: 2 masses, scratch
     for j, row in enumerate(rows):
@@ -355,17 +356,13 @@ def float_lockstep(jobs):
                 done = stop
             a = offs[lo]  # |mass - uniform| of the live rows at this step count
             gaps = np.abs(bufs[cur][a:] - pi[a:])
-        _, i, params, _, _, _, ref, cap = rows[j]
+        i, holder = rows[j][1], rows[j][6]
         tv = tv_of_gaps(gaps[offs[j] - a:offs[j + 1] - a])
         mass = bufs[cur][offs[j]:offs[j + 1]].copy()
         mass.flags.writeable = False
-        with _MARKS_LOCK:
-            marks = ref()
-            if marks is not None and k and k not in marks and cap:
-                if len(marks) >= cap:  # thin out, keeping every other state
-                    for m in sorted(marks)[::2]:
-                        del marks[m]
-                marks[k] = mass
+        if k:
+            with _MARKS_LOCK:
+                holder[:] = k, mass
         yield i, k, tv, mass
 
 
@@ -377,7 +374,7 @@ def kstep_tv(params: SchemeParams, ks, backend: Backend, bit_budget=DEFAULT_BIT_
     4.2).  Exact: the Fraction sum(map(abs, e)) / (2 q**n (n(q-1))**k)
     over `kstep_excess` (`bit_budget` caps e's bits); no distribution is
     built.  Float: the tv of the one-row `float_lockstep` pass (resumed
-    from the scheme's float checkpoints), bit for bit `scheme.tv_distance`
+    from the scheme's float checkpoint), bit for bit `scheme.tv_distance`
     of the law against the float uniform law; no distribution is built.
     A negative `bit_budget` is a `ParameterError` before any step on
     either backend, though only the exact one reads it.

@@ -4,13 +4,14 @@ import re
 import sys
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
 from hamming_cutoff import class_weights, cli, make_scheme, radial
 from hamming_cutoff.bounds import majorant_value, minorant, upper_bound_lemma_rhs
 from hamming_cutoff.cli import PROFILE_HEADER, main
-from hamming_cutoff.scheme import ParameterError
+from hamming_cutoff.scheme import ParameterError, ResourceBudgetError
 
 
 def run(args, capsys):
@@ -76,6 +77,71 @@ def test_profile_json_round_trip(capsys):
     assert [r["k"] for r in payload["rows"]] == list(range(6))
     # round-trip: emitting the parsed rows reproduces the same floats
     assert json.loads(json.dumps(payload)) == payload
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not standard JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("argv, cell", [
+    (["--n", "2", "--q", "3", "--k-max", "10"], "nan"),  # the README's example
+    (["--n", "500", "--q", "3", "--k-max", "0", "--backend", "float"], "inf"),
+    (["--n", "3", "--q", str(10 ** 400), "--k-max", "3", "--backend", "float"], "-inf"),
+], ids=["nan", "inf", "-inf"])
+def test_profile_json_is_standard_past_the_float_range(argv, cell, capsys):
+    # a non-finite cell is written as the text the CSV prints for it, and
+    # every finite cell as the CSV's float
+    code, out, _ = run(["profile", *argv, "--format", "json"], capsys)
+    assert code == 0
+    rows = _strict_json(out)["rows"]
+    code, csv, _ = run(["profile", *argv], capsys)
+    assert code == 0
+    lines = csv.splitlines()
+    keys = lines[0].split(",")
+    assert len(rows) == len(lines) - 1
+    for row, line in zip(rows, lines[1:]):
+        assert list(row) == keys
+        for value, text in zip(row.values(), line.split(",")):
+            assert value == text if isinstance(value, str) else value == float(text)
+    assert cell in [value for row in rows for value in row.values()]
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_profile_keeps_its_rows_when_a_walk_passes_its_budget(to_file, tmp_path, monkeypatch,
+                                                              capsys):
+    # rows are written as they are computed: a walk refused after three
+    # rows leaves the header and those rows, and exits 3
+    def three_rows_then_refuse(params, ks, backend, bit_budget):
+        for k in list(ks)[:3]:
+            yield k, Fraction(1, 2)
+        raise ResourceBudgetError("exact excess exceeded 10 bits at n=6, k=3")
+
+    monkeypatch.setattr(cli, "kstep_tv", three_rows_then_refuse)
+    out_file = tmp_path / "profile.csv"
+    argv = ["profile", "--n", "6", "--q", "3", "--k-max", "9"]
+    code, out, err = run(argv + (["--out", str(out_file)] if to_file else []), capsys)
+    if to_file:
+        assert out == ""
+        out = out_file.read_text()
+    assert code == 3
+    assert err == "resource cap: exact excess exceeded 10 bits at n=6, k=3\n"
+    lines = out.splitlines()
+    assert lines[0] == PROFILE_HEADER
+    assert [line.split(",")[:3] for line in lines[1:]] == [[str(k), mock.ANY, "0.5"]
+                                                          for k in range(3)]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--bit-budget", "-1"], 2),
+    (["--k-min", "1000000000000", "--k-max", "1000000000000", "--backend", "float"], 3),
+], ids=["usage", "budget"])
+def test_profile_refused_before_its_first_row_creates_no_file(argv, code, tmp_path, capsys):
+    out_file = tmp_path / "profile.csv"
+    assert run(["profile", "--n", "3", "--q", "3", "--k-max", "5", *argv,
+                "--out", str(out_file)], capsys)[:2] == (code, "")
+    assert not out_file.exists()
 
 
 def test_profile_usage_errors(capsys):
