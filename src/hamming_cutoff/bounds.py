@@ -138,7 +138,12 @@ def upper_bound_lemma_rhs(params: SchemeParams, k: int, backend: Backend = "exac
         )
     if backend != "float":
         raise ParameterError(f"unknown backend {backend!r}")
-    s = lemma_log_sum(params, k)
+    return _lemma_rhs_of_log(lemma_log_sum(params, k))
+
+
+def _lemma_rhs_of_log(s: float) -> float:
+    """The float `upper_bound_lemma_rhs` from s = `lemma_log_sum`: e**s / 4,
+    inf past s = 700."""
     return math.inf if s > 700 else math.exp(s) / 4
 
 
@@ -558,17 +563,26 @@ def lemma32_check(x: float) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass
 class Lemma35Result:
-    """One (family, m, l) entry: integer `terms` (a_{n,mirror}, a_{n,center}) per n."""
+    """One (family, m, l) entry: the ratio chain a_{n,mirror}/a_{n,center}
+    over ns, its cap and whether the chain is ordered and capped.  Not
+    frozen: a frozen init costs more than the entry's own arithmetic, and
+    `verify lemmas` builds 30,198 of them."""
 
     q_case: int
     m: int
     l: int
     ns: tuple
-    terms: tuple
     cap: int
     holds: bool
+
+    @property
+    def terms(self) -> tuple:
+        """The integers (a_{n,mirror}, a_{n,center}) per n, from `math.comb`."""
+        base, center = self.q_case - 1, self.l + self.m - 1
+        return tuple((base ** (n - self.l) * math.comb(n, self.l),
+                      base ** center * math.comb(n, center)) for n in self.ns)
 
     @property
     def ratios(self) -> tuple:
@@ -582,9 +596,16 @@ def lemma35_ratio_chain(q_case: int, m: int) -> tuple:
     n-l, center l+m-1, l = 0..m-1; chain increasing in n, cap 9.
     q_case 4: a_{n,j} = 3**j C(n,j), n in {2m-2, 2m-1}, mirror n-l,
     center l+m-1, l = 0..floor((m-1)/2); cap 8.
-    Binomials are taken once, at l = 0; step l -> l+1 divides exactly,
-    a_{n,hi-1} = a_{n,hi} hi / (base (n-hi+1)), a_{n,j+1} = a_{n,j} base
-    (n-j) / (j+1), and `holds` cross-multiplies, so no gcd is taken.
+    Since C(n+1, j)/C(n, j) = (n+1)/(n+1-j), adjacent n of a chain have
+    ratio(n+1)/ratio(n) = base (n+1-center)/(n+1-l) exactly, so the chain
+    is ordered iff base (n+1-center) >= n+1-l for each n but the last:
+    with center = l+m-1, iff l <= (base (n+2-m) - n - 1)/(base - 1),
+    tightest at the smallest n, one threshold on l per (family, m).  An
+    ordered chain peaks at its largest n, and only that n's pair is walked
+    in integers: binomials taken once, at l = 0, and stepped l -> l+1 by
+    the exact divisions a_{n,hi-1} = a_{n,hi} hi / (base (n-hi+1)) and
+    a_{n,j+1} = a_{n,j} base (n-j) / (j+1).  `terms` and `ratios` of a
+    result are built from `math.comb` only when read.
     """
     if q_case not in (3, 4) or m < 2:
         raise ParameterError("the ratio families need q_case 3 or 4 and m >= 2")
@@ -592,17 +613,15 @@ def lemma35_ratio_chain(q_case: int, m: int) -> tuple:
         base, cap, ns, l_max = 2, 9, (3 * m - 3, 3 * m - 2, 3 * m - 1), m - 1
     else:
         base, cap, ns, l_max = 3, 8, (2 * m - 2, 2 * m - 1), (m - 1) // 2
-    mirror = [base ** n for n in ns]  # hi = n at l = 0
-    middle = [base ** (m - 1) * math.comb(n, m - 1) for n in ns]
+    top, l_ordered = ns[-1], (base * (ns[0] + 2 - m) - ns[0] - 1) // (base - 1)
+    mirror, middle = base ** top, base ** (m - 1) * math.comb(top, m - 1)  # hi = top at l = 0
     out = []
     for l in range(l_max + 1):
-        terms = tuple(zip(mirror, middle))
-        holds = terms[-1][0] <= cap * terms[-1][1] and all(  # if ordered, last is max
-            a1 * c2 <= a2 * c1 for (a1, c1), (a2, c2) in zip(terms, terms[1:]))
-        out.append(Lemma35Result(q_case, m, l, ns, terms, cap, holds))
         center = l + m - 1
-        mirror = [a * (n - l) // (base * (l + 1)) for a, n in zip(mirror, ns)]
-        middle = [c * base * (n - center) // (center + 1) for c, n in zip(middle, ns)]
+        holds = l <= l_ordered and mirror <= cap * middle  # ordered, and capped at top
+        out.append(Lemma35Result(q_case, m, l, ns, cap, holds))
+        mirror = mirror * (top - l) // (base * (l + 1))
+        middle = middle * base * (top - center) // (center + 1)
     return tuple(out)
 
 

@@ -16,7 +16,7 @@ import textwrap
 from . import bounds, verify
 from .krawtchouk import build_table
 from .montecarlo import SimConfig, plugin_tv, simulate
-from .radial import DEFAULT_BIT_BUDGET, kstep_oracle, kstep_tv
+from .radial import DEFAULT_BIT_BUDGET, kstep_excess, kstep_oracle, kstep_tv
 from .scheme import ParameterError, ResourceBudgetError, make_scheme
 
 PROFILE_HEADER = "k,c_equiv,tv_exact,ub_lemma,majorant,minorant,hora_plus,hora_minus"
@@ -45,17 +45,15 @@ def _sqrt(value: float, log_value) -> float:
 
 def _profile_row(params, k: int, tv: float, b: float) -> dict:
     c, q = bounds.offset_from_step(params, k), params.q
-    rhs = bounds.upper_bound_lemma_rhs(params, k, "float")
-
-    def log_rhs():
-        return bounds.lemma_log_sum(params, k) - math.log(4)
-
+    log_sum = bounds.lemma_log_sum(params, k)  # once per row, for the bound and its log
+    rhs, log_rhs = bounds._lemma_rhs_of_log(log_sum), log_sum - math.log(4)
     return {
         "k": k,
         "c_equiv": c,
         "tv_exact": tv,
         # past e**700 the bound is inf, but its root is finite up to e**1421
-        "ub_lemma": _sqrt(rhs, log_rhs) if rhs < math.inf else bounds._exp(log_rhs() / 2),
+        "ub_lemma": (_sqrt(rhs, lambda: log_rhs) if rhs < math.inf
+                     else bounds._exp(log_rhs / 2)),
         "majorant": (_sqrt(bounds.majorant_value(q, c),  # there expm1(e**-c) = e**-c
                            lambda: math.log(bounds.majorant_constant(q)) - c)
                      if bounds.majorant_in_scope(params) else math.nan),
@@ -96,7 +94,12 @@ def cmd_profile(args) -> int:
     bounds.minorant_value(params.q, args.b, 0.0)  # reject a bad b before any step
     backend = bounds.resolve_backend(params, args.backend)
     ks = range(args.k_min, args.k_max + 1, args.k_step)
-    tvs = kstep_tv(params, ks, backend, args.bit_budget)
+    if backend == "exact":  # tv = sum|e| / (2 q**n D), by correctly rounded int division
+        den = 2 * params.size
+        tvs = ((k, sum(map(abs, e)) / (den * params.degree ** k))
+               for k, e in kstep_excess(params, ks, args.bit_budget))
+    else:
+        tvs = kstep_tv(params, ks, backend, args.bit_budget)
     first = next(tvs)  # a refused plan raises here, before any output
     rows = (_profile_row(params, k, float(tv), args.b)
             for k, tv in itertools.chain((first,), tvs))

@@ -1,15 +1,19 @@
 """Grid verification suites: every inequality checked over whole ranges.
 
-The exact suites except lemma 4.1 run on plain integers with the common
-denominator (n(q-1))**k factored out, which is orders of magnitude faster
-than per-entry rationals: class masses are the integer numerators of
-`radial.kstep_numerators`, the distance to uniform is the summed
-integer excess of `radial.kstep_excess`, eigenvalue powers become
-integer powers of n(q-1) - j*q, and each inequality reduces to one
-big-integer comparison per grid cell.  Lemma 4.1 compares Fractions
-phi_j(l) = K[j][l] / d_j built from the integer rows.  Unit tests pin the
-numerators to the Fraction reference `radial.power_step`, and the suites
-to their Fraction statements, on subgrids.
+The exact suites run on plain integers, never on per-entry rationals.
+The k-step suites factor out the common denominator (n(q-1))**k: class
+masses are the integer numerators of `radial.kstep_numerators`, the
+distance to uniform is the summed integer excess of
+`radial.kstep_excess`, eigenvalue powers become integer powers of
+n(q-1) - j*q, and each inequality reduces to big-integer comparisons
+per grid cell.  Each suite computes only the integers its verdict
+reads: `upper` decides most cells on two terms of the spectral sum,
+which are >= 0, and sums all n terms only where those two fall short;
+lemma 3.5 orders its ratio chains in small integers
+(`bounds.lemma35_ratio_chain`); lemma 4.1 scales phi_j(l) = K[j][l] /
+d_j and the linearization by one common denominator.  Unit tests pin
+the numerators to the Fraction reference `radial.power_step`, and the
+suites to their Fraction statements, on subgrids.
 
 The majorant and minorant suites take no backend option: each builds
 its whole grid of schemes first and makes one float
@@ -28,7 +32,7 @@ as out of a theorem's scope.
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
+from operator import gt, lt, mul
 from typing import Optional, Sequence
 
 import numpy as np
@@ -71,27 +75,32 @@ def verify_upper(
     k_max: int = 300,
 ) -> SuiteReport:
     """tv**2 <= (1/4) sum_{j>=1} d_j lam[j]**(2k) over the whole grid, as
-    t**2 <= q**(2n) sum_{j>=1} d_j (n(q-1) - jq)**(2k) in integers: t =
-    sum|e| over `radial.kstep_excess`, the right side from eigenvalue
-    powers alone.  Violations report both sides correctly rounded."""
+    t**2 <= q**(2n) s, s = sum_{j>=1} d_j (n(q-1) - jq)**(2k), in
+    integers: t = sum|e| over `radial.kstep_excess`, s from eigenvalue
+    powers alone.  Every term of s is >= 0, so its two end terms (j = 1
+    and j = n, kept as running products) prove most cells; only where
+    they fall short is s summed in full and the cell decided on it.
+    Violations report both sides correctly rounded."""
     report = SuiteReport("upper")
     for q in q_values:
         for n in range(1, n_max + 1):
             params = make_scheme(n, q)
             d = params.degree
             q_sq = params.size ** 2
-            lam_sq = [(d - j * q) ** 2 for j in range(1, n + 1)]
-            terms = list(spectrum(params).mult[1:])  # d_j lam_num[j]**(2k)
+            mult = spectrum(params).mult
+            # the end terms d_j (n(q-1) - jq)**(2k) of s, at j = 1 and j = n
+            terms, lam_sq = zip(*((mult[j], (d - j * q) ** 2) for j in {1, n}))
             for k, e in kstep_excess(params, range(k_max + 1), math.inf):
                 t = sum(map(abs, e))  # 2 tv q**n (n(q-1))**k
-                s = sum(terms)
                 report.checked += 1
-                if t * t > s * q_sq:
-                    scale = 4 * d ** (2 * k)
-                    report.violations.append(Violation(
-                        "upper-lemma", n, q, k, None,
-                        float(Fraction(t * t, scale * q_sq)), float(Fraction(s, scale)),
-                    ))
+                if t * t > sum(terms) * q_sq:
+                    s = sum(mult[j] * (d - j * q) ** (2 * k) for j in range(1, n + 1))
+                    if t * t > s * q_sq:
+                        scale = 4 * d ** (2 * k)
+                        report.violations.append(Violation(
+                            "upper-lemma", n, q, k, None,
+                            float(Fraction(t * t, scale * q_sq)), float(Fraction(s, scale)),
+                        ))
                 terms = list(map(mul, terms, lam_sq))
     return report
 
@@ -236,21 +245,17 @@ def minorant_sweep(
 
 
 def verify_lemma32(points: int = 100000) -> SuiteReport:
-    """e**-x vs |1-x| on dense grids of both regimes."""
+    """e**-x vs |1-x| on dense grids of both regimes, each grid taken in
+    blocks of 8192 points so no full-length temporary is built."""
     report = SuiteReport("lemma-3.2")
-    lo = np.linspace(-10.0, 1.25, points)
-    hi = np.linspace(4.0 / 3.0, 20.0, points)
-    bad_lo = lo[np.exp(-lo) < np.abs(1 - lo)]
-    bad_hi = hi[np.exp(-hi) > np.abs(1 - hi)]
+    for which, lo, hi, fails in (("lemma-3.2-low", -10.0, 1.25, lt),
+                                 ("lemma-3.2-high", 4.0 / 3.0, 20.0, gt)):
+        grid = np.linspace(lo, hi, points)
+        for xs in (grid[i:i + 8192] for i in range(0, points, 8192)):
+            for x in xs[fails(np.exp(-xs), np.abs(1 - xs))]:
+                report.violations.append(
+                    Violation(which, 0, 0, None, float(x), math.exp(-x), abs(1 - x)))
     report.checked = 2 * points
-    for x in bad_lo:
-        report.violations.append(
-            Violation("lemma-3.2-low", 0, 0, None, float(x), math.exp(-x), abs(1 - x))
-        )
-    for x in bad_hi:
-        report.violations.append(
-            Violation("lemma-3.2-high", 0, 0, None, float(x), math.exp(-x), abs(1 - x))
-        )
     return report
 
 
@@ -269,24 +274,29 @@ def verify_lemma35(m_max: int = 200) -> SuiteReport:
 
 
 def verify_lemma41(n_max: int = 30, q_values: Sequence[int] = (2, 3, 4, 5, 6)) -> SuiteReport:
-    """phi_1**2 equals its three-term linearization at every l, exactly."""
+    """phi_1**2 equals its three-term linearization at every l, exactly.
+
+    Integer-scaled: with phi_j(l) = K[j][l] / d_j and m the lcm of the
+    coefficients' denominators, m d_1**2 d_2 phi_1**2 == m d_1**2 d_2 (a0
+    + a1 phi_1 + a2 phi_2), both sides integers.
+    """
     report = SuiteReport("lemma-4.1")
     for q in q_values:
         for n in range(2, n_max + 1):
             params = make_scheme(n, q)
-            a0, a1, a2 = linearization_phi1_squared(params)
+            coeffs = linearization_phi1_squared(params)
+            m = math.lcm(*(a.denominator for a in coeffs))
             rows = scaled_rows(params)
-            d = class_weights(params).w  # d_j = w_j
-            for l in range(n + 1):
-                phi1 = Fraction(rows[1][l], d[1])
-                phi2 = Fraction(rows[2][l], d[2])
+            d1, d2 = class_weights(params).w[1:3]  # d_j = w_j
+            scales = (d1 * d1 * d2, d1 * d2, d1 * d1)
+            c0, c1, c2 = (int(a * m) * f for a, f in zip(coeffs, scales))
+            for l, (r1, r2) in enumerate(zip(rows[1], rows[2])):
                 report.checked += 1
-                if phi1 * phi1 != a0 + a1 * phi1 + a2 * phi2:
-                    report.violations.append(
-                        Violation("lemma-4.1", n, q, None, float(l),
-                                  float(phi1 * phi1),
-                                  float(a0 + a1 * phi1 + a2 * phi2))
-                    )
+                if r1 * r1 * m * d2 != c0 + c1 * r1 + c2 * r2:
+                    phi = (1, Fraction(r1, d1), Fraction(r2, d2))
+                    report.violations.append(Violation(
+                        "lemma-4.1", n, q, None, float(l),
+                        float(phi[1] * phi[1]), float(sum(map(mul, coeffs, phi)))))
     return report
 
 
@@ -304,7 +314,7 @@ def verify_lemma42(n_max: int = 30, q_values: Sequence[int] = (2, 3, 4, 5, 6)) -
             big_q = params.size
             rows = scaled_rows(params)
             for j in range(n + 1):
-                s = sum(w[l] * rows[j][l] for l in range(n + 1))
+                s = sum(map(mul, w, rows[j]))
                 expect = big_q if j == 0 else 0
                 report.checked += 1
                 if s != expect:
@@ -312,7 +322,7 @@ def verify_lemma42(n_max: int = 30, q_values: Sequence[int] = (2, 3, 4, 5, 6)) -
                         Violation("lemma-4.2-mean", n, q, None, float(j),
                                   float(s), float(expect))
                     )
-            second = sum(w[l] * rows[1][l] ** 2 for l in range(n + 1))
+            second = sum(map(mul, w, map(mul, rows[1], rows[1])))
             report.checked += 1
             if second != big_q * params.degree:
                 report.violations.append(
@@ -338,19 +348,17 @@ def verify_lemma43_moments(
             params = make_scheme(n, q)
             d = params.degree
             rows = scaled_rows(params)
-            mult = spectrum(params).mult
+            moments = spectrum(params).mult  # d_j (n(q-1) - jq)**k, running in k
             lam_num = [d - j * q for j in range(n + 1)]
-            powers = [1] * (n + 1)
             for k, num in kstep_numerators(params, range(k_max + 1), math.inf):
-                for j in range(n + 1):
-                    s = sum(num[l] * rows[j][l] for l in range(n + 1))
+                for j, (row, expect) in enumerate(zip(rows, moments)):
+                    s = sum(map(mul, num, row))
                     report.checked += 1
-                    if s != mult[j] * powers[j]:
+                    if s != expect:
                         report.violations.append(
-                            Violation("lemma-4.3(1)", n, q, k, float(j),
-                                      float(s), float(mult[j] * powers[j]))
+                            Violation("lemma-4.3(1)", n, q, k, float(j), float(s), float(expect))
                         )
-                powers = [p * v for p, v in zip(powers, lam_num)]
+                moments = list(map(mul, moments, lam_num))
     return report
 
 
@@ -375,18 +383,17 @@ def verify_lemma43_variance(
             coeffs = linearization_phi1_squared(params)
             m = math.lcm(n, *(a.denominator for a in coeffs))
             a0, a1, a2 = (int(a * m) for a in coeffs)
-            p1 = p2 = dk = 1
+            # running d**2k, (d-q)**k d**k, (d-2q)**k d**k and (d-q)**2k
+            powers, factors = [1] * 4, (d * d, (d - q) * d, (d - 2 * q) * d, (d - q) ** 2)
             for k in range(k_max + 1):
-                value = a0 * dk * dk + (a1 * p1 + a2 * p2) * dk - m * p1 * p1
+                dk2, p1dk, p2dk, p1sq = powers
+                value = a0 * dk2 + a1 * p1dk + a2 * p2dk - m * p1sq
                 report.checked += 1
-                if value * n > m * dk * dk:
+                if value * n > m * dk2:
                     report.violations.append(
-                        Violation("lemma-4.3(2)", n, q, k, None,
-                                  value / (m * dk * dk), 1 / n)
+                        Violation("lemma-4.3(2)", n, q, k, None, value / (m * dk2), 1 / n)
                     )
-                p1 *= d - q
-                p2 *= d - 2 * q
-                dk *= d
+                powers = list(map(mul, powers, factors))
     return report
 
 

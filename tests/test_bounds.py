@@ -393,6 +393,21 @@ def test_lemma32_examples():
     assert lemma32_check(1.3)  # gap between regimes: vacuously true
 
 
+def test_lemma35_holds_matches_cross_multiplication_at_every_entry():
+    # the chain orders each entry by a threshold on l and caps only its
+    # largest n; the rule it replaces cross-multiplies every adjacent pair
+    # of binomial ratios and caps the last, for all m of the suite's grid
+    for q_case, base, cap in ((3, 2, 9), (4, 3, 8)):
+        for m in range(2, 201):
+            for res in bounds.lemma35_ratio_chain(q_case, m):
+                l, center = res.l, res.l + m - 1
+                terms = [(base ** (n - l) * math.comb(n, l),
+                          base ** center * math.comb(n, center)) for n in res.ns]
+                rule = terms[-1][0] <= cap * terms[-1][1] and all(
+                    a1 * c2 <= a2 * c1 for (a1, c1), (a2, c2) in zip(terms, terms[1:]))
+                assert res.holds == rule, (q_case, m, l)
+
+
 def test_lemma35_examples():
     r = lemma35_ratio_check(3, 2, 0)
     assert r.ns == (3, 4, 5)
@@ -432,6 +447,9 @@ def test_lemma35_chain_matches_binomial_fractions():
                 )
                 assert (res.q_case, res.m, res.l) == (q_case, m, l)
                 assert (res.ns, res.cap) == (ns, cap)
+                assert res.terms == tuple(
+                    (base ** hi * math.comb(n, hi), base ** center * math.comb(n, center))
+                    for n, hi in zip(ns, mirrors))
                 assert res.ratios == ratios
                 assert res.holds == (
                     all(r <= cap for r in ratios)

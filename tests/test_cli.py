@@ -67,6 +67,18 @@ def test_profile_backends_agree(tmp_path):
         assert abs(tva - tvb) < 1e-12
 
 
+def test_exact_profile_prints_the_rounded_exact_tv(capsys):
+    # the exact profile divides the summed integer excess by 2 q**n D**k,
+    # a correctly rounded int division, so every row is bit for bit the
+    # float of the exact Fraction tv, also where D**k is past the float range
+    p = make_scheme(7, 4)
+    code, out, _ = run(["profile", "--n", "7", "--q", "4", "--k-max", "300",
+                        "--backend", "exact"], capsys)
+    assert code == 0
+    tvs = [float(line.split(",")[2]) for line in out.splitlines()[1:]]
+    assert tvs == [float(tv) for _, tv in radial.kstep_tv(p, range(301), "exact")]
+
+
 def test_profile_json_round_trip(capsys):
     code, out, _ = run(
         ["profile", "--n", "3", "--q", "3", "--k-max", "5", "--format", "json"], capsys
@@ -112,13 +124,14 @@ def test_profile_json_is_standard_past_the_float_range(argv, cell, capsys):
 def test_profile_keeps_its_rows_when_a_walk_passes_its_budget(to_file, tmp_path, monkeypatch,
                                                               capsys):
     # rows are written as they are computed: a walk refused after three
-    # rows leaves the header and those rows, and exits 3
-    def three_rows_then_refuse(params, ks, backend, bit_budget):
+    # rows leaves the header and those rows, and exits 3 (the exact
+    # profile reads the excess; one summing to q**n D**k is a tv of 1/2)
+    def three_rows_then_refuse(params, ks, bit_budget):
         for k in list(ks)[:3]:
-            yield k, Fraction(1, 2)
+            yield k, [params.size * params.degree ** k]
         raise ResourceBudgetError("exact excess exceeded 10 bits at n=6, k=3")
 
-    monkeypatch.setattr(cli, "kstep_tv", three_rows_then_refuse)
+    monkeypatch.setattr(cli, "kstep_excess", three_rows_then_refuse)
     out_file = tmp_path / "profile.csv"
     argv = ["profile", "--n", "6", "--q", "3", "--k-max", "9"]
     code, out, err = run(argv + (["--out", str(out_file)] if to_file else []), capsys)
@@ -207,6 +220,20 @@ def test_profile_bound_roots_past_the_normal_float_range(capsys):
             assert maj == math.sqrt(majorant_value(5, c)), k
     assert rows[0][3] == math.sqrt(upper_bound_lemma_rhs(p, 600, "float"))  # both normal
     assert rows[-1][4] < math.sqrt(sys.float_info.min)  # c ~ 1,081: both in logs
+
+
+def test_profile_takes_one_lemma_log_sum_per_row(monkeypatch, capsys):
+    # rows past the float range (k >= ~850 on H(3, 5)) root the lemma
+    # bound in logs; the row's one log-sum serves the bound and its root
+    from hamming_cutoff import bounds
+
+    calls = []
+    real = bounds.lemma_log_sum
+    monkeypatch.setattr(bounds, "lemma_log_sum", lambda p, k: calls.append(k) or real(p, k))
+    code, out, _ = run(["profile", "--n", "3", "--q", "5", "--k-min", "600",
+                        "--k-max", "1300", "--k-step", "7", "--backend", "float"], capsys)
+    assert code == 0
+    assert calls == list(range(600, 1301, 7))
 
 
 def test_profile_lemma_root_past_the_top_of_the_float_range(capsys):

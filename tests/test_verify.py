@@ -7,6 +7,7 @@ from hamming_cutoff import (
     ParameterError,
     check_minorant,
     kstep_oracle,
+    kstep_tv,
     majorant_cells,
     make_scheme,
     minorant_cells,
@@ -100,6 +101,40 @@ def test_verify_upper_reports_every_violation_of_a_shrunk_bound(monkeypatch):
     assert {v.which for v in report.violations} == {"upper-lemma"}
     assert 0 < len(expect) < report.checked  # some cells still hold
     assert got == expect
+
+
+def test_verify_upper_decides_on_the_full_sum_where_the_end_terms_fall_short(monkeypatch):
+    # with d_1 and d_n shrunk 10**6-fold the two end terms of the spectral
+    # sum prove no cell of this grid, so each cell goes to the full sum;
+    # the suite must then report exactly where the Fraction statement with
+    # the same multiplicities fails, and some cells hold on the full sum
+    import dataclasses
+
+    from hamming_cutoff import verify as verify_mod
+
+    def shrunk(p):
+        s = spectrum(p)
+        mult = list(s.mult)
+        for j in {1, p.n}:
+            mult[j] = Fraction(mult[j], 10 ** 6)
+        return dataclasses.replace(s, mult=tuple(mult))
+
+    monkeypatch.setattr(verify_mod, "spectrum", shrunk)
+    q_values, n_max, k_max = (3, 4, 5), 8, 12
+    expect, by_ends = [], 0
+    for q in q_values:
+        for n in range(1, n_max + 1):
+            p = make_scheme(n, q)
+            sp = shrunk(p)
+            for k, tv in kstep_tv(p, range(k_max + 1), "exact"):
+                terms = [sp.mult[j] * sp.lam[j] ** (2 * k) / 4 for j in range(1, n + 1)]
+                by_ends += tv * tv <= sum(terms[j] for j in {0, n - 1})
+                if tv * tv > sum(terms):
+                    expect.append((n, q, k, float(tv * tv), float(sum(terms))))
+    report = verify_upper(n_max=n_max, q_values=q_values, k_max=k_max)
+    assert report.checked == len(q_values) * n_max * (k_max + 1)
+    assert by_ends == 0 and 0 < len(expect) < report.checked
+    assert [(v.n, v.q, v.k, v.lhs, v.rhs) for v in report.violations] == expect
 
 
 def test_verify_majorant_small_and_skips():
