@@ -566,9 +566,11 @@ def lemma32_check(x: float) -> bool:
 @dataclass
 class Lemma35Result:
     """One (family, m, l) entry: the ratio chain a_{n,mirror}/a_{n,center}
-    over ns, its cap and whether the chain is ordered and capped.  Not
-    frozen: a frozen init costs more than the entry's own arithmetic, and
-    `verify lemmas` builds 30,198 of them."""
+    over ns, its cap and whether the chain is ordered and capped, and
+    `walked`, the integers (a_{n,mirror}, a_{n,center}) at the largest n
+    that the chain stepped to and decided the cap on.  Not frozen: a
+    frozen init costs more than the entry's own arithmetic, and `verify
+    lemmas` builds 30,198 of them."""
 
     q_case: int
     m: int
@@ -576,6 +578,7 @@ class Lemma35Result:
     ns: tuple
     cap: int
     holds: bool
+    walked: tuple
 
     @property
     def terms(self) -> tuple:
@@ -619,7 +622,7 @@ def lemma35_ratio_chain(q_case: int, m: int) -> tuple:
     for l in range(l_max + 1):
         center = l + m - 1
         holds = l <= l_ordered and mirror <= cap * middle  # ordered, and capped at top
-        out.append(Lemma35Result(q_case, m, l, ns, cap, holds))
+        out.append(Lemma35Result(q_case, m, l, ns, cap, holds, (mirror, middle)))
         mirror = mirror * (top - l) // (base * (l + 1))
         middle = middle * base * (top - center) // (center + 1)
     return tuple(out)

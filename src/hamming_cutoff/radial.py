@@ -16,21 +16,21 @@ Exact powering keeps integer numerators over the common denominator
 and `power_step` are the Fraction reference for one step.  The uniform
 law is stationary, so the excess e = num q**n - w (n(q-1))**k of the
 k-step law over it obeys the same integer step (`kstep_excess`); both
-walk one loop.  A float max-plus shadow of the integer step
-(`_bit_floors`) gives a certified floor on the numerators' bits, so a
-numerator walk that must pass its bit budget before its first k
-raises with no exact step (`numerators_must_exceed`).
-Float powering has one loop too, `float_lockstep`: it
-packs the schemes of a whole grid end to end in one array, steps them
-all with one `float_power_step` call per step, each row resuming from
-the latest state an earlier float trajectory on its scheme yielded, and
-takes each law's distance to uniform on that array.  Elementwise IEEE
-arithmetic rounds the same at any array layout and a neighbouring row
-adds exact zeros, so a row's masses and distance are bit for bit those
-of its scheme walked alone.  Both loops plan before their first step
-(`_check_plan`): a pass or walk past `FLOAT_STEP_BUDGET` class-steps or
-`STEP_CALL_BUDGET` steps raises `ResourceBudgetError`.  `kstep_tv` turns
-the exact excess, or the float pass, into the distance to uniform.
+walk one loop.  The float masses of the same law give a certified
+floor on the numerators' bits (`_bit_floor`), so a numerator walk that
+must pass its bit budget before its first k raises with no exact step
+(`numerators_must_exceed`).  Float powering has one loop too,
+`float_lockstep`: it packs the schemes of a whole grid end to end in one
+array, steps them all with one `float_power_step` call per step, each
+row resuming from the latest state an earlier float trajectory on its
+scheme yielded, and takes each law's distance to uniform on that array.
+Elementwise IEEE arithmetic rounds the same at any array layout and a
+neighbouring row adds exact zeros, so a row's masses and distance are
+bit for bit those of its scheme walked alone.  Both loops plan before
+their first step (`_check_plan`): a pass or walk past
+`FLOAT_STEP_BUDGET` class-steps or `STEP_CALL_BUDGET` steps raises
+`ResourceBudgetError`.  `kstep_tv` turns the exact excess, or the float
+pass, into the distance to uniform.
 """
 
 import heapq
@@ -261,11 +261,9 @@ def kstep_trajectory(
     """Yield (k, distribution) for sorted, distinct ks in one pass.
 
     Exact: Fractions over `kstep_numerators`, bounded by `bit_budget`.
-    Float: the one-row case of `float_lockstep`, the package's one float
-    k-step loop: O(n * (max(ks) - k0)) work from the scheme's latest
-    checkpoint k0 when 0 < k0 <= min(ks), else from k0 = 0.
-    Every class is rounded as in a walk from k = 0 on the scheme's own
-    1-D arrays, so the masses are bit for bit the same, alone or stacked.
+    Float: the one-row case of `float_lockstep`: O(n (max(ks) - k0)) work
+    from the scheme's latest checkpoint k0 when 0 < k0 <= min(ks), else
+    from k0 = 0, with the masses bit for bit those of a walk from k = 0.
     """
     if backend == "exact":
         d = params.degree
@@ -292,17 +290,15 @@ def float_lockstep(jobs):
     (`_float_marks`) when 0 < k0 <= min(ks), else from the point mass at
     k0 = 0, and each state it yields at k > 0 overwrites that holder.
     Rows are sorted by the steps they have left, so finished rows leave
-    as a prefix; the tail row steps only the classes it can have reached
-    (class <= k), widened by doubling.  Events (k - k0, row, k), merged
-    in order from the rows' own sorted ks and never held as a list, drive
-    the pass: step up to each event, then yield its row, with tv =
-    `scheme.tv_of_gaps` of its slice of |mass - pi|, formed once per step
-    count.  IEEE elementwise operations round the same at any layout and
-    a neighbouring row or unreached class adds an exact 0.0, so each mass and tv is bit for bit that of the scheme
-    walked alone from k = 0 and `tv_distance` to the float uniform law.
-    A pass that plans more than `FLOAT_STEP_BUDGET` class-steps, sum over
-    rows of (last k - k0)(n+1), or more than `STEP_CALL_BUDGET` step
-    calls, max over rows of last k - k0, raises `ResourceBudgetError`
+    as a prefix, and every live row is stepped in full.  Events (k - k0,
+    row, k), merged in order from the rows' own sorted ks and never held
+    as a list, drive the pass: step up to each event, then yield its row,
+    with tv = `scheme.tv_of_gaps` of its slice of |mass - pi|, formed
+    once per step count.  IEEE elementwise operations round the same at
+    any layout and a neighbouring row adds an exact 0.0, so each mass and
+    tv is bit for bit that of the scheme walked alone from k = 0 and
+    `tv_distance` to the float uniform law.  A pass past
+    `FLOAT_STEP_BUDGET` or `STEP_CALL_BUDGET` raises `ResourceBudgetError`
     before its first step (`_check_plan`).
     """
     rows = []  # (steps left, job index, params, ks, k0, start mass, holder)
@@ -332,30 +328,22 @@ def float_lockstep(jobs):
         arrays[:3, offs[j]:offs[j + 1]] = float_step_arrays(row[2])
         pi[offs[j]:offs[j + 1]] = uniform(row[2], "float").mass
         bufs[0][offs[j]:offs[j + 1]] = row[5]
-    full, reach = rows[-1][2].n + 1, rows[-1][4] + 2  # step `done` needs reach + done classes
-    width = min(full, reach)  # of the tail row's classes, stepped
     done = lo = cur = 0  # steps taken; rows[:lo] are finished; bufs[cur] holds the masses
     live = gaps = None
     for until, j, k in events:
         if gaps is None or done < until:
-            while done < until and rows[lo][0] <= done:  # drop finished rows
+            while rows[lo][0] <= done < until:  # drop finished rows
                 lo += 1
-            while done < until:
-                if width < full and width < reach + done:  # widen the tail's classes
-                    width = min(full, max(reach + done, 2 * width))
-                if live != (lo, width):  # views of classes a..b-1, from either buffer
-                    live, a, b = (lo, width), offs[lo], offs[-2] + width
-                    ops = [(bufs[s][a:b], stay[a:b], bufs[s][a - 1:b - 1], up[a - 1:b - 1],
-                            bufs[s][a + 1:b + 1], down[a + 1:b + 1], bufs[1 - s][a:b],
-                            bufs[2][a:b]) for s in (0, 1)]
-                # step up to the next event, or as far as the width reaches
-                stop = until if width == full else min(until, width - reach + 1)
-                for _ in range(stop - done):
-                    float_power_step(*ops[cur])
-                    cur = 1 - cur
-                done = stop
-            a = offs[lo]  # |mass - uniform| of the live rows at this step count
-            gaps = np.abs(bufs[cur][a:] - pi[a:])
+            if live != lo:  # views of the live rows' classes a..b-1, from either buffer
+                live, a, b = lo, offs[lo], offs[-1]
+                ops = [(bufs[s][a:b], stay[a:b], bufs[s][a - 1:b - 1], up[a - 1:b - 1],
+                        bufs[s][a + 1:b + 1], down[a + 1:b + 1], bufs[1 - s][a:b],
+                        bufs[2][a:b]) for s in (0, 1)]
+            for _ in range(until - done):  # step up to the next event
+                float_power_step(*ops[cur])
+                cur = 1 - cur
+            done = until
+            gaps = np.abs(bufs[cur][a:] - pi[a:])  # |mass - uniform| of the live rows
         i, holder = rows[j][1], rows[j][6]
         tv = tv_of_gaps(gaps[offs[j] - a:offs[j + 1] - a])
         mass = bufs[cur][offs[j]:offs[j + 1]].copy()
@@ -398,85 +386,57 @@ def kstep_oracle(
     return next(kstep_trajectory(params, (k,), "exact", bit_budget))[1]
 
 
-_LOG2_ERR = 2.0 ** -40  # eta: relative error allowed to math.log2 of an int
+def _bit_floor(params: SchemeParams, s: int, mass) -> int:
+    """A floor on sum(map(int.bit_length, num)), the bits `_int_chain`
+    counts after s steps of `kstep_numerators`, from the float masses a
+    `float_lockstep` pass within `_check_plan`'s budgets yields at s.
 
-
-def _bit_floors(params: SchemeParams, k: int, first: int = 1):
-    """Yield (s, reached, floor) after each step s = first .. min(k, 2**51)
-    of `kstep_numerators`: reached[l] is True exactly where num[l] != 0,
-    and floor <= sum(map(int.bit_length, num)), the bits `_int_chain`
-    counts against its budget.
-
-    The walk is the max-plus shadow of `int_power_step`: L[l] is log2 of
-    the heaviest single path to class l, L[l] <- max(L[l] + log2 l(q-2),
-    L[l-1] + log2 (n-l+1)(q-1), L[l+1] + log2 (l+1)), from L = (0, -inf,
-    ...).  No coefficient is negative, so num[l] >= 2**L[l], and L[l] =
-    -inf (a zero coefficient, as the stay at l = 0 and every stay at
-    q = 2, has log -inf) exactly where num[l] = 0.  A reached class holds
-    >= 1, so bitlen(num[l]) >= max(1, floor(L_hat[l] - delta) + 1) for
-    any delta >= L_hat[l] - L[l], and floor sums these over the reached
-    classes in Python integers.
-
-    delta: each coefficient log is `math.log2` of an exact Python integer
-    (its correctly rounded double, or past the float range its frexp
-    mantissa plus exponent, so any q works), within a few ulps of log2 c
-    >= 0; eta = 2**-40 allows 2**10 times that, relative.  L_hat[l] is the
-    float sum, taken left to right, of the s computed logs along one path
-    (max is exact), so with S their exact sum, |L_hat - S| <= gamma_s S
-    (nonnegative terms; Higham, *Accuracy and Stability of Numerical
-    Algorithms*, §4.2), gamma_s = su/(1 - su), u = 2**-53, and S - P <=
-    eta P <= eta S/(1 - eta) for P the path's true log <= L[l].  For su <=
-    1/4 (gamma_s <= 1/3) that gives L_hat - L <= (gamma_s + eta/(1 -
-    eta))/(1 - gamma_s) L_hat <= (2su + 1.6 eta) M, M = max L_hat; the
-    rounding of L_hat - delta adds <= uM <= suM, so delta = (3su + 2eta) M
-    holds with 0.4 eta M to spare for evaluating delta in float.
+    A class of mass m >= 2**-900 counts max(1, floor(log2 m - 1 + s log2
+    d - slack) + 1) bits, d = n(q-1); a lighter class counts 0 bits.  As
+    in `bounds.float_tv_error`, m sums nonnegative products with <= 4
+    roundings per path per step (a resumed pass yields bit for bit the
+    masses of a walk from k = 0), so m <= (1 + gamma_4s) nu + U for the
+    exact nu = num/d**s, U <= 3s(n+1) 2**-1075.  The budgets give s <=
+    10**7 and s(n+1) <= 10**11, so gamma_4s < 2**-26, U < 2**-1030, and
+    m >= 2**-900 gives nu >= m/2 > 0: num >= 1 and bitlen(num) =
+    floor(log2 nu + s log2 d) + 1.  slack = 2**-39 A, A = 1076 + s log2 d
+    bounding each term: with each float log2 within 2**-40 relative, the
+    computed argument is within (2**-40 + 5u) A of the exact one, u =
+    2**-53, and the rest covers evaluating slack.
     """
-    n, q = params.n, params.q
-
-    def log2(c):
-        return math.log2(c) if c else -math.inf
-
-    stay = np.array([log2(l * (q - 2)) for l in range(n + 1)])
-    up = np.array([log2((n - l + 1) * (q - 1)) for l in range(n + 1)])
-    down = np.array([log2(l + 1) for l in range(n + 1)])
-    ext = np.full(n + 3, -math.inf)  # L between two -inf guards
-    ext[1] = 0.0
-    shadow = ext[1:-1]
-    u = 2.0 ** -53
-    for s in range(1, min(k, 2 ** 51) + 1):  # su <= 1/4
-        shadow[:] = np.maximum(np.maximum(shadow + stay, ext[:-2] + up), ext[2:] + down)
-        if s >= first:
-            reached = shadow > -math.inf
-            logs = shadow[reached]
-            delta = (3 * s * u + 2 * _LOG2_ERR) * logs.max()
-            floors = np.maximum(np.floor(logs - delta) + 1, 1).tolist()
-            yield s, reached, sum(map(int, floors))
+    log_d = math.log2(params.degree)
+    shift = s * log_d - 1 - 2.0 ** -39 * (1076 + s * log_d)
+    logs = np.log2(mass[mass >= 2.0 ** -900])
+    return sum(map(int, np.maximum(np.floor(logs + shift) + 1, 1).tolist()))
 
 
 def numerators_must_exceed(
     params: SchemeParams, k: int, bit_budget=DEFAULT_BIT_BUDGET
 ) -> int:
-    """The first step s <= k whose `_bit_floors` floor exceeds
+    """The first checked step s <= k whose `_bit_floor` exceeds
     `bit_budget`, so `kstep_numerators` must pass the budget by step s and
     `kstep_oracle(params, k, bit_budget)` raises `ResourceBudgetError`;
     0 (false) when no trip is proven.
 
     Costs nothing while (n+1)(k log2 n(q-1) + 1), which bounds the bits
     at step k (num[l] <= (n(q-1))**k), stays within the budget; otherwise
-    the shadow walks O(n) numpy work per step, checks its floor from the
-    first step that bound admits a trip and stops at the first step that
-    proves one.
+    one `float_lockstep` pass checks the floor at s = first, first+1,
+    first+3, first+7, ... and k, from the first step that bound admits a
+    trip, and stops at the first s that proves one.  A walk to k past
+    `_check_plan`'s budgets raises there first.
     """
     _check_bit_budget(bit_budget)
     room = bit_budget / (params.n + 1) - 1  # bits a class may hold with no trip
     log_d = math.log2(params.degree)
-    if room < 0:
-        first = 1
-    elif log_d == 0 or k <= room / log_d:  # no trip up to step k
+    if k == 0 or (room >= 0 and (log_d == 0 or k <= room / log_d)):  # no trip up to k
         return 0
-    else:
-        first = math.floor(room / log_d) + 1
-    return next((s for s, _, floor in _bit_floors(params, k, first) if floor > bit_budget), 0)
+    first = 1 if room < 0 else math.floor(room / log_d) + 1
+    _check_plan("exact numerators walk", k * (params.n + 1), k)
+    checks = [first + 2 ** i - 1 for i in range((k - first).bit_length())] + [k]
+    for _, s, _, mass in float_lockstep(((params, checks),)):
+        if _bit_floor(params, s, mass) > bit_budget:
+            return s
+    return 0
 
 
 def enumerate_tiny_steps(

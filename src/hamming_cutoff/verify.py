@@ -206,10 +206,11 @@ def minorant_sweep(
         raise bounds.ParameterError(f"alphabet size q must be >= 2, got {q}")
     if not (0 <= c <= c0 and c < math.inf):  # NaN fails too
         raise bounds.ParameterError("need 0 <= c <= c0 and a finite c")
-    if n_grid is None:
-        n_grid = default_sweep_grid(1)
+    n_grid = set(default_sweep_grid(1) if n_grid is None else n_grid)
+    if min(n_grid, default=1) < 1:
+        raise bounds.ParameterError(f"word length n must be >= 1, got {min(n_grid)}")
     # the schedule needs c <= log n(q-1); quietly drop n below that
-    n_grid = sorted(n for n in set(n_grid) if math.log(n * (q - 1)) >= c)
+    n_grid = sorted(n for n in n_grid if math.log(n * (q - 1)) >= c)
     bounds.minorant(q, b, c)  # a bad b is a usage error before any n
 
     grid = bounds.minorant_grid([make_scheme(n, q) for n in n_grid], b, c)

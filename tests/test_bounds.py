@@ -408,6 +408,15 @@ def test_lemma35_holds_matches_cross_multiplication_at_every_entry():
                 assert res.holds == rule, (q_case, m, l)
 
 
+def test_lemma35_walked_pair_is_the_largest_n_terms_at_every_entry():
+    # the integers the chain steps l -> l+1, on which `holds` decides the
+    # cap, are math.comb's (a_{n,mirror}, a_{n,center}) at the largest n
+    for q_case in (3, 4):
+        for m in range(2, 201):
+            for res in bounds.lemma35_ratio_chain(q_case, m):
+                assert res.walked == res.terms[-1], (q_case, m, res.l)
+
+
 def test_lemma35_examples():
     r = lemma35_ratio_check(3, 2, 0)
     assert r.ns == (3, 4, 5)

@@ -556,7 +556,7 @@ def test_simulate_leaves_exact_mass_empty_past_the_oracle_budget(capsys):
 
 
 def test_simulate_skips_the_oracle_where_the_bit_floor_proves_a_trip(monkeypatch, capsys):
-    # the benchmark's large request: the floor proves the trip by step 386,
+    # the benchmark's large request: the floor proves the trip by step 354,
     # so the exact walk takes no step and the column stays empty
     monkeypatch.setattr(radial, "int_power_step", lambda *a: pytest.fail("stepped"))
     args = ["simulate", "--n", "300", "--q", "4", "--k", "600", "--walks", "131072"]

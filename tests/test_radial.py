@@ -249,18 +249,28 @@ def test_bit_budget_trips_exactly_past_the_numerator_bits():
     assert kstep_oracle(p, 0, bit_budget=0).mass == point_mass(p).mass
 
 
-def test_bit_floor_bounds_the_numerator_bits_and_finds_the_reached_classes():
-    # the max-plus shadow's floor never exceeds the bits the exact walk
-    # counts, and it reaches exactly the classes with num != 0
-    for n in range(1, 13):
-        for q in range(2, 7):
-            p = make_scheme(n, q)
-            pairs = zip(radial._bit_floors(p, 60),
-                        kstep_numerators(p, range(1, 61), math.inf))
-            for (s, reached, floor), (k, num) in pairs:
-                assert s == k
-                assert reached.tolist() == [v != 0 for v in num], (n, q, k)
-                assert floor <= sum(v.bit_length() for v in num), (n, q, k)
+def test_bit_floor_never_exceeds_the_numerator_bits():
+    # the floor read off the float masses never exceeds the bits the exact
+    # walk counts, on masses walked cold and resumed from a checkpoint,
+    # nor on doubled masses (it allows for float masses up to twice the
+    # exact ones); at q = 10**400 the light classes underflow
+    schemes = [make_scheme(n, q) for n in range(1, 13) for q in range(2, 7)]
+    schemes += [make_scheme(n, 10 ** 400) for n in range(1, 4)]
+    for p in schemes:
+        bits = [sum(v.bit_length() for v in num)
+                for _, num in kstep_numerators(p, range(61), math.inf)]
+        _float_marks.cache_clear()
+        cold = list(kstep_trajectory(p, range(1, 61), "float"))
+        list(kstep_trajectory(p, (29,), "float"))
+        assert _float_marks(p)[0] == 29
+        warm = list(kstep_trajectory(p, range(30, 61), "float"))  # resumed at k = 29
+        for k, dist in cold + warm:
+            assert radial._bit_floor(p, k, dist.mass) <= bits[k], (p, k)
+            assert radial._bit_floor(p, k, 2 * dist.mass) <= bits[k], (p, k)
+    # a class lighter than 2**-900 counts 0 bits, a heavier one >= 1
+    p = make_scheme(1, 3)
+    assert radial._bit_floor(p, 1, np.array([2.0 ** -901, 1.0])) == 1
+    assert radial._bit_floor(p, 1, np.array([2.0 ** -900, 1.0])) == 2
 
 
 def test_proven_trip_means_the_oracle_raises():
@@ -282,7 +292,7 @@ def test_proven_trip_means_the_oracle_raises():
 
 
 def test_bit_floor_skips_the_shadow_where_no_trip_is_possible(monkeypatch):
-    monkeypatch.setattr(radial, "_bit_floors", lambda *a: pytest.fail("walked"))
+    monkeypatch.setattr(radial, "float_lockstep", lambda *a: pytest.fail("walked"))
     # the benchmark's small simulate request: (n+1)(k log2 n(q-1) + 1) << 10**6
     assert not radial.numerators_must_exceed(make_scheme(20, 3), 40)
     assert not radial.numerators_must_exceed(make_scheme(300, 4), 600, math.inf)
@@ -296,17 +306,40 @@ def test_bit_floor_proves_the_simulate_trips_without_an_exact_step(monkeypatch):
     assert radial.numerators_must_exceed(make_scheme(2000, 5), 5000)
     # coefficient logs of integers past the float range
     assert radial.numerators_must_exceed(make_scheme(3, 10 ** 400), 500)
-    # the floor proves this trip only past its true step 372
-    assert not radial.numerators_must_exceed(make_scheme(300, 3), 400)
+    # a trip at step 372, 28 steps short of k
+    assert radial.numerators_must_exceed(make_scheme(300, 3), 400)
+
+
+def test_bit_floor_proves_the_trips_a_few_steps_past_the_walks_own(monkeypatch):
+    # never before the exact walk's own trip, and within 9 and 8 steps of it
+    real_step = radial.int_power_step
+    for q, k, trip, latest in ((4, 600, 351, 360), (3, 400, 372, 380)):
+        p = make_scheme(300, q)
+        monkeypatch.setattr(radial, "int_power_step", real_step)
+        walk = kstep_numerators(p, (1, k))  # no trip proven by k = 1: the walk runs
+        next(walk)
+        with pytest.raises(ResourceBudgetError, match=f"exceeded 1000000 bits at n=300, k={trip}$"):
+            next(walk)
+        monkeypatch.setattr(radial, "int_power_step", lambda *a: pytest.fail("stepped"))
+        _float_marks.cache_clear()
+        assert trip <= radial.numerators_must_exceed(p, k) <= latest
+
+
+def test_oracle_refuses_the_n300_q3_walk_before_its_first_step(monkeypatch):
+    # `simulate --n 300 --q 3 --k 400`: the oracle raises with no exact step
+    monkeypatch.setattr(radial, "int_power_step", lambda *a: pytest.fail("stepped"))
+    match = r"^exact numerators must exceed 1000000 bits at n=300 by k=375$"
+    with pytest.raises(ResourceBudgetError, match=match):
+        kstep_oracle(make_scheme(300, 3), 400)
 
 
 def test_numerator_walks_proven_to_trip_take_no_step(monkeypatch):
-    # the floor proves the oracle's trip at n = 300, q = 4 by step 386
+    # the floor proves the oracle's trip at n = 300, q = 4 by step 354
     # (the true trip is at 351), so every exact law raises at once
     real_step = radial.int_power_step
     monkeypatch.setattr(radial, "int_power_step", lambda *a: pytest.fail("stepped"))
     p = make_scheme(300, 4)
-    match = r"^exact numerators must exceed 1000000 bits at n=300 by k=386$"
+    match = r"^exact numerators must exceed 1000000 bits at n=300 by k=354$"
     with pytest.raises(ResourceBudgetError, match=match):
         kstep_oracle(p, 600)
     with pytest.raises(ResourceBudgetError, match=match):
@@ -565,8 +598,8 @@ def test_verify_majorant_steps_its_whole_grid_in_lockstep(monkeypatch):
 
 
 def test_verify_majorant_steps_only_the_live_rows_unpadded(monkeypatch):
-    # each call steps at most the n+1 classes of every row still short of
-    # its last k, end to end: no padding to the widest n
+    # each call steps the n+1 classes of every row still short of its
+    # last k, end to end: no padding to the widest n
     sizes = []
     step = radial.float_power_step
 
@@ -585,7 +618,7 @@ def test_verify_majorant_steps_only_the_live_rows_unpadded(monkeypatch):
     live = [sum(p.n + 1 for p, k in zip(schemes, last) if k >= t)
             for t in range(1, len(sizes) + 1)]
     assert all(size <= bound for size, bound in zip(sizes, live))
-    assert sizes[-1] == live[-1] and sizes[0] < sum(p.n + 1 for p in schemes)
+    assert sizes[-1] == live[-1] and sizes[0] == live[0]
 
 
 def test_float_checkpoints_stay_within_their_cap(capsys):

@@ -382,6 +382,14 @@ def test_minorant_sweep_default_grid_is_the_filtered_sweep_grid(monkeypatch):
             minorant_sweep(c=c, c0=math.inf)
 
 
+def test_minorant_sweep_refuses_word_lengths_below_one(monkeypatch):
+    # a usage error before the log n(q-1) filter, which has no log of n <= 0
+    monkeypatch.setattr(bounds, "minorant_grid", lambda *a: pytest.fail("swept"))
+    for grid in ([0, 5], [-3, 40], [0]):
+        with pytest.raises(ParameterError, match=r"word length n must be >= 1, got -?\d"):
+            minorant_sweep(n_grid=grid)
+
+
 def test_minorant_sweep_offset_defaults_to_min_c0_3():
     assert minorant_sweep(n_grid=[40]).c == 3.0
     assert minorant_sweep(c0=2.0, n_grid=[40]).c == 2.0
