@@ -103,7 +103,11 @@ def phi_binomial(params: SchemeParams, j: int, l: int) -> Fraction:
     return Fraction(_binomial_sum(n, q, j, l), math.comb(n, j) * (q - 1) ** j)
 
 
-@lru_cache(maxsize=64)
+# `verify lemmas` walks the 150 schemes q = 2..6, n <= 30 three times
+# (lemmas 4.1, 4.2, 4.3(1)), and a cache smaller than that evicts each
+# pass's rows before the next pass reads them.  256 entries hold them all
+# (150 builds, 195 hits) in about 1.5 MB of integers.
+@lru_cache(maxsize=256)
 def scaled_rows(params: SchemeParams) -> tuple:
     """Integer matrix K with K[j][l] = phi_j(l) * d_j, d_j = (q-1)**j C(n,j).
 

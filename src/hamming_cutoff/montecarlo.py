@@ -16,12 +16,22 @@ Philox(key=seed) generator is read in order.  Walks go in consecutive
 chunks of `_BLOCK`, and for each chunk and each step one integer in
 [0, n(q-1)) per walk picks the coordinate and the shift, so its counts
 too are a pure function of (params, k, walks, seed).
+
+Budgets are module constants, checked before the first draw, so a
+refused request builds no generator (`ResourceBudgetError`).  Both
+samplers cap walks*k at `DEFAULT_DRAW_BUDGET` (`_check_draws`): the
+literal sampler's work, one draw per walk-step.  `simulate` also plans
+its own work, k steps of 2(n+1) binomials, by `radial._check_plan`, the
+rule of the k-step loops: k(n+1) class-steps within `FLOAT_STEP_BUDGET`
+and k steps within `STEP_CALL_BUDGET`.  `simulate_literal` refuses
+q**n past `LITERAL_STATE_BUDGET` vertices.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from .radial import _check_plan
 from .scheme import (
     ParameterError,
     RadialDistribution,
@@ -31,7 +41,8 @@ from .scheme import (
     uniform,
 )
 
-DEFAULT_DRAW_BUDGET = 10 ** 10
+DEFAULT_DRAW_BUDGET = 10 ** 10  # walks*k, the walk-steps a sample stands for
+LITERAL_STATE_BUDGET = 10 ** 4  # q**n, the vertices `simulate_literal` tabulates
 _BLOCK = 1 << 16  # walks per literal chunk; bounds memory, fixed so counts stay seeded
 
 
@@ -72,21 +83,29 @@ def _result(cfg: SimConfig, counts: np.ndarray) -> EmpiricalResult:
     return EmpiricalResult(cfg, counts, RadialDistribution(cfg.params, freq, "float"), stderr)
 
 
-def simulate(cfg: SimConfig, max_draws: int = DEFAULT_DRAW_BUDGET) -> EmpiricalResult:
+def _check_draws(cfg: SimConfig) -> None:
+    """Both samplers' cap, before the first draw: `ResourceBudgetError`
+    past `DEFAULT_DRAW_BUDGET` walk-steps walks*k."""
+    if cfg.walks * cfg.k > DEFAULT_DRAW_BUDGET:
+        raise ResourceBudgetError(
+            f"walks*k = {cfg.walks * cfg.k} exceeds the draw budget {DEFAULT_DRAW_BUDGET}"
+        )
+
+
+def simulate(cfg: SimConfig) -> EmpiricalResult:
     """Sample the k-step class histogram of cfg.walks walks; deterministic per seed.
 
-    `max_draws` caps walks*k, the walk-steps the sample stands for; the
-    sampler itself draws 2(n+1) binomials per step.  Per step, from
+    Before the first draw, walks*k is capped by `_check_draws`, and the
+    sampler's own work, k steps of 2(n+1) binomials, by
+    `radial._check_plan` (k(n+1) class-steps, k steps).  Per step, from
     Philox(key=seed): down_l ~ Bin(c_l, l/(n(q-1))), then up_l ~
     Bin(c_l - down_l, (n-l)(q-1)/(n(q-1) - l)), the up probability given
     not down (0 where that denominator is 0, i.e. q = 2 and l = n).  Each
     probability is one correctly rounded division of exact integers.
     """
-    if cfg.walks * cfg.k > max_draws:
-        raise ResourceBudgetError(
-            f"walks*k = {cfg.walks * cfg.k} exceeds the draw budget {max_draws}"
-        )
     n, q, d = cfg.params.n, cfg.params.q, cfg.params.degree
+    _check_draws(cfg)
+    _check_plan("class-histogram sampler", cfg.k * (n + 1), cfg.k)
     p_down = np.array([l / d for l in range(n + 1)])
     p_up = np.array([(n - l) * (q - 1) / (d - l) if d > l else 0.0
                      for l in range(n + 1)])
@@ -120,26 +139,29 @@ def plugin_tv(result: EmpiricalResult) -> EmpiricalTV:
     )
 
 
-def empirical_tv(cfg: SimConfig, max_draws: int = DEFAULT_DRAW_BUDGET) -> EmpiricalTV:
+def empirical_tv(cfg: SimConfig) -> EmpiricalTV:
     """Sample `cfg` and return its `plugin_tv`."""
-    return plugin_tv(simulate(cfg, max_draws))
+    return plugin_tv(simulate(cfg))
 
 
-def simulate_literal(cfg: SimConfig, max_states: int = 10 ** 4) -> EmpiricalResult:
+def simulate_literal(cfg: SimConfig) -> EmpiricalResult:
     """Cross-check sampler on the literal q**n graph (tiny spaces only).
 
     Each step draws r in [0, n(q-1)) per walk: coordinate r // (q-1) moves
     from letter a to (a + 1 + r % (q-1)) mod q, a uniform other letter.
     The class of a vertex is its number of nonzero digits, read from a
     q**n table; no class probability is used, so it agrees with `simulate`
-    in distribution only.
+    in distribution only.  Before the first draw, q**n past
+    `LITERAL_STATE_BUDGET` and walks*k past `_check_draws`'s cap (one
+    draw per walk-step) raise `ResourceBudgetError`.
     """
     params = cfg.params
     n, q = params.n, params.q
-    if params.size > max_states:
+    if params.size > LITERAL_STATE_BUDGET:
         raise ResourceBudgetError(
-            f"q**n = {params.size} exceeds the literal-state budget {max_states}"
+            f"q**n = {params.size} exceeds the literal-state budget {LITERAL_STATE_BUDGET}"
         )
+    _check_draws(cfg)
     weight = np.zeros(1, dtype=np.int64)  # nonzero digits of each vertex
     for _ in range(n):  # prepend one digit: vertex a * q**i + v
         weight = ((np.arange(q) > 0)[:, None] + weight[None, :]).ravel()

@@ -593,6 +593,29 @@ def test_simulate_resource_cap(capsys):
     assert code == 3
 
 
+def test_simulate_step_plan_exits_3_with_no_output(monkeypatch, capsys):
+    # walks*k = 10**9 is within the draw budget; 10**9 sampler steps are not
+    import numpy as np
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("a refused request built a generator")
+
+    monkeypatch.setattr(np.random, "Philox", no_generator)
+    code, out, err = run(
+        ["simulate", "--n", "3", "--q", "3", "--k", "1000000000", "--walks", "1"], capsys
+    )
+    assert code == 3
+    assert out == ""
+    assert "step budget" in err
+
+
+def test_table_backend_auto_is_a_usage_error():
+    # `table` has one default, exact; `auto` is not a table backend
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--n", "2", "--q", "3", "--backend", "auto"])
+    assert exc.value.code == 2
+
+
 def test_table_dump(capsys):
     code, out, _ = run(["table", "--n", "2", "--q", "3"], capsys)
     assert code == 0

@@ -137,6 +137,25 @@ def test_literal_sampler_budget():
         simulate_literal(SimConfig(make_scheme(20, 3), k=1, walks=10, seed=0))
 
 
+def _no_generator(*args, **kwargs):
+    raise AssertionError("a refused request built a generator")
+
+
+def test_sampler_step_plan_refused_before_any_draw(monkeypatch):
+    # walks*k = 10**9 fits the draw budget, but 10**9 steps of 2(n+1)
+    # binomials would run for hours: the step plan refuses them at once
+    monkeypatch.setattr(np.random, "Philox", _no_generator)
+    with pytest.raises(ResourceBudgetError, match="step budget"):
+        simulate(SimConfig(make_scheme(3, 3), k=10 ** 9, walks=1, seed=0))
+
+
+def test_literal_sampler_draw_budget_refused_before_any_draw(monkeypatch):
+    # 10**12 walk-steps on a 9-vertex graph: one draw each, ~10 h uncapped
+    monkeypatch.setattr(np.random, "Philox", _no_generator)
+    with pytest.raises(ResourceBudgetError, match="draw budget"):
+        simulate_literal(SimConfig(make_scheme(2, 3), k=10 ** 4, walks=10 ** 8, seed=0))
+
+
 def test_plugin_tv_reads_the_given_sample():
     cfg = SimConfig(make_scheme(5, 3), k=6, walks=4000, seed=8)
     assert plugin_tv(simulate(cfg)) == empirical_tv(cfg)

@@ -246,6 +246,18 @@ def test_lemma41_suite_reports_both_sides_of_a_shifted_linearization(monkeypatch
     assert [(v.which, v.n, v.q, v.c, v.lhs, v.rhs) for v in r.violations] == expect
 
 
+def test_lemma_suites_build_each_schemes_rows_once():
+    # lemmas 4.1, 4.2 and 4.3(1) read the rows of 150 schemes (q = 2..6,
+    # n <= 30) in three passes; the cache must hold them across passes
+    from hamming_cutoff.krawtchouk import scaled_rows
+    from hamming_cutoff.verify import verify_lemmas
+
+    scaled_rows.cache_clear()
+    verify_lemmas()
+    info = scaled_rows.cache_info()
+    assert (info.misses, info.hits) == (150, 195)
+
+
 def _shifted_rows(monkeypatch, double_row1):
     """Patch the suites' Krawtchouk rows: K_0 + 1, and 2 K_1 if asked."""
     import hamming_cutoff.verify as verify_mod
