@@ -44,6 +44,7 @@ from .scheme import (
     RadialDistribution,
     SchemeParams,
     log_class_weights,
+    tv_of_gaps,
     uniform,
 )
 from .spectral import spectrum
@@ -198,7 +199,7 @@ def majorant(q: int, c: float) -> float:
 
 def float_tv_error(n: int, k: int) -> float:
     """eps >= |tv_float - tv| for `radial.kstep_tv(..., "float")` at step k,
-    or for a tv `radial.float_lockstep` yields.
+    or for a tv taken from the masses `radial.float_lockstep` yields.
 
     eps = gamma_4k/2 + 3u + (3k+2)(n+1) 2**-1074, u = 2**-53, gamma_m =
     mu/(1 - mu) (Higham, *Accuracy and Stability of Numerical Algorithms*,
@@ -215,9 +216,9 @@ def float_tv_error(n: int, k: int) -> float:
     underflow term.  The spare 0.49u covers evaluating eps in float.
     A packed step rounds each class as a scheme's own step does (IEEE
     elementwise operations do not depend on the array's layout, Higham,
-    §2.2; other rows and unreached classes add exact zeros), and the
-    pass takes each tv with the subtraction, abs and sorted `fsum` of
-    `scheme.tv_distance`, so the bound holds for it as it stands.
+    §2.2; other rows and unreached classes add exact zeros), and its
+    readers take each tv from its masses with the subtraction, abs and
+    sorted `fsum` of `scheme.tv_distance`, so the bound holds as it stands.
     """
     if k > 2 ** 41:  # 4ku > 2**-10, decided in integers: k may be past the float range
         return math.inf
@@ -259,8 +260,9 @@ def _bound_reports(jobs, backend: str, on_law=None):
     one list per job: per cell (k, c, bound), tv >= bound for `which`
     "minorant" (vacuous below 0), else tv**2 <= bound (vacuous from 1).
 
-    One lockstep pass (`radial.float_lockstep`) yields the tv at every
-    float job's distinct ks, and `on_law(job index, k, law)` sees each law.
+    One lockstep pass (`radial.float_lockstep`) yields the law at every
+    float job's distinct ks, and `on_law(job index, k, law)` sees each
+    one; its tv is `tv_distance` to pi, the job's float uniform law.
     A float cell is decided in float only when tv +- `float_tv_error`
     lies on one side of the bound; every other cell is undecided, and so
     is every cell of an exact job, which takes no step in the pass.  One
@@ -269,11 +271,13 @@ def _bound_reports(jobs, backend: str, on_law=None):
     budget for a float one (`ResourceBudgetError` past it).
     """
     bes = [resolve_backend(params, backend) for params, _, _ in jobs]
-    tvs = [{} for _ in jobs]
+    tvs, pis = [{} for _ in jobs], [None] * len(jobs)
     steps = [(params, sorted({k for k, _, _ in cells}) if be == "float" else ())
              for (params, _, cells), be in zip(jobs, bes)]  # exact jobs take no step
-    for i, k, tv, mass in float_lockstep(steps):
-        tvs[i][k] = tv
+    for i, k, mass in float_lockstep(steps):
+        if pis[i] is None:
+            pis[i] = uniform(steps[i][0], "float").mass
+        tvs[i][k] = tv_of_gaps(np.abs(mass - pis[i]))
         if on_law is not None:
             on_law(i, k, RadialDistribution(steps[i][0], mass, "float"))
     for (params, which, cells), be, tv in zip(jobs, bes, tvs):

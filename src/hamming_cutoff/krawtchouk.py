@@ -182,15 +182,15 @@ def _float_rows(params: SchemeParams, js: np.ndarray):
     before any product is formed, and joined where |f g| peaks in it.
     """
     n, q = params.n, params.q
+    if n > 2 and not float_table_supported(params):  # refused before any array is built
+        raise ResourceBudgetError(
+            f"float table out of range at n={n}, q={q}; use the exact backend"
+        )
     logw = log_class_weights(params)
     logscale = 0.5 * (logw[None, :] + logw[js][:, None] - n * math.log(q))
     if n <= 2:
         phi = np.array([[float(v) for v in _exact_table(params)[j]] for j in js])
         return phi * np.exp(logscale), phi
-    if not float_table_supported(params):
-        raise ResourceBudgetError(
-            f"float table out of range at n={n}, q={q}; use the exact backend"
-        )
     diag, off, lam = _jacobi_coefficients(params)
     shift = lam[js][None, :] - diag[:, None]  # shift[l] = lam_j - diag[l]
     # l-major, so each step reads and writes contiguous rows

@@ -23,14 +23,14 @@ must pass its bit budget before its first k raises with no exact step
 `float_lockstep`: it packs the schemes of a whole grid end to end in one
 array, steps them all with one `float_power_step` call per step, each
 row resuming from the latest state an earlier float trajectory on its
-scheme yielded, and takes each law's distance to uniform on that array.
-Elementwise IEEE arithmetic rounds the same at any array layout and a
-neighbouring row adds exact zeros, so a row's masses and distance are
-bit for bit those of its scheme walked alone.  Both loops plan before
-their first step (`_check_plan`): a pass or walk past
+scheme yielded, and yields the masses.  Elementwise IEEE arithmetic
+rounds the same at any array layout and a neighbouring row adds exact
+zeros, so a row's masses are bit for bit those of its scheme walked
+alone.  Both loops yield states, not distances, and plan before they
+build or step anything (`_check_plan`): a pass or walk past
 `FLOAT_STEP_BUDGET` class-steps or `STEP_CALL_BUDGET` steps raises
 `ResourceBudgetError`.  `kstep_tv` turns the exact excess, or the float
-pass, into the distance to uniform.
+masses, into the distance to uniform.
 """
 
 import heapq
@@ -50,7 +50,6 @@ from .scheme import (
     ResourceBudgetError,
     SchemeParams,
     class_weights,
-    point_mass,
     tv_of_gaps,
     uniform,
 )
@@ -283,34 +282,31 @@ def kstep_trajectory(
         return
     if backend != "float":
         raise ParameterError(f"unknown backend {backend!r}")
-    for _, k, _, mass in float_lockstep(((params, ks),)):
+    for _, k, mass in float_lockstep(((params, ks),)):
         yield k, RadialDistribution(params, mass, "float")
 
 
 def float_lockstep(jobs):
-    """Yield (i, k, tv, mass) for each job i = (params, ks), ks sorted and
-    distinct: the package's one float k-step loop; mass is the law's
-    read-only masses, tv its distance to `uniform(params, "float")`.
+    """Yield (i, k, mass) for each job i = (params, ks), ks sorted and
+    distinct: the package's one float k-step loop, which only plans,
+    resumes, packs and steps; mass is the law's read-only masses.
 
-    The rows lie end to end in one zero-guarded array (down[0] = up[n] =
-    0, so no mass crosses between rows), and one `float_power_step` call
-    into the other of two reused buffers steps every row short of its
-    last k.  A row resumes from its scheme's latest state k0
-    (`_float_marks`) when 0 < k0 <= min(ks), else from the point mass at
-    k0 = 0, and each state it yields at k > 0 overwrites that holder.
-    Rows are sorted by the steps they have left, so finished rows leave
-    as a prefix, and every live row is stepped in full.  Events (k - k0,
-    row, k), merged in order from the rows' own sorted ks and never held
-    as a list, drive the pass: step up to each event, then yield its row,
-    with tv = `scheme.tv_of_gaps` of its slice of |mass - pi|, formed
-    once per step count.  IEEE elementwise operations round the same at
-    any layout and a neighbouring row adds an exact 0.0, so each mass and
-    tv is bit for bit that of the scheme walked alone from k = 0 and
-    `tv_distance` to the float uniform law.  A pass past
-    `FLOAT_STEP_BUDGET` or `STEP_CALL_BUDGET` raises `ResourceBudgetError`
-    before its first step (`_check_plan`).
+    A row resumes from its scheme's latest state k0 (`_float_marks`) when
+    0 < k0 <= min(ks), else from the point mass at k0 = 0, and each state
+    it yields at k > 0 overwrites that holder.  A pass past
+    `FLOAT_STEP_BUDGET` or `STEP_CALL_BUDGET`, planned from each row's n,
+    ks and k0, raises `ResourceBudgetError` (`_check_plan`) before any
+    array is built.  The rows lie end to end in one zero-guarded array
+    (down[0] = up[n] = 0, so no mass crosses between rows), and one
+    `float_power_step` call into the other of two reused buffers steps
+    every row short of its last k.  Rows are sorted by the steps they have
+    left, so finished rows leave as a prefix.  Events (k - k0, row, k),
+    merged in order from the rows' own sorted ks, drive the pass: step up
+    to each event, then yield its row.  IEEE elementwise operations round
+    the same at any layout and a neighbouring row adds an exact 0.0, so
+    each mass is bit for bit that of the scheme walked alone from k = 0.
     """
-    rows = []  # (steps left, job index, params, ks, k0, start mass, holder)
+    rows = []  # (steps left, job index, params, ks, k0, start masses, holder)
     for i, (params, ks) in enumerate(jobs):
         ks = _sorted_steps(ks)
         if not ks:
@@ -319,7 +315,7 @@ def float_lockstep(jobs):
         with _MARKS_LOCK:
             k0, start = holder
         if not 0 < k0 <= ks[0]:
-            k0, start = 0, point_mass(params, "float").mass
+            k0, start = 0, (1.0,)  # the point mass: 1.0 at class 0, zeros after
         rows.append((ks[-1] - k0, i, params, ks, k0, start, holder))
     if not rows:
         return
@@ -332,16 +328,15 @@ def float_lockstep(jobs):
 
     events = heapq.merge(*(schedule(j, row) for j, row in enumerate(rows)))
     offs = list(accumulate((row[2].n + 1 for row in rows), initial=1))  # row j: offs[j]:offs[j+1]
-    down, stay, up, pi, *bufs = arrays = np.zeros((7, offs[-1] + 1))  # bufs: 2 masses, scratch
+    down, stay, up, *bufs = arrays = np.zeros((6, offs[-1] + 1))  # bufs: 2 masses, scratch
     for j, row in enumerate(rows):
         arrays[:3, offs[j]:offs[j + 1]] = float_step_arrays(row[2])
-        pi[offs[j]:offs[j + 1]] = uniform(row[2], "float").mass
-        bufs[0][offs[j]:offs[j + 1]] = row[5]
+        bufs[0][offs[j]:offs[j] + len(row[5])] = row[5]
     done = lo = cur = 0  # steps taken; rows[:lo] are finished; bufs[cur] holds the masses
-    live = gaps = None
+    live = None
     for until, j, k in events:
-        if gaps is None or done < until:
-            while rows[lo][0] <= done < until:  # drop finished rows
+        if done < until:
+            while rows[lo][0] <= done:  # drop finished rows
                 lo += 1
             if live != lo:  # views of the live rows' classes a..b-1, from either buffer
                 live, a, b = lo, offs[lo], offs[-1]
@@ -352,15 +347,13 @@ def float_lockstep(jobs):
                 float_power_step(*ops[cur])
                 cur = 1 - cur
             done = until
-            gaps = np.abs(bufs[cur][a:] - pi[a:])  # |mass - uniform| of the live rows
         i, holder = rows[j][1], rows[j][6]
-        tv = tv_of_gaps(gaps[offs[j] - a:offs[j + 1] - a])
         mass = bufs[cur][offs[j]:offs[j + 1]].copy()
         mass.flags.writeable = False
         if k:
             with _MARKS_LOCK:
                 holder[:] = k, mass
-        yield i, k, tv, mass
+        yield i, k, mass
 
 
 def kstep_tv(params: SchemeParams, ks, backend: Backend, bit_budget=DEFAULT_BIT_BUDGET):
@@ -370,9 +363,9 @@ def kstep_tv(params: SchemeParams, ks, backend: Backend, bit_budget=DEFAULT_BIT_
     classes (Levin-Peres-Wilmer, *Markov Chains and Mixing Times*, Prop.
     4.2).  Exact: the Fraction sum(map(abs, e)) / (2 q**n (n(q-1))**k)
     over `kstep_excess` (`bit_budget` caps e's bits); no distribution is
-    built.  Float: the tv of the one-row `float_lockstep` pass (resumed
-    from the scheme's float checkpoint), bit for bit `scheme.tv_distance`
-    of the law against the float uniform law; no distribution is built.
+    built.  Float: `scheme.tv_of_gaps` of |mass - pi| over the one-row
+    `float_lockstep` pass, pi the float uniform law fetched after its plan:
+    bit for bit `scheme.tv_distance`; no distribution is built.
     A negative `bit_budget` is a `ParameterError` before any step on
     either backend, though only the exact one reads it.
     """
@@ -384,8 +377,11 @@ def kstep_tv(params: SchemeParams, ks, backend: Backend, bit_budget=DEFAULT_BIT_
         return
     if backend != "float":
         raise ParameterError(f"unknown backend {backend!r}")
-    for _, k, tv, _ in float_lockstep(((params, ks),)):
-        yield k, tv
+    pi = None
+    for _, k, mass in float_lockstep(((params, ks),)):
+        if pi is None:
+            pi = uniform(params, "float").mass
+        yield k, tv_of_gaps(np.abs(mass - pi))
 
 
 def kstep_oracle(
@@ -442,29 +438,28 @@ def numerators_must_exceed(
     first = 1 if room < 0 else math.floor(room / log_d) + 1
     _check_plan("exact numerators walk", k * (params.n + 1), k)
     checks = [first + 2 ** i - 1 for i in range((k - first).bit_length())] + [k]
-    for _, s, _, mass in float_lockstep(((params, checks),)):
+    for _, s, mass in float_lockstep(((params, checks),)):
         if _bit_floor(params, s, mass) > bit_budget:
             return s
     return 0
 
 
-def enumerate_tiny_steps(
-    params: SchemeParams, k_max: int, max_states: int = DEFAULT_STATE_BUDGET
-):
+def enumerate_tiny_steps(params: SchemeParams, k_max: int):
     """Yield the brute-force distribution at k = 0, 1, ..., k_max in turn.
 
     Works on the literal q**n-vertex graph with integer numerators over the
     implicit denominator (n(q-1))**k: a step replaces the value at x by the
     sum over coordinates i of (column-sum over letter values at i) minus
     n * value(x).  Each step is compressed by distance class and must equal
-    `kstep_oracle` exactly.
+    `kstep_oracle` exactly.  A graph of more than `DEFAULT_STATE_BUDGET`
+    vertices is refused (`ResourceBudgetError`) before any array is built.
     """
     if k_max < 0:
         raise ParameterError("step count k must be >= 0")
     n, q = params.n, params.q
-    if params.size > max_states:
+    if params.size > DEFAULT_STATE_BUDGET:
         raise ResourceBudgetError(
-            f"q**n = {params.size} exceeds the state budget {max_states}"
+            f"q**n = {params.size} exceeds the state budget {DEFAULT_STATE_BUDGET}"
         )
     shape = (q,) * n
     state = np.zeros(shape, dtype=object)
@@ -492,11 +487,9 @@ def enumerate_tiny_steps(
         yield RadialDistribution(params, mass, "exact")
 
 
-def enumerate_tiny(
-    params: SchemeParams, k: int, max_states: int = DEFAULT_STATE_BUDGET
-) -> RadialDistribution:
+def enumerate_tiny(params: SchemeParams, k: int) -> RadialDistribution:
     """Brute-force k-step distribution on the literal q**n-vertex graph."""
-    for dist in enumerate_tiny_steps(params, k, max_states):
+    for dist in enumerate_tiny_steps(params, k):
         pass
     return dist
 

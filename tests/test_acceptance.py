@@ -87,7 +87,7 @@ def test_criterion_02_radial_projection_certified():
         p = make_scheme(n, q)
         m = radial_matrix(p)
         dist = point_mass(p)
-        for k, full in enumerate(enumerate_tiny_steps(p, 20, max_states=10 ** 4)):
+        for k, full in enumerate(enumerate_tiny_steps(p, 20)):
             if k:
                 dist = power_step(dist, m)
             ok = ok and full.mass == dist.mass

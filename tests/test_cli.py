@@ -431,6 +431,19 @@ def test_verify_flag_the_suite_does_not_read_usage_error(args, flag, capsys):
     assert err.startswith("usage error") and f"{flag}\n" in err
 
 
+@pytest.mark.parametrize("argv", [["--n-max", "2", "--q", "3", "--k-max", "1000000"],
+                                  ["--n-max", "3000", "--q", "3", "--k-max", "3"]])
+def test_verify_upper_past_the_bit_budget_exits_3_before_its_first_step(argv, monkeypatch,
+                                                                       capsys):
+    # both used to run until killed
+    monkeypatch.setattr(radial, "int_power_step", lambda *a: pytest.fail("stepped"))
+    t0 = time.perf_counter()
+    code, out, err = run(["verify", "upper", *argv], capsys)
+    assert time.perf_counter() - t0 < 5.0
+    assert (code, out) == (3, "")
+    assert err.startswith("resource cap: verify upper at n=")
+
+
 def test_verify_upper_k_max_0_runs_only_k_0(capsys):
     code, out, _ = run(["verify", "upper", "--k-max", "0"], capsys)
     assert code == 0

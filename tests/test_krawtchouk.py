@@ -227,6 +227,20 @@ def test_table_budget():
         build_table(make_scheme(2000, 6), "float")
 
 
+def test_float_table_out_of_range_is_refused_before_any_array(monkeypatch):
+    # at n = 100000, q = 3 the log-scale array alone would take 74.5 GiB
+    def build(params):
+        raise LookupError("past the gate")
+
+    monkeypatch.setattr(krawtchouk, "log_class_weights", build)
+    with pytest.raises(ResourceBudgetError, match="float table out of range"):
+        build_table(make_scheme(100000, 3), "float")
+    with pytest.raises(ResourceBudgetError, match="float table out of range"):
+        phi_row(make_scheme(100000, 3), 1, "float")
+    with pytest.raises(LookupError):  # n <= 2 is served at any q
+        build_table(make_scheme(2, 10 ** 400), "float")
+
+
 @pytest.mark.parametrize("n, q", [(4096, 3), (1000, 1000000)])
 def test_exact_table_past_the_bit_budget_exits_3_before_any_row(n, q, capsys):
     t0 = time.perf_counter()

@@ -151,8 +151,9 @@ def test_enumerate_tiny_examples():
 
 
 def test_enumerate_tiny_budget():
-    with pytest.raises(ResourceBudgetError):
-        enumerate_tiny(make_scheme(10, 3), 1, max_states=100)
+    # H(13, 3) has 1,594,323 vertices, past DEFAULT_STATE_BUDGET
+    with pytest.raises(ResourceBudgetError, match="1594323 exceeds the state budget"):
+        enumerate_tiny(make_scheme(13, 3), 1)
 
 
 def test_float_powering_matches_exact():
@@ -308,6 +309,17 @@ def test_bit_floor_proves_the_simulate_trips_without_an_exact_step(monkeypatch):
     assert radial.numerators_must_exceed(make_scheme(3, 10 ** 400), 500)
     # a trip at step 372, 28 steps short of k
     assert radial.numerators_must_exceed(make_scheme(300, 3), 400)
+
+
+def test_bit_floor_reads_masses_alone(monkeypatch):
+    # the floor needs no uniform law: the float pass builds none
+    def refuse(*a):
+        pytest.fail("built a uniform law")
+
+    monkeypatch.setattr(radial, "uniform", refuse)
+    monkeypatch.setattr(bounds, "uniform", refuse)
+    _float_marks.cache_clear()
+    assert radial.numerators_must_exceed(make_scheme(300, 4), 600) == 354
 
 
 def test_bit_floor_proves_the_trips_a_few_steps_past_the_walks_own(monkeypatch):
@@ -535,7 +547,7 @@ def test_lockstep_pass_is_bit_identical_to_each_scheme_alone(jobs):
     # mixed n and q in one packed array (n = 1 rows, k = 0 events, a tail
     # row short of class n), rows resumed from checkpoints at different
     # k0: every mass equals the scheme's own cold 1-D walk, and every tv
-    # is tv_distance of that law to the float uniform law
+    # its readers take is tv_distance of that law to the float uniform law
     schemes = [make_scheme(n, q) for n, q, _, _ in jobs]
     cold = []
     for p, (_, _, ks, _) in zip(schemes, jobs):
@@ -546,14 +558,27 @@ def test_lockstep_pass_is_bit_identical_to_each_scheme_alone(jobs):
         assert _masses(kstep_trajectory(p, ks, "float")) == alone
         _float_marks.cache_clear()
         assert list(kstep_tv(p, ks, "float")) == [(k, tv) for k, _, tv in cold[-1]]
-    _float_marks.cache_clear()
-    for p, (_, _, _, warm) in zip(schemes, jobs):
-        list(kstep_trajectory(p, warm, "float"))
-    got = [[] for _ in jobs]
     stack = [(p, ks) for p, (_, _, ks, _) in zip(schemes, jobs)]
-    for i, k, tv, mass in radial.float_lockstep(stack):
+
+    def warm_up():
+        _float_marks.cache_clear()
+        for p, (_, _, _, warm) in zip(schemes, jobs):
+            list(kstep_trajectory(p, warm, "float"))
+
+    warm_up()
+    got = [[] for _ in jobs]
+    for i, k, mass in radial.float_lockstep(stack):
         assert not mass.flags.writeable
-        got[i].append((k, mass.tolist(), tv))
+        got[i].append((k, mass.tolist()))
+    assert got == [[(k, mass) for k, mass, _ in rows] for rows in cold]
+    # the packed pass's tv reader: a bound of -inf decides every cell in float
+    warm_up()
+    got = [[] for _ in jobs]
+    cells = [(p, "minorant", [(k, 0.0, -math.inf) for k in ks]) for p, ks in stack]
+    reports = bounds._bound_reports(
+        cells, "float", lambda i, k, law: got[i].append((k, law.mass.tolist())))
+    for i, rs in enumerate(reports):
+        got[i] = [(k, mass, r.tv_exact) for (k, mass), r in zip(got[i], rs)]
     assert got == cold
 
 
@@ -674,15 +699,15 @@ def test_float_step_budget_refuses_a_pass_before_its_first_step(monkeypatch):
     ref = list(radial.float_lockstep(jobs))
     _float_marks.cache_clear()
     monkeypatch.setattr(radial, "FLOAT_STEP_BUDGET", 76)
-    assert [(i, k, tv) for i, k, tv, _ in radial.float_lockstep(jobs)] == [
-        (i, k, tv) for i, k, tv, _ in ref]
+    assert [(i, k, mass.tolist()) for i, k, mass in radial.float_lockstep(jobs)] == [
+        (i, k, mass.tolist()) for i, k, mass in ref]
     _float_marks.cache_clear()
     monkeypatch.setattr(radial, "FLOAT_STEP_BUDGET", 75)
     monkeypatch.setattr(radial, "float_power_step", lambda *a: pytest.fail("stepped"))
     with pytest.raises(ResourceBudgetError, match="76 class-steps"):
         next(radial.float_lockstep(jobs))
     # a row resumed from a checkpoint plans only the steps it has left
-    _float_marks(p)[:] = 4, next(mass for i, k, _, mass in ref if (i, k) == (0, 4))
+    _float_marks(p)[:] = 4, next(mass for i, k, mass in ref if (i, k) == (0, 4))
     monkeypatch.setattr(radial, "FLOAT_STEP_BUDGET", 23)
     with pytest.raises(ResourceBudgetError, match="24 class-steps"):
         next(radial.float_lockstep(((p, (10,)),)))

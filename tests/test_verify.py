@@ -21,8 +21,9 @@ from hamming_cutoff import (
     upper_bound_lemma_rhs,
     variance_phi1_kstep,
 )
-from hamming_cutoff import bounds
+from hamming_cutoff import bounds, radial, verify
 from hamming_cutoff.radial import int_power_step
+from hamming_cutoff.scheme import RadialDistribution, ResourceBudgetError
 from hamming_cutoff.verify import (
     default_sweep_grid,
     minorant_sweep,
@@ -67,6 +68,39 @@ def test_verify_upper_small():
     report = verify_upper(n_max=6, q_values=(2, 3), k_max=40)
     assert report.ok
     assert report.checked == 2 * 6 * 41
+
+
+def test_verify_upper_plans_its_grid_before_its_first_step(monkeypatch):
+    monkeypatch.setattr(radial, "int_power_step", lambda *a: pytest.fail("stepped"))
+    # the largest walk's excess bound (n+1)(n log2 q + k log2 n(q-1) + 1)
+    with pytest.raises(ResourceBudgetError, match=r"n=2, q=3, k=1000000 may hold ~6e\+06 bits"):
+        verify_upper(n_max=2, q_values=(3,), k_max=10 ** 6)
+    with pytest.raises(ResourceBudgetError, match=r"n=3000, q=3, k=3 may hold ~1\.44e\+07 bits"):
+        verify_upper(n_max=3000, q_values=(3,), k_max=3)
+    with pytest.raises(ResourceBudgetError, match="q=7, k=1100"):  # its largest q: q = 2 fits
+        verify_upper(n_max=100, q_values=(2, 7), k_max=1100)
+    # within the bit bound, the suite's class-steps k_max (n+1) per walk
+    monkeypatch.setattr(radial, "FLOAT_STEP_BUDGET", 2 * 300 * 495 - 1)
+    with pytest.raises(ResourceBudgetError, match="verify upper of 297000 class-steps"):
+        verify_upper(q_values=(2, 6))
+    monkeypatch.setattr(radial, "FLOAT_STEP_BUDGET", 10 ** 11)
+    monkeypatch.setattr(radial, "STEP_CALL_BUDGET", 299)
+    with pytest.raises(ResourceBudgetError, match="of 300 steps exceeds the step budget"):
+        verify_upper(q_values=(2, 6))
+
+
+def test_verify_upper_default_grid_fits_the_bit_budget(monkeypatch):
+    # the default grid's largest walk, q = 6, n = 30, k = 300, bounds at ~6.97e4 bits
+    def past_the_plan(*a):
+        raise LookupError("past the plan")
+
+    monkeypatch.setattr(radial, "int_power_step", past_the_plan)
+    monkeypatch.setattr(verify, "DEFAULT_BIT_BUDGET", 69_700)
+    with pytest.raises(LookupError):
+        verify_upper()
+    monkeypatch.setattr(verify, "DEFAULT_BIT_BUDGET", 69_600)
+    with pytest.raises(ResourceBudgetError, match="n=30, q=6, k=300 may hold ~6.97e\\+04 bits"):
+        verify_upper()
 
 
 def test_verify_upper_reports_every_violation_of_a_shrunk_bound(monkeypatch):
@@ -392,6 +426,19 @@ def test_minorant_sweep_default_grid_is_the_filtered_sweep_grid(monkeypatch):
     for c in (math.inf, math.nan):
         with pytest.raises(ParameterError, match="finite"):
             minorant_sweep(c=c, c0=math.inf)
+
+
+def test_minorant_sweep_past_the_float_step_budget_builds_nothing(monkeypatch):
+    # n = 2,000,000 plans ~1.6e13 class-steps: refused before any law or
+    # row array is built
+    def refuse(*a):
+        pytest.fail("built a law or a row array")
+
+    monkeypatch.setattr(RadialDistribution, "__post_init__", refuse)
+    monkeypatch.setattr(radial, "float_step_arrays", refuse)
+    radial._float_marks.cache_clear()
+    with pytest.raises(ResourceBudgetError, match="^float pass of .* class-steps exceeds"):
+        minorant_sweep(q=3, n_grid=[2_000_000])
 
 
 def test_minorant_sweep_refuses_word_lengths_below_one(monkeypatch):
