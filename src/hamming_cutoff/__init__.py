@@ -81,6 +81,7 @@ from .spectral import (
     expectation_phi,
     expectation_phi_by_sum,
     kstep_distribution,
+    kstep_rounded,
     linearization_phi1_squared,
     spectrum,
     stationary_moments,

@@ -37,7 +37,13 @@ from typing import Literal
 
 import numpy as np
 
-from .radial import DEFAULT_BIT_BUDGET, float_lockstep, kstep_trajectory, kstep_tv
+from .radial import (
+    DEFAULT_BIT_BUDGET,
+    _check_plan,
+    float_lockstep,
+    kstep_trajectory,
+    kstep_tv,
+)
 from .scheme import (
     Backend,
     ParameterError,
@@ -304,7 +310,7 @@ def _majorant_job(params: SchemeParams, given, rounding: str):
     q = params.q
     if rounding == "ceil":
         cells = [(math.ceil(schedule_step(params, c)), c, v) for c, v in given]
-    elif rounding == "exact":
+    else:  # "exact"
         if not given:
             raise ParameterError("exact rounding needs at least one offset c")
         lo = schedule_step(params, min(given)[0])
@@ -316,8 +322,6 @@ def _majorant_job(params: SchemeParams, given, rounding: str):
             raise ParameterError(
                 f"schedule value {lo} is not an integer; cannot use exact mode"
             )
-    else:
-        raise ParameterError(f"unknown rounding {rounding!r}")
     return params, {3: "thm-q3", 4: "thm-q4"}.get(q, "thm-q5"), cells
 
 
@@ -346,15 +350,27 @@ def majorant_grid(
     backend: str = "auto",
 ):
     """Yield `majorant_cells` of each scheme in turn, all from one
-    lockstep float pass."""
-    given, jobs = {}, []
+    lockstep float pass.
+
+    The pass is planned cold before any cell is built: `_check_plan` on
+    sum (n+1) k_last and max k_last over the float schemes, k_last the
+    largest step the rounding schedules, which is the plan the pass makes
+    from k0 = 0 (a resumed pass plans less)."""
+    if rounding not in ("ceil", "exact"):
+        raise ParameterError(f"unknown rounding {rounding!r}")
+    schemes, given, lasts = tuple(schemes), {}, []
     for p in schemes:
         if not majorant_in_scope(p):
             raise ParameterError(f"no majorant theorem covers n={p.n}, q={p.q}")
         if p.q not in given:  # 0 < c < inf, or a usage error
             given[p.q] = [(c, majorant(p.q, c)) for c in c_values]
-        jobs.append(_majorant_job(p, given[p.q], rounding))
-    return _bound_reports(jobs, backend)
+            c_top = max(given[p.q], default=(None,))[0]  # alike for every q
+        if c_top is not None and resolve_backend(p, backend) == "float":
+            top = schedule_step(p, c_top)
+            lasts.append((p.n + 1, math.ceil(top) if rounding == "ceil"
+                          else math.floor(top + 1e-9)))
+    _check_plan("float pass", sum(w * k for w, k in lasts), max((k for _, k in lasts), default=0))
+    return _bound_reports([_majorant_job(p, given[p.q], rounding) for p in schemes], backend)
 
 
 def check_majorant(

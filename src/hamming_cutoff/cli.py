@@ -16,8 +16,9 @@ import textwrap
 from . import bounds, verify
 from .krawtchouk import build_table
 from .montecarlo import SimConfig, plugin_tv, simulate
-from .radial import DEFAULT_BIT_BUDGET, kstep_excess, kstep_oracle, kstep_tv
+from .radial import DEFAULT_BIT_BUDGET, kstep_excess, kstep_tv
 from .scheme import ParameterError, ResourceBudgetError, make_scheme
+from .spectral import kstep_rounded
 
 PROFILE_HEADER = "k,c_equiv,tv_exact,ub_lemma,majorant,minorant,hora_plus,hora_minus"
 
@@ -191,11 +192,7 @@ def cmd_simulate(args) -> int:
     params = make_scheme(args.n, args.q)
     result = simulate(SimConfig(params, args.k, args.walks, args.seed))
     tv = plugin_tv(result)
-    exact = None  # the exact column, filled iff the oracle fits its bit budget
-    try:
-        exact = [float(v) for v in kstep_oracle(params, args.k).mass]
-    except ResourceBudgetError:
-        pass
+    exact = kstep_rounded(params, args.k)  # the exact column: None past both engines' bits
     freq = result.point_estimate.mass
     if args.format == "csv":
         lines = ["l,count,freq,stderr,exact_mass"]

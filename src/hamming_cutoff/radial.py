@@ -16,10 +16,9 @@ Exact powering keeps integer numerators over the common denominator
 and `power_step` are the Fraction reference for one step.  The uniform
 law is stationary, so the excess e = num q**n - w (n(q-1))**k of the
 k-step law over it obeys the same integer step (`kstep_excess`); both
-walk one loop.  The float masses of the same law give a certified
-floor on the numerators' bits (`_bit_floor`), so a numerator walk that
-must pass its bit budget before its first k raises with no exact step
-(`numerators_must_exceed`).  Float powering has one loop too,
+walk one loop, which counts their bits as it steps
+(`spectral.kstep_rounded` plans a law's bits in integers before it
+takes either exact engine).  Float powering has one loop too,
 `float_lockstep`: it packs the schemes of a whole grid end to end in one
 array, steps them all with one `float_power_step` call per step, each
 row resuming from the latest state an earlier float trajectory on its
@@ -187,19 +186,15 @@ def _check_bit_budget(bit_budget) -> None:
         raise ParameterError(f"bit budget must be >= 0, got {bit_budget}")
 
 
-def _int_chain(params: SchemeParams, vec: list, ks, bit_budget, what: str,
-               floored: bool = False):
+def _int_chain(params: SchemeParams, vec: list, ks, bit_budget, what: str):
     """The package's one exact k-step loop: yield (k, vec after k steps)
     for sorted, distinct ks, max(ks) `int_power_step`s in all.
 
     Before any step: a negative `bit_budget` is a `ParameterError`, and
     a walk past `_check_plan`'s budgets (max(ks)(n+1) class-steps, max(ks)
-    steps) a `ResourceBudgetError`.  So is, with `floored` (vec is the
-    point mass, whose bits `numerators_must_exceed` bounds), a walk
-    proven to pass `bit_budget` by its first k, which would raise before
-    its first yield anyway.
-    Past a step, `ResourceBudgetError` once the sum of the bit lengths of
-    the integers in vec exceeds `bit_budget` (`math.inf`: no bound).
+    steps) a `ResourceBudgetError`.  Past a step, `ResourceBudgetError`
+    once the sum of the bit lengths of the integers in vec exceeds
+    `bit_budget` (`math.inf`: no bound).
     """
     _check_bit_budget(bit_budget)
     n, q = params.n, params.q
@@ -207,11 +202,6 @@ def _int_chain(params: SchemeParams, vec: list, ks, bit_budget, what: str,
     if not ks:
         return
     _check_plan(f"exact {what} walk", ks[-1] * (n + 1), ks[-1])
-    trip = floored and numerators_must_exceed(params, ks[0], bit_budget)
-    if trip:
-        raise ResourceBudgetError(
-            f"exact {what} must exceed {bit_budget} bits at n={n} by k={trip}"
-        )
     bounded = bit_budget < math.inf  # the bit count costs ~5 % of a step
     done = 0
     for k in ks:
@@ -227,10 +217,9 @@ def _int_chain(params: SchemeParams, vec: list, ks, bit_budget, what: str,
 
 def kstep_numerators(params: SchemeParams, ks, bit_budget=DEFAULT_BIT_BUDGET):
     """Yield (k, num) for sorted, distinct ks; num[l] = mass[l] (n(q-1))**k.
-    `_int_chain` from the point mass; `bit_budget` caps num's bits, and a
-    walk `numerators_must_exceed` shows must pass it by min(ks) takes no
-    step."""
-    return _int_chain(params, [1] + [0] * params.n, ks, bit_budget, "numerators", True)
+    `_int_chain` from the point mass; `bit_budget` caps num's bits as it
+    steps (`spectral.kstep_rounded` plans a law's bits before any step)."""
+    return _int_chain(params, [1] + [0] * params.n, ks, bit_budget, "numerators")
 
 
 def kstep_excess(params: SchemeParams, ks, bit_budget=DEFAULT_BIT_BUDGET):
@@ -389,59 +378,6 @@ def kstep_oracle(
 ) -> RadialDistribution:
     """k exact steps of the distance chain from the basepoint."""
     return next(kstep_trajectory(params, (k,), "exact", bit_budget))[1]
-
-
-def _bit_floor(params: SchemeParams, s: int, mass) -> int:
-    """A floor on sum(map(int.bit_length, num)), the bits `_int_chain`
-    counts after s steps of `kstep_numerators`, from the float masses a
-    `float_lockstep` pass within `_check_plan`'s budgets yields at s.
-
-    A class of mass m >= 2**-900 counts max(1, floor(log2 m - 1 + s log2
-    d - slack) + 1) bits, d = n(q-1); a lighter class counts 0 bits.  As
-    in `bounds.float_tv_error`, m sums nonnegative products with <= 4
-    roundings per path per step (a resumed pass yields bit for bit the
-    masses of a walk from k = 0), so m <= (1 + gamma_4s) nu + U for the
-    exact nu = num/d**s, U <= 3s(n+1) 2**-1075.  The budgets give s <=
-    10**7 and s(n+1) <= 10**11, so gamma_4s < 2**-26, U < 2**-1030, and
-    m >= 2**-900 gives nu >= m/2 > 0: num >= 1 and bitlen(num) =
-    floor(log2 nu + s log2 d) + 1.  slack = 2**-39 A, A = 1076 + s log2 d
-    bounding each term: with each float log2 within 2**-40 relative, the
-    computed argument is within (2**-40 + 5u) A of the exact one, u =
-    2**-53, and the rest covers evaluating slack.
-    """
-    log_d = math.log2(params.degree)
-    shift = s * log_d - 1 - 2.0 ** -39 * (1076 + s * log_d)
-    logs = np.log2(mass[mass >= 2.0 ** -900])
-    return sum(map(int, np.maximum(np.floor(logs + shift) + 1, 1).tolist()))
-
-
-def numerators_must_exceed(
-    params: SchemeParams, k: int, bit_budget=DEFAULT_BIT_BUDGET
-) -> int:
-    """The first checked step s <= k whose `_bit_floor` exceeds
-    `bit_budget`, so `kstep_numerators` must pass the budget by step s and
-    `kstep_oracle(params, k, bit_budget)` raises `ResourceBudgetError`;
-    0 (false) when no trip is proven.
-
-    Costs nothing while (n+1)(k log2 n(q-1) + 1), which bounds the bits
-    at step k (num[l] <= (n(q-1))**k), stays within the budget; otherwise
-    one `float_lockstep` pass checks the floor at s = first, first+1,
-    first+3, first+7, ... and k, from the first step that bound admits a
-    trip, and stops at the first s that proves one.  A walk to k past
-    `_check_plan`'s budgets raises there first.
-    """
-    _check_bit_budget(bit_budget)
-    room = bit_budget / (params.n + 1) - 1  # bits a class may hold with no trip
-    log_d = math.log2(params.degree)
-    if k == 0 or (room >= 0 and (log_d == 0 or k <= room / log_d)):  # no trip up to k
-        return 0
-    first = 1 if room < 0 else math.floor(room / log_d) + 1
-    _check_plan("exact numerators walk", k * (params.n + 1), k)
-    checks = [first + 2 ** i - 1 for i in range((k - first).bit_length())] + [k]
-    for _, s, mass in float_lockstep(((params, checks),)):
-        if _bit_floor(params, s, mass) > bit_budget:
-            return s
-    return 0
 
 
 def enumerate_tiny_steps(params: SchemeParams, k_max: int):

@@ -13,7 +13,8 @@ evaluates this exactly, in integers: with K[j][l] = d_j phi_j(l)
     mass[l] = w[l] * sum_j K[j][l] (d - jq)**k / (q**n d**k),
 
 and it must reproduce the radial-chain oracle bit for bit without ever
-taking a radial step.
+taking a radial step.  `kstep_rounded` rounds the same sum to floats
+where the chain's bits would not fit its budget (`simulate`'s column).
 
 There is no float inversion: the series' terms alternate in sign and grow
 far past 1 below the cutoff, so float64 loses their cancellation.  Float
@@ -65,6 +66,18 @@ def spectrum(params: SchemeParams) -> SpectrumTable:
     return SpectrumTable(params, lam, class_weights(params).w)
 
 
+def _spectral_numerators(params: SchemeParams, k: int):
+    """(num, den) with mass[l] = num[l] / den exactly: num[l] = w[l] sum_j
+    K[j][l] (d - jq)**k over the integer rows K = `scaled_rows`, d =
+    n(q-1), and den = q**n d**k.  The package's one spectral sum."""
+    n, q, d = params.n, params.q, params.degree
+    rows = scaled_rows(params)
+    w = class_weights(params)
+    powers = [(d - j * q) ** k for j in range(n + 1)]
+    sums = [sum(r[l] * p for r, p in zip(rows, powers)) for l in range(n + 1)]
+    return [wl * s for wl, s in zip(w.w, sums)], w.total * d ** k
+
+
 def kstep_distribution(
     params: SchemeParams, k: int, backend: Backend = "exact"
 ) -> RadialDistribution:
@@ -82,14 +95,33 @@ def kstep_distribution(
     if backend != "exact":
         raise ParameterError(f"spectral inversion is exact only, not {backend!r}; "
                              "float k-step laws come from radial.kstep_trajectory")
+    num, den = _spectral_numerators(params, k)
+    return RadialDistribution(params, tuple(Fraction(v, den) for v in num), "exact")
+
+
+def kstep_rounded(params: SchemeParams, k: int):
+    """The k-step law's masses, each the correctly rounded float of the
+    exact mass, or None when neither exact engine fits
+    `radial.DEFAULT_BIT_BUDGET`: the plan is taken in integers before any
+    step, float pass or power.
+
+    With d = n(q-1): the chain (`radial.kstep_oracle`) when (min(n, k) +
+    1) k bitlen(d) fits, which bounds its bits at every step s <= k
+    (num[l] <= d**s, and num[l] = 0 for l > s); else the spectral sum
+    when its powers' bits, sum_j k bitlen|d - jq|, fit, each mass one
+    correctly rounded int division num[l] / den; else None.  Both give
+    the float of the same rational.
+    """
+    if k < 0:
+        raise ParameterError("step count k must be >= 0")
     n, q, d = params.n, params.q, params.degree
-    rows = scaled_rows(params)
-    w = class_weights(params)
-    powers = [(d - j * q) ** k for j in range(n + 1)]
-    den = w.total * d ** k
-    sums = [sum(r[l] * p for r, p in zip(rows, powers)) for l in range(n + 1)]
-    mass = tuple(Fraction(wl * s, den) for wl, s in zip(w.w, sums))
-    return RadialDistribution(params, mass, "exact")
+    budget = radial.DEFAULT_BIT_BUDGET
+    if (min(n, k) + 1) * k * d.bit_length() <= budget:
+        return tuple(map(float, radial.kstep_oracle(params, k).mass))
+    if sum(k * abs(d - j * q).bit_length() for j in range(n + 1)) <= budget:
+        num, den = _spectral_numerators(params, k)
+        return tuple(v / den for v in num)
+    return None
 
 
 def expectation_phi(params: SchemeParams, j: int, k: int) -> Fraction:

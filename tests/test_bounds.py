@@ -32,7 +32,7 @@ from hamming_cutoff import (
     uniform,
     upper_bound_lemma_rhs,
 )
-from hamming_cutoff import bounds
+from hamming_cutoff import bounds, radial
 from hamming_cutoff.krawtchouk import scaled_rows
 from hamming_cutoff.radial import int_power_step
 
@@ -184,6 +184,27 @@ def test_check_majorant_scope():
         check_majorant(make_scheme(1, 4), 1.0)
     with pytest.raises(ParameterError):
         check_majorant(make_scheme(10, 5), 1.0, rounding="exact")
+
+
+def test_majorant_grid_plans_its_pass_before_any_cell(monkeypatch):
+    # the cold plan is the pass's own: sum (n+1) k_last over the float
+    # schemes, refused before `_majorant_job` builds a cell
+    big = make_scheme(300000, 3)
+    schemes = [make_scheme(n, q) for q in (3, 5) for n in (12, 40, 300)]
+    # auto: n <= 30 is an exact job, which takes no float step
+    plan = sum((p.n + 1) * math.ceil(schedule_step(p, 2.0)) for p in schemes if p.n > 30)
+    real_job = bounds._majorant_job
+    monkeypatch.setattr(bounds, "_majorant_job", lambda *a: pytest.fail("built cells"))
+    big_plan = (big.n + 1) * math.ceil(schedule_step(big, 6.0))
+    with pytest.raises(ResourceBudgetError, match=f"^float pass of {big_plan} class-steps"):
+        list(bounds.majorant_grid([big], (6.0,)))
+    monkeypatch.setattr(radial, "FLOAT_STEP_BUDGET", plan - 1)
+    with pytest.raises(ResourceBudgetError, match=f"^float pass of {plan} class-steps"):
+        list(bounds.majorant_grid(schemes, (1.0, 2.0)))
+    monkeypatch.setattr(bounds, "_majorant_job", real_job)
+    monkeypatch.setattr(radial, "FLOAT_STEP_BUDGET", plan)
+    reports = list(bounds.majorant_grid(schemes, (1.0, 2.0)))
+    assert [len(r) for r in reports] == [2] * 6
 
 
 def test_minorant_examples():

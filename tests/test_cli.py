@@ -8,7 +8,7 @@ from unittest import mock
 
 import pytest
 
-from hamming_cutoff import class_weights, cli, make_scheme, radial
+from hamming_cutoff import class_weights, cli, make_scheme, radial, spectral
 from hamming_cutoff.bounds import majorant_value, minorant, upper_bound_lemma_rhs
 from hamming_cutoff.cli import PROFILE_HEADER, main
 from hamming_cutoff.scheme import ParameterError, ResourceBudgetError
@@ -557,8 +557,9 @@ def test_simulate_json(capsys):
 
 
 def test_simulate_leaves_exact_mass_empty_past_the_oracle_budget(capsys):
-    # the exact numerators pass the default bit budget at k = 372
-    args = ["simulate", "--n", "300", "--q", "3", "--k", "400", "--walks", "50"]
+    # the benchmark's large request plans 1.81 M chain and 1.53 M spectral
+    # bits, both past the default budget of 10**6
+    args = ["simulate", "--n", "300", "--q", "4", "--k", "600", "--walks", "50"]
     code, out, err = run(args, capsys)
     assert (code, err) == (0, "")
     rows = out.splitlines()[1:-1]
@@ -568,19 +569,23 @@ def test_simulate_leaves_exact_mass_empty_past_the_oracle_budget(capsys):
     assert code == 0 and payload["exact_mass"] is None and sum(payload["counts"]) == 50
 
 
-def test_simulate_skips_the_oracle_where_the_bit_floor_proves_a_trip(monkeypatch, capsys):
-    # the benchmark's large request: the floor proves the trip by step 354,
-    # so the exact walk takes no step and the column stays empty
-    monkeypatch.setattr(radial, "int_power_step", lambda *a: pytest.fail("stepped"))
-    args = ["simulate", "--n", "300", "--q", "4", "--k", "600", "--walks", "131072"]
+@pytest.mark.parametrize("n, q, k, walks", [(300, 4, 600, 131072), (3, 10 ** 400, 500, 100)],
+                         ids=["n300", "q10e400"])
+def test_simulate_plans_its_exact_column_before_any_step(monkeypatch, n, q, k, walks, capsys):
+    # past both exact engines' bits the column stays empty with no exact
+    # step, float pass or spectral power taken
+    for owner, name in ((radial, "int_power_step"), (radial, "float_lockstep"),
+                        (spectral, "_spectral_numerators")):
+        monkeypatch.setattr(owner, name, lambda *a: pytest.fail("computed the law"))
+    args = ["simulate", "--n", str(n), "--q", str(q), "--k", str(k), "--walks", str(walks)]
     code, out, err = run(args, capsys)
     assert (code, err) == (0, "")
     rows = out.splitlines()[1:-1]
-    assert len(rows) == 301 and all(row.endswith(",") for row in rows)
+    assert len(rows) == n + 1 and all(row.endswith(",") for row in rows)
     code, out, _ = run(args + ["--format", "json"], capsys)
     payload = json.loads(out)
     assert code == 0 and payload["exact_mass"] is None
-    assert sum(payload["counts"]) == 131072
+    assert sum(payload["counts"]) == walks
 
 
 @pytest.mark.parametrize("n, q, k", [(100, 3, 200), (3, 10 ** 400, 5)],
@@ -589,7 +594,7 @@ def test_simulate_fills_the_exact_column_within_the_oracle_budget(n, q, k, capsy
     # below its budget the column is kstep_oracle's masses, q past the
     # float range included (a float log of q would overflow)
     args = ["simulate", "--n", str(n), "--q", str(q), "--k", str(k), "--walks", "100"]
-    exact = [float(v) for v in cli.kstep_oracle(make_scheme(n, q), k).mass]
+    exact = [float(v) for v in radial.kstep_oracle(make_scheme(n, q), k).mass]
     code, out, err = run(args, capsys)
     assert (code, err) == (0, "")
     cells = [row.split(",")[4] for row in out.splitlines()[1:-1]]

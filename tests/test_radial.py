@@ -250,121 +250,20 @@ def test_bit_budget_trips_exactly_past_the_numerator_bits():
     assert kstep_oracle(p, 0, bit_budget=0).mass == point_mass(p).mass
 
 
-def test_bit_floor_never_exceeds_the_numerator_bits():
-    # the floor read off the float masses never exceeds the bits the exact
-    # walk counts, on masses walked cold and resumed from a checkpoint,
-    # nor on doubled masses (it allows for float masses up to twice the
-    # exact ones); at q = 10**400 the light classes underflow
-    schemes = [make_scheme(n, q) for n in range(1, 13) for q in range(2, 7)]
-    schemes += [make_scheme(n, 10 ** 400) for n in range(1, 4)]
-    for p in schemes:
-        bits = [sum(v.bit_length() for v in num)
-                for _, num in kstep_numerators(p, range(61), math.inf)]
-        _float_marks.cache_clear()
-        cold = list(kstep_trajectory(p, range(1, 61), "float"))
-        list(kstep_trajectory(p, (29,), "float"))
-        assert _float_marks(p)[0] == 29
-        warm = list(kstep_trajectory(p, range(30, 61), "float"))  # resumed at k = 29
-        for k, dist in cold + warm:
-            assert radial._bit_floor(p, k, dist.mass) <= bits[k], (p, k)
-            assert radial._bit_floor(p, k, 2 * dist.mass) <= bits[k], (p, k)
-    # a class lighter than 2**-900 counts 0 bits, a heavier one >= 1
-    p = make_scheme(1, 3)
-    assert radial._bit_floor(p, 1, np.array([2.0 ** -901, 1.0])) == 1
-    assert radial._bit_floor(p, 1, np.array([2.0 ** -900, 1.0])) == 2
-
-
-def test_proven_trip_means_the_oracle_raises():
-    p = make_scheme(9, 4)
-    bits = [sum(v.bit_length() for v in num)
-            for _, num in kstep_numerators(p, range(41), math.inf)]
-    for k in (1, 17, 40):
-        peak = max(bits[1:k + 1])
-        proven = [b for b in range(peak // 2, peak + 1)
-                  if radial.numerators_must_exceed(p, k, b)]
-        assert proven and not radial.numerators_must_exceed(p, k, peak)
-        for b in proven:
-            with pytest.raises(ResourceBudgetError):
-                kstep_oracle(p, k, bit_budget=b)
-    # no step, no trip; a negative budget is a usage error as in the walk
-    assert not radial.numerators_must_exceed(p, 0, 0)
-    with pytest.raises(ParameterError, match="bit budget"):
-        radial.numerators_must_exceed(p, 5, -1)
-
-
-def test_bit_floor_skips_the_shadow_where_no_trip_is_possible(monkeypatch):
-    monkeypatch.setattr(radial, "float_lockstep", lambda *a: pytest.fail("walked"))
-    # the benchmark's small simulate request: (n+1)(k log2 n(q-1) + 1) << 10**6
-    assert not radial.numerators_must_exceed(make_scheme(20, 3), 40)
-    assert not radial.numerators_must_exceed(make_scheme(300, 4), 600, math.inf)
-    assert not radial.numerators_must_exceed(make_scheme(3, 10 ** 400), 5)
-    assert not radial.numerators_must_exceed(make_scheme(3, 3), 10 ** 400, math.inf)
-
-
-def test_bit_floor_proves_the_simulate_trips_without_an_exact_step(monkeypatch):
-    monkeypatch.setattr(radial, "int_power_step", lambda *a: pytest.fail("stepped"))
-    assert radial.numerators_must_exceed(make_scheme(300, 4), 600)
-    assert radial.numerators_must_exceed(make_scheme(2000, 5), 5000)
-    # coefficient logs of integers past the float range
-    assert radial.numerators_must_exceed(make_scheme(3, 10 ** 400), 500)
-    # a trip at step 372, 28 steps short of k
-    assert radial.numerators_must_exceed(make_scheme(300, 3), 400)
-
-
-def test_bit_floor_reads_masses_alone(monkeypatch):
-    # the floor needs no uniform law: the float pass builds none
-    def refuse(*a):
-        pytest.fail("built a uniform law")
-
-    monkeypatch.setattr(radial, "uniform", refuse)
-    monkeypatch.setattr(bounds, "uniform", refuse)
-    _float_marks.cache_clear()
-    assert radial.numerators_must_exceed(make_scheme(300, 4), 600) == 354
-
-
-def test_bit_floor_proves_the_trips_a_few_steps_past_the_walks_own(monkeypatch):
-    # never before the exact walk's own trip, and within 9 and 8 steps of it
-    real_step = radial.int_power_step
-    for q, k, trip, latest in ((4, 600, 351, 360), (3, 400, 372, 380)):
-        p = make_scheme(300, q)
-        monkeypatch.setattr(radial, "int_power_step", real_step)
-        walk = kstep_numerators(p, (1, k))  # no trip proven by k = 1: the walk runs
-        next(walk)
-        with pytest.raises(ResourceBudgetError, match=f"exceeded 1000000 bits at n=300, k={trip}$"):
+def test_numerator_walks_trip_where_their_own_bits_say():
+    # the exact chain counts its bits as it steps: the simulate walks at
+    # n = 300 serve their first k and pass the default budget at k = 351
+    # (q = 4) and k = 372 (q = 3), and a walk whose budget binds only past
+    # its first k serves that k
+    for q, k, trip in ((4, 600, 351), (3, 400, 372)):
+        walk = kstep_numerators(make_scheme(300, q), (1, k))
+        assert next(walk)[0] == 1
+        with pytest.raises(ResourceBudgetError, match=f"1000000 bits at n=300, k={trip}$"):
             next(walk)
-        monkeypatch.setattr(radial, "int_power_step", lambda *a: pytest.fail("stepped"))
-        _float_marks.cache_clear()
-        assert trip <= radial.numerators_must_exceed(p, k) <= latest
-
-
-def test_oracle_refuses_the_n300_q3_walk_before_its_first_step(monkeypatch):
-    # `simulate --n 300 --q 3 --k 400`: the oracle raises with no exact step
-    monkeypatch.setattr(radial, "int_power_step", lambda *a: pytest.fail("stepped"))
-    match = r"^exact numerators must exceed 1000000 bits at n=300 by k=375$"
-    with pytest.raises(ResourceBudgetError, match=match):
-        kstep_oracle(make_scheme(300, 3), 400)
-
-
-def test_numerator_walks_proven_to_trip_take_no_step(monkeypatch):
-    # the floor proves the oracle's trip at n = 300, q = 4 by step 354
-    # (the true trip is at 351), so every exact law raises at once
-    real_step = radial.int_power_step
-    monkeypatch.setattr(radial, "int_power_step", lambda *a: pytest.fail("stepped"))
-    p = make_scheme(300, 4)
-    match = r"^exact numerators must exceed 1000000 bits at n=300 by k=354$"
-    with pytest.raises(ResourceBudgetError, match=match):
-        kstep_oracle(p, 600)
-    with pytest.raises(ResourceBudgetError, match=match):
-        next(kstep_trajectory(p, (600, 700), "exact"))
-    # a trip proven only past the first k: that k is still served, and the
-    # exact walk trips where its own bit count says
-    monkeypatch.setattr(radial, "int_power_step", real_step)
     p = make_scheme(9, 4)
     bits = [sum(v.bit_length() for v in num)
             for _, num in kstep_numerators(p, range(41), math.inf)]
     budget = max(bits[1:41]) // 2
-    assert radial.numerators_must_exceed(p, 40, budget)
-    assert not radial.numerators_must_exceed(p, 1, budget)
     walk = kstep_numerators(p, (1, 40), budget)
     assert next(walk)[0] == 1
     first = next(s for s, b in enumerate(bits) if b > budget)

@@ -1,7 +1,9 @@
+import math
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hamming_cutoff import (
     ParameterError,
@@ -23,6 +25,14 @@ from hamming_cutoff import (
     uniform,
     variance_phi1_kstep,
 )
+from hamming_cutoff import radial, spectral
+from hamming_cutoff.spectral import kstep_rounded
+
+
+def _refuse(what):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"called {what}")
+    return refuse
 
 
 def test_spectrum_examples():
@@ -83,6 +93,72 @@ def test_exact_backend_takes_no_radial_step(monkeypatch):
     monkeypatch.setattr(radial, "power_step", refuse)
     for k, mass in expected.items():
         assert kstep_distribution(p, k, "exact").mass == mass
+
+
+def _chain_floats(p, k):
+    return tuple(map(float, kstep_oracle(p, k, math.inf).mass))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 12), st.integers(2, 6), st.integers(0, 80))
+def test_rounded_spectral_side_is_the_float_of_the_chain(n, q, k):
+    # with the budget between the spectral sum's bits and the chain's
+    # bound, the plan takes the spectral side, whose correctly rounded int
+    # divisions are the floats of the chain's Fractions
+    p = make_scheme(n, q)
+    d = p.degree
+    chain_bits = (min(n, k) + 1) * k * d.bit_length()
+    sum_bits = sum(k * abs(d - j * q).bit_length() for j in range(n + 1))
+    want = _chain_floats(p, k)
+    assert kstep_rounded(p, k) == want  # both fit the default budget
+    if sum_bits < chain_bits:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(radial, "DEFAULT_BIT_BUDGET", sum_bits)
+            mp.setattr(radial, "int_power_step", _refuse("int_power_step"))
+            assert kstep_rounded(p, k) == want
+
+
+def test_rounded_law_at_n300_q3_k400_is_the_spectral_sum(monkeypatch):
+    # 1.20 M chain bits, 0.955 M spectral bits: the simulate column fills
+    p = make_scheme(300, 3)
+    want = _chain_floats(p, 400)
+    monkeypatch.setattr(radial, "int_power_step", _refuse("int_power_step"))
+    monkeypatch.setattr(radial, "float_lockstep", _refuse("float_lockstep"))
+    got = kstep_rounded(p, 400)
+    assert len(got) == 301 and got == want and all(type(v) is float for v in got)
+
+
+def test_rounded_law_takes_the_chain_where_its_bits_fit(monkeypatch):
+    # the small simulate requests, q past the float range included
+    cases = [(20, 3, 40), (100, 3, 200), (2, 3, 2), (3, 10 ** 400, 5)]
+    want = [_chain_floats(make_scheme(n, q), k) for n, q, k in cases]
+    monkeypatch.setattr(radial, "float_lockstep", _refuse("float_lockstep"))
+    monkeypatch.setattr(spectral, "_spectral_numerators", _refuse("the spectral sum"))
+    assert [kstep_rounded(make_scheme(n, q), k) for n, q, k in cases] == want
+
+
+def test_rounded_law_is_refused_before_any_step(monkeypatch):
+    # past both engines' bits the plan takes no step, pass or power
+    monkeypatch.setattr(radial, "int_power_step", _refuse("int_power_step"))
+    monkeypatch.setattr(radial, "float_lockstep", _refuse("float_lockstep"))
+    monkeypatch.setattr(spectral, "_spectral_numerators", _refuse("the spectral sum"))
+    for n, q, k in ((300, 4, 600), (2000, 5, 5000), (3, 3, 10 ** 6), (3, 10 ** 400, 500)):
+        assert kstep_rounded(make_scheme(n, q), k) is None
+    with pytest.raises(ParameterError):
+        kstep_rounded(make_scheme(3, 3), -1)
+
+
+def test_oracle_is_the_chain_alone(monkeypatch):
+    # the oracle never falls back to the spectral sum: it walks, and
+    # past its bit budget it raises
+    monkeypatch.setattr(spectral, "_spectral_numerators", _refuse("the spectral sum"))
+    monkeypatch.setattr(spectral, "kstep_distribution", _refuse("the spectral sum"))
+    p = make_scheme(9, 4)
+    assert kstep_oracle(p, 17).mass == radial.kstep_oracle(p, 17, math.inf).mass
+    with pytest.raises(ResourceBudgetError, match="exceeded 100 bits"):
+        kstep_oracle(p, 40, bit_budget=100)
+    with pytest.raises(ResourceBudgetError, match="at n=300, k=372$"):
+        kstep_oracle(make_scheme(300, 3), 400)
 
 
 def test_float_backend_close_to_exact():
