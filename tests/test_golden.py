@@ -28,22 +28,44 @@ INLINE_LIMIT = 16 * 1024
 _WINDOW = ["--n", "500", "--q", "3", "--k-min", "483", "--k-max", "1818"]
 _EXACT30 = ["--n", "30", "--q", "3", "--k-max", "150", "--backend", "exact"]
 _STREAMS = ["--streams", "2", "--seed", "1"]
+_SIM20 = ["simulate", "--n", "20", "--q", "3", "--k", "40", "--walks", "200000", *_STREAMS]
+_SIM300 = ["simulate", "--n", "300", "--q", "4", "--k", "600", "--walks", "131072", *_STREAMS]
 COMMANDS = {
     "verify-upper": ["verify", "upper"],
     "verify-majorant": ["verify", "majorant"],
+    "verify-majorant-exact": ["verify", "majorant", "--rounding", "exact"],
     "verify-minorant": ["verify", "minorant"],
+    # the README's four empirical minorant thresholds
+    "verify-minorant-q3-b1": ["verify", "minorant", "--q", "3", "--b", "1.0",
+                              "--c0", "3.0", "--c", "3.0"],
+    "verify-minorant-q3-b0": ["verify", "minorant", "--q", "3", "--b", "0.0",
+                              "--c0", "3.0", "--c", "3.0"],
+    "verify-minorant-q4-b1": ["verify", "minorant", "--q", "4", "--b", "1.0",
+                              "--c0", "4.0", "--c", "4.0"],
+    "verify-minorant-q5-b1": ["verify", "minorant", "--q", "5", "--b", "1.0",
+                              "--c0", "4.5", "--c", "4.5"],
     "verify-lemmas": ["verify", "lemmas"],
     "profile-n500-float": ["profile", *_WINDOW, "--backend", "float"],
+    "profile-n500-float-wide": ["profile", "--n", "500", "--q", "3", "--k-min", "480",
+                                "--k-max", "1820", "--backend", "float"],
+    "profile-n1800-q5-float": ["profile", "--n", "1800", "--q", "5", "--k-max", "9000",
+                               "--k-step", "7", "--backend", "float"],
+    "profile-n2-q3-json": ["profile", "--n", "2", "--q", "3", "--k-max", "10",
+                           "--format", "json"],
+    "profile-n3-q5-c800": ["profile", "--n", "3", "--q", "5", "--k-min", "963",
+                           "--k-max", "963", "--backend", "float"],
     "profile-n30-exact-csv": ["profile", *_EXACT30],
     "profile-n30-exact-json": ["profile", *_EXACT30, "--format", "json"],
-    "simulate-n20-q3-k40": ["simulate", "--n", "20", "--q", "3", "--k", "40",
-                            "--walks", "200000", *_STREAMS],
-    "simulate-n300-q4-k600": ["simulate", "--n", "300", "--q", "4", "--k", "600",
-                              "--walks", "131072", *_STREAMS],
+    "simulate-n20-q3-k40": _SIM20,
+    "simulate-n20-q3-k40-json": [*_SIM20, "--format", "json"],
+    "simulate-n300-q4-k600": _SIM300,
+    "simulate-n300-q4-k600-json": [*_SIM300, "--format", "json"],
     "simulate-n100-q3-k200": ["simulate", "--n", "100", "--q", "3", "--k", "200",
                               "--walks", "100"],
     "simulate-n300-q3-k400": ["simulate", "--n", "300", "--q", "3", "--k", "400",
                               "--walks", "50"],
+    "table-n200-q3-exact": ["table", "--n", "200", "--q", "3"],
+    "table-n30-q3-float": ["table", "--n", "30", "--q", "3", "--backend", "float"],
 }
 
 
