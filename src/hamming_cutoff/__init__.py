@@ -19,9 +19,7 @@ from .bounds import (
     lemma35_ratio_chain,
     lemma35_ratio_check,
     majorant,
-    majorant_cells,
     minorant,
-    minorant_cells,
     minorant_diagnostics,
     offset_from_step,
     schedule_step,

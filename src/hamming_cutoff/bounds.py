@@ -20,12 +20,12 @@ it down; both directions are conservative because tv is non-increasing
 in k.  Bounds that are vacuous (majorant > 1, minorant < 0) are reported
 satisfied-vacuously rather than dropped, so grids stay informative.
 
-Every majorant and minorant verdict (`check_majorant`, `check_minorant`,
-the `verify` grids) comes from `majorant_cells` or `minorant_cells`, or
-their grid forms `majorant_grid` and `minorant_grid`: one schedule rule
-and one formula per bound, then one shared decision path (one lockstep
-float pass over every scheme, float verdicts certified by an a-priori
-roundoff bound, else exact, scheme by scheme).
+Every majorant and minorant verdict (`check_majorant`, `check_minorant`
+and the `verify` grids, through `majorant_grid` and `minorant_grid`)
+takes one schedule rule and one formula per bound, then one shared
+decision path, `_bound_reports` (one lockstep float pass over every
+scheme, float verdicts certified by an a-priori roundoff bound, else
+exact, scheme by scheme).
 """
 
 import math
@@ -325,32 +325,20 @@ def _majorant_job(params: SchemeParams, given, rounding: str):
     return params, {3: "thm-q3", 4: "thm-q4"}.get(q, "thm-q5"), cells
 
 
-def majorant_cells(
-    params: SchemeParams,
-    c_values,
-    rounding: Literal["ceil", "exact"] = "ceil",
-    backend: str = "auto",
-) -> list:
-    """The BoundReport of tv**2 <= majorant at each scheduled step.
-
-    `ceil`: k = ceil(b_n (log n(q-1) + c)) per c.  `exact`: the literal
-    theorem, at every integer k with `offset_from_step(k)` in [min c,
-    max c] (schedule within 1e-9); none is a usage error.  The cells are
-    decided on the path `minorant_cells` shares: one float trajectory,
-    verdicts certified by `float_tv_error`, else exact.
-    """
-    (reports,) = majorant_grid((params,), c_values, rounding, backend)
-    return reports
-
-
 def majorant_grid(
     schemes,
     c_values,
     rounding: Literal["ceil", "exact"] = "ceil",
     backend: str = "auto",
 ):
-    """Yield `majorant_cells` of each scheme in turn, all from one
-    lockstep float pass.
+    """Yield each scheme's BoundReports of tv**2 <= majorant at its
+    scheduled steps in turn, all from one lockstep float pass.
+
+    `ceil`: k = ceil(b_n (log n(q-1) + c)) per c.  `exact`: the literal
+    theorem, at every integer k with `offset_from_step(k)` in [min c,
+    max c] (schedule within 1e-9); none is a usage error.  The cells are
+    decided on the path `minorant_grid` shares: float verdicts certified
+    by `float_tv_error`, else exact.
 
     The pass is planned cold before any cell is built: `_check_plan` on
     sum (n+1) k_last and max k_last over the float schemes, k_last the
@@ -379,13 +367,14 @@ def check_majorant(
     rounding: Literal["ceil", "exact"] = "ceil",
     backend: str = "auto",
 ) -> BoundReport:
-    """`majorant_cells` at the one offset c; `exact` rounding needs an
-    integer schedule value (within 1e-9), checking the literal theorem.
+    """`majorant_grid` of the one scheme at the one offset c; `exact`
+    rounding needs an integer schedule value (within 1e-9), checking the
+    literal theorem.
 
     Float calls resume from the scheme's float checkpoint, so a run of
     one-c calls in ascending c takes max k steps in all, not their sum.
     """
-    return majorant_cells(params, (c,), rounding, backend)[0]
+    return next(majorant_grid((params,), (c,), rounding, backend))[0]
 
 
 def _exp(x: float) -> float:
@@ -429,21 +418,11 @@ def _minorant_job(params: SchemeParams, b: float, c_values):
     return params, "minorant", cells
 
 
-def minorant_cells(params: SchemeParams, b: float, c_values, backend: str = "auto") -> list:
-    """The BoundReport of tv >= minorant(q, b, c) at k = floor(b_n (log
-    n(q-1) - c)) for each 0 <= c <= log n(q-1); a bound below 0 is vacuous.
-
-    Decided on the path `majorant_cells` shares: one trajectory, float
-    verdicts certified by `float_tv_error`, else exact.
-    """
-    (reports,) = _bound_reports([_minorant_job(params, b, c_values)], backend)
-    return reports
-
-
 def minorant_grid(schemes, b: float, c: float):
-    """Yield (report, diagnostics) per scheme in turn: `minorant_cells` at
-    the one offset c on the float backend, and `minorant_diagnostics` at
-    its k with nu_k read from the same lockstep float pass.
+    """Yield (report, diagnostics) per scheme in turn: the BoundReport of
+    tv >= minorant(q, b, c) at the one offset c on the float backend, and
+    `minorant_diagnostics` at its k with nu_k read from the same lockstep
+    float pass.
     """
     jobs = [_minorant_job(p, b, (c,)) for p in schemes]
     diags = {}
@@ -462,7 +441,10 @@ def check_minorant(
     c: float,
     backend: str = "auto",
 ) -> BoundReport:
-    """`minorant_cells` at the one offset c <= c0.
+    """The BoundReport of tv >= minorant(q, b, c) at k = floor(b_n (log
+    n(q-1) - c)), for 0 <= c <= c0 and c <= log n(q-1); a bound below 0 is
+    vacuous.  Decided on the path `majorant_grid` shares: float verdicts
+    certified by `float_tv_error`, else exact.
 
     The inequality is guaranteed by the minorant theorem only for n past
     an unspecified threshold; callers assert it only where an empirical
@@ -472,7 +454,7 @@ def check_minorant(
     """
     if not c <= c0:
         raise ParameterError("need c <= c0 for the minorant schedule")
-    return minorant_cells(params, b, (c,), backend)[0]
+    return next(_bound_reports([_minorant_job(params, b, (c,))], backend))[0]
 
 
 @dataclass(frozen=True)
@@ -499,7 +481,7 @@ def minorant_diagnostics(
     i.e. (n-2)(q-1) >= 2; and always tv >= pi(B) - nu_k(B).  nu_k is the
     law `radial.kstep_trajectory` yields at k: exact within the default
     bit budget (`ResourceBudgetError` past it, as the exact recheck of
-    `minorant_cells`), while a float call after `minorant_cells` at the
+    `check_minorant`), while a float call after `check_minorant` at the
     same k resumes from the checkpoint that call left and takes no step.
     """
     if not (0 <= b < math.inf and 0 <= c < math.inf):

@@ -14,7 +14,7 @@ import sys
 import textwrap
 
 from . import bounds, verify
-from .krawtchouk import build_table
+from .krawtchouk import build_table, phi_row, scaled_rows
 from .montecarlo import SimConfig, plugin_tv, simulate
 from .radial import DEFAULT_BIT_BUDGET, kstep_excess, kstep_tv
 from .scheme import ParameterError, ResourceBudgetError, make_scheme
@@ -31,11 +31,6 @@ def _open(out: str):
     if out in (None, "-"):
         return contextlib.nullcontext(sys.stdout)
     return open(out, "w", newline="")
-
-
-def _write(text: str, out: str) -> None:
-    with _open(out) as fh:
-        fh.write(text)
 
 
 def _sqrt(value: float, log_value) -> float:
@@ -194,43 +189,47 @@ def cmd_simulate(args) -> int:
     tv = plugin_tv(result)
     exact = kstep_rounded(params, args.k)  # the exact column: None past both engines' bits
     freq = result.point_estimate.mass
-    if args.format == "csv":
-        lines = ["l,count,freq,stderr,exact_mass"]
-        for l in range(params.n + 1):
-            exact_cell = _fmt(exact[l]) if exact is not None else ""
-            lines.append(
-                f"{l},{result.counts[l]},{_fmt(freq[l])},"
-                f"{_fmt(result.stderr[l])},{exact_cell}"
-            )
-        lines.append(f"# empirical_tv,{_fmt(tv.estimate)},{tv.note}")
-        _write("\n".join(lines) + "\n", args.out)
-    else:
-        payload = {
-            "n": params.n,
-            "q": params.q,
-            "k": args.k,
-            "walks": args.walks,
-            "seed": args.seed,
-            "counts": [int(v) for v in result.counts],
-            "freq": [float(v) for v in freq],
-            "stderr": [float(v) for v in result.stderr],
-            "exact_mass": exact,
-            "empirical_tv": tv.estimate,
-            "empirical_tv_note": tv.note,
-        }
-        _write(json.dumps(payload, indent=2) + "\n", args.out)
+    with _open(args.out) as fh:
+        if args.format == "csv":
+            fh.write("l,count,freq,stderr,exact_mass\n")
+            for l in range(params.n + 1):
+                exact_cell = _fmt(exact[l]) if exact is not None else ""
+                fh.write(f"{l},{result.counts[l]},{_fmt(freq[l])},"
+                         f"{_fmt(result.stderr[l])},{exact_cell}\n")
+            fh.write(f"# empirical_tv,{_fmt(tv.estimate)},{tv.note}\n")
+        else:
+            payload = {
+                "n": params.n,
+                "q": params.q,
+                "k": args.k,
+                "walks": args.walks,
+                "seed": args.seed,
+                "counts": [int(v) for v in result.counts],
+                "freq": [float(v) for v in freq],
+                "stderr": [float(v) for v in result.stderr],
+                "exact_mass": exact,
+                "empirical_tv": tv.estimate,
+                "empirical_tv_note": tv.note,
+            }
+            fh.write(json.dumps(payload, indent=2) + "\n")
     return 0
 
 
 def cmd_table(args) -> int:
     params = make_scheme(args.n, args.q)
-    table = build_table(params, args.backend)
-    cell = str if table.backend == "exact" else lambda v: _fmt(float(v))
-    lines = ["j,l,value"]
-    for j in range(params.n + 1):
-        for l in range(params.n + 1):
-            lines.append(f"{j},{l},{cell(table.phi[j][l])}")
-    _write("\n".join(lines) + "\n", args.out)
+    # both gates run before any output: the exact rows' bit budget, the
+    # float table's range
+    if args.backend == "exact":
+        scaled_rows(params)
+        rows = (phi_row(params, j, "exact") for j in range(params.n + 1))
+        cell = str
+    else:
+        rows = (row.tolist() for row in build_table(params, "float").phi)
+        cell = _fmt
+    with _open(args.out) as fh:
+        fh.write("j,l,value\n")
+        for j, row in enumerate(rows):
+            fh.write("".join(f"{j},{l},{cell(v)}\n" for l, v in enumerate(row)))
     return 0
 
 

@@ -56,10 +56,11 @@ from .scheme import (
     log_class_weights,
 )
 
-# The exact table holds (n+1)**2 integers of up to n log2 q bits.  At q = 3
-# `table` peaked at 146 MB for n = 400 (1.0e8 bits) and 813 MB for n = 800
-# (8.1e8 bits), ~5.6x per doubling of n: 10**9 bits keeps n = 800 and caps
-# the command near 1 GB.
+# The exact rows hold (n+1)**2 integers of up to n log2 q bits, and they
+# are what `table` holds as it writes one row at a time: at q = 3 it peaks
+# at 43 MB for n = 400 (1.0e8 bits) and 110 MB for n = 800 (8.1e8 bits).
+# 10**9 bits keeps n = 800, refuses n >= 858 at q = 3, and caps one
+# scheme's rows near 125 MB, which every exact reader of them holds.
 EXACT_TABLE_BIT_BUDGET = 10 ** 9
 
 
@@ -189,7 +190,7 @@ def _float_rows(params: SchemeParams, js: np.ndarray):
     logw = log_class_weights(params)
     logscale = 0.5 * (logw[None, :] + logw[js][:, None] - n * math.log(q))
     if n <= 2:
-        phi = np.array([[float(v) for v in _exact_table(params)[j]] for j in js])
+        phi = np.array([[float(v) for v in phi_row(params, j, "exact")] for j in js])
         return phi * np.exp(logscale), phi
     diag, off, lam = _jacobi_coefficients(params)
     shift = lam[js][None, :] - diag[:, None]  # shift[l] = lam_j - diag[l]
@@ -245,12 +246,6 @@ def _float_rows(params: SchemeParams, js: np.ndarray):
     return psi, phi
 
 
-@lru_cache(maxsize=32)
-def _exact_table(params: SchemeParams) -> tuple:
-    """Every exact `phi_row`, O(n**2)."""
-    return tuple(phi_row(params, j, "exact") for j in range(params.n + 1))
-
-
 @lru_cache(maxsize=8)
 def _float_table(params: SchemeParams) -> tuple:
     """Read-only (psi, phi) of every row; psi is orthonormal up to roundoff."""
@@ -263,11 +258,13 @@ def _float_table(params: SchemeParams) -> tuple:
 def build_table(params: SchemeParams, backend: Backend = "exact") -> KrawtchoukTable:
     """Tabulate phi_j(l) over the full grid in the requested backend.
 
-    An exact table past the `scaled_rows` bit budget is refused
-    (`ResourceBudgetError`) before any row is built.
+    Exact: every `phi_row`, O(n**2), uncached.  An exact table past the
+    `scaled_rows` bit budget is refused (`ResourceBudgetError`) before
+    any row is built.
     """
     if backend == "exact":
-        return KrawtchoukTable(params, _exact_table(params), "exact")
+        rows = tuple(phi_row(params, j, "exact") for j in range(params.n + 1))
+        return KrawtchoukTable(params, rows, "exact")
     if backend == "float":
         return KrawtchoukTable(params, _float_table(params)[1], "float")
     raise ParameterError(f"unknown backend {backend!r}")

@@ -32,12 +32,13 @@ its stationary variance is 1/(n(q-1)), and its variance after k steps is
 bounded by 1/n whenever (n-2)(q-1) >= 2.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from . import radial
-from .krawtchouk import build_table, scaled_rows
+from .krawtchouk import build_table, phi_row, scaled_rows
 from .scheme import (
     Backend,
     ParameterError,
@@ -105,23 +106,25 @@ def kstep_rounded(params: SchemeParams, k: int):
     `radial.DEFAULT_BIT_BUDGET`: the plan is taken in integers before any
     step, float pass or power.
 
-    With d = n(q-1): the chain (`radial.kstep_oracle`) when (min(n, k) +
-    1) k bitlen(d) fits, which bounds its bits at every step s <= k
-    (num[l] <= d**s, and num[l] = 0 for l > s); else the spectral sum
-    when its powers' bits, sum_j k bitlen|d - jq|, fit, each mass one
-    correctly rounded int division num[l] / den; else None.  Both give
-    the float of the same rational.
+    With d = n(q-1): the chain's numerators (`radial.kstep_numerators`,
+    over den = d**k) when (min(n, k) + 1) k bitlen(d) fits, which bounds
+    their bits at every step s <= k (num[l] <= d**s, and num[l] = 0 for
+    l > s), so the walk counts no bits; else the spectral sum when its
+    powers' bits, sum_j k bitlen|d - jq|, fit; else None.  Each mass is
+    one correctly rounded int division num[l] / den, so both engines
+    give the float of the same rational.
     """
     if k < 0:
         raise ParameterError("step count k must be >= 0")
     n, q, d = params.n, params.q, params.degree
     budget = radial.DEFAULT_BIT_BUDGET
     if (min(n, k) + 1) * k * d.bit_length() <= budget:
-        return tuple(map(float, radial.kstep_oracle(params, k).mass))
-    if sum(k * abs(d - j * q).bit_length() for j in range(n + 1)) <= budget:
+        num, den = next(radial.kstep_numerators(params, (k,), math.inf))[1], d ** k
+    elif sum(k * abs(d - j * q).bit_length() for j in range(n + 1)) <= budget:
         num, den = _spectral_numerators(params, k)
-        return tuple(v / den for v in num)
-    return None
+    else:
+        return None
+    return tuple(v / den for v in num)
 
 
 def expectation_phi(params: SchemeParams, j: int, k: int) -> Fraction:
@@ -143,10 +146,8 @@ def expectation_phi_by_sum(params: SchemeParams, j: int, k: int) -> Fraction:
     if not 0 <= j <= params.n:
         raise ParameterError(f"j must lie in 0..{params.n}, got {j}")
     dist = radial.kstep_oracle(params, k)
-    phi = build_table(params, "exact").phi
-    return sum(
-        (dist.mass[l] * phi[j][l] for l in range(params.n + 1)), Fraction(0)
-    )
+    phi = phi_row(params, j, "exact")
+    return sum((dist.mass[l] * phi[l] for l in range(params.n + 1)), Fraction(0))
 
 
 @dataclass(frozen=True)

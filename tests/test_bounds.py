@@ -22,7 +22,6 @@ from hamming_cutoff import (
     majorant,
     make_scheme,
     minorant,
-    minorant_cells,
     minorant_diagnostics,
     offset_from_step,
     schedule_step,
@@ -246,16 +245,17 @@ def test_minorant_diagnostics_identities():
 
 def test_minorant_cells_schedule_and_vacuity():
     p = make_scheme(30, 3)
-    cells = minorant_cells(p, 1.0, (0.0, 1.0, 3.0, math.log(60)), "float")
-    for r, c in zip(cells, (0.0, 1.0, 3.0, math.log(60))):
+    cs = (0.0, 1.0, 3.0, math.log(60))
+    cells = [check_minorant(p, math.log(60), 1.0, c, "float") for c in cs]
+    for r, c in zip(cells, cs):
         assert r.which == "minorant" and r.c == c
         assert r.k == math.floor(schedule_step(p, -c))
         assert r.bound_value == minorant(3, 1.0, c) and r.vacuous == (r.bound_value < 0)
         assert r.satisfied == (r.tv_exact >= r.bound_value)
-    assert minorant_cells(p, 1.0, (1.0,), "exact")[0] == cells[1]
+    assert check_minorant(p, math.log(60), 1.0, 1.0, "exact") == cells[1]
     for c in (-0.5, math.log(60) + 1e-9, math.nan):
         with pytest.raises(ParameterError):
-            minorant_cells(p, 1.0, (c,))
+            check_minorant(p, math.inf, 1.0, c)
 
 
 def test_minorant_bound_at_the_float_tv_is_decided_exactly(monkeypatch):
@@ -278,7 +278,7 @@ def test_minorant_failure_decided_in_float(monkeypatch):
     monkeypatch.setattr(bounds, "minorant", lambda q, b, c: 1.0)
     monkeypatch.setattr(bounds, "kstep_tv", lambda *a: pytest.fail("rechecked exactly"))
     p = make_scheme(30, 3)
-    for r in minorant_cells(p, 1.0, (0.0, 1.0, 3.0), "float"):
+    for r in (check_minorant(p, 3.0, 1.0, c, "float") for c in (0.0, 1.0, 3.0)):
         assert not r.satisfied and r.bound_value == 1.0
         assert r.tv_exact == next(kstep_tv(p, (r.k,), "float"))[1]
 

@@ -8,7 +8,15 @@ from unittest import mock
 
 import pytest
 
-from hamming_cutoff import class_weights, cli, make_scheme, radial, spectral
+from hamming_cutoff import (
+    class_weights,
+    cli,
+    krawtchouk,
+    make_scheme,
+    phi_hypergeometric,
+    radial,
+    spectral,
+)
 from hamming_cutoff.bounds import majorant_value, minorant, upper_bound_lemma_rhs
 from hamming_cutoff.cli import PROFILE_HEADER, main
 from hamming_cutoff.scheme import ParameterError, ResourceBudgetError
@@ -641,6 +649,29 @@ def test_table_dump(capsys):
     assert lines[0] == "j,l,value"
     assert "1,1,1/4" in lines
     assert "2,1,-1/2" in lines
+
+
+def test_exact_table_streams_its_rows_without_a_whole_table(monkeypatch, capsys):
+    # each row is phi_row's, over the integer rows; build_table is never called
+    def refuse(*args):
+        raise AssertionError("built a whole table")
+
+    monkeypatch.setattr(cli, "build_table", refuse)
+    monkeypatch.setattr(krawtchouk, "build_table", refuse)
+    p = make_scheme(8, 3)
+    want = "".join(f"{j},{l},{phi_hypergeometric(p, j, l)}\n"
+                   for j in range(9) for l in range(9))
+    assert run(["table", "--n", "8", "--q", "3"], capsys) == (0, "j,l,value\n" + want, "")
+
+
+@pytest.mark.parametrize("argv", [["--n", "4096", "--q", "3"],
+                                  ["--n", "100000", "--q", "3", "--backend", "float"]],
+                         ids=["exact", "float"])
+def test_refused_table_prints_nothing_and_creates_no_file(argv, tmp_path, capsys):
+    out_file = tmp_path / "table.csv"
+    code, out, err = run(["table", *argv, "--out", str(out_file)], capsys)
+    assert (code, out) == (3, "") and "resource cap" in err
+    assert not out_file.exists()
 
 
 def test_usage_exit_code_from_argparse():

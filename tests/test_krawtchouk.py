@@ -250,7 +250,7 @@ def test_exact_table_past_the_bit_budget_exits_3_before_any_row(n, q, capsys):
 
 
 def test_exact_table_bit_budget_admits_n_800_at_q_3(monkeypatch):
-    # the full n = 800 table takes seconds and ~0.8 GB; only the gate in
+    # the full n = 800 table takes seconds and ~0.25 GB; only the gate in
     # `scaled_rows` runs here: past it, the build starts at the weights
     def build(params):
         raise LookupError("past the gate")

@@ -137,6 +137,14 @@ def test_rounded_law_takes_the_chain_where_its_bits_fit(monkeypatch):
     assert [kstep_rounded(make_scheme(n, q), k) for n, q, k in cases] == want
 
 
+def test_rounded_chain_side_builds_no_fraction_law(monkeypatch):
+    # the chain's integer numerators over d**k, one int division a class
+    cases = [(20, 3, 40), (100, 3, 200), (2, 3, 2), (3, 10 ** 400, 5)]
+    want = [_chain_floats(make_scheme(n, q), k) for n, q, k in cases]
+    monkeypatch.setattr(radial, "kstep_oracle", _refuse("kstep_oracle"))
+    assert [kstep_rounded(make_scheme(n, q), k) for n, q, k in cases] == want
+
+
 def test_rounded_law_is_refused_before_any_step(monkeypatch):
     # past both engines' bits the plan takes no step, pass or power
     monkeypatch.setattr(radial, "int_power_step", _refuse("int_power_step"))
@@ -214,6 +222,15 @@ def test_expectation_two_paths_agree():
             for k in (0, 1, 7, 20):
                 for j in range(n + 1):
                     assert expectation_phi(p, j, k) == expectation_phi_by_sum(p, j, k)
+
+
+def test_expectation_by_sum_reads_one_row(monkeypatch):
+    # the sum needs phi_j alone: no whole table is built
+    monkeypatch.setattr(spectral, "build_table", _refuse("build_table"))
+    for n, q in ((6, 3), (12, 5)):
+        p = make_scheme(n, q)
+        for j in range(n + 1):
+            assert expectation_phi(p, j, 9) == expectation_phi_by_sum(p, j, 9)
 
 
 def test_stationary_moments():

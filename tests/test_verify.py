@@ -8,9 +8,7 @@ from hamming_cutoff import (
     check_minorant,
     kstep_oracle,
     kstep_tv,
-    majorant_cells,
     make_scheme,
-    minorant_cells,
     point_mass,
     power_step,
     radial_matrix,
@@ -203,10 +201,10 @@ def test_exact_rounding_over_no_offset_is_a_usage_error():
     # no offset leaves no integer step to check
     p = make_scheme(6, 5)
     with pytest.raises(ParameterError, match="at least one offset"):
-        majorant_cells(p, (), "exact")
+        bounds.majorant_grid((p,), (), "exact")
     with pytest.raises(ParameterError, match="at least one offset"):
         verify_majorant(c_values=(), rounding="exact")
-    assert majorant_cells(p, ()) == []
+    assert next(bounds.majorant_grid((p,), ())) == []
 
 
 def test_lemma_suites_reduced():
@@ -386,7 +384,7 @@ def test_minorant_sweep_cells_and_check_minorant_agree(q):
     assert sweep.c == 3.0 and len(sweep.records) >= 110
     for rec in sweep.records:
         p = make_scheme(rec.n, q)
-        (cell,) = minorant_cells(p, 1.0, (3.0,), "float")
+        cell, _ = next(bounds.minorant_grid((p,), 1.0, 3.0))
         one = check_minorant(p, 3.0, 1.0, 3.0, "float")
         assert (rec.k, rec.tv, rec.satisfied) == (cell.k, cell.tv_exact, cell.satisfied)
         assert (one.k, one.tv_exact, one.satisfied) == (cell.k, cell.tv_exact, cell.satisfied)
@@ -460,7 +458,7 @@ def test_majorant_cells_match_per_cell_tv():
     for q, n in [(3, 3), (3, 11), (4, 12), (7, 20), (8, 40)]:
         p = make_scheme(n, q)
         for rounding in ("ceil", "exact"):
-            cells = majorant_cells(p, cs, rounding, "float")
+            cells = next(bounds.majorant_grid((p,), cs, rounding, "float"))
             assert cells
             for r in cells:
                 assert r.tv_exact == tv_to_uniform(p, r.k, "float")
