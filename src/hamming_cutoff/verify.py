@@ -7,13 +7,27 @@ distance to uniform is the summed integer excess of
 `radial.kstep_excess`, eigenvalue powers become integer powers of
 n(q-1) - j*q, and each inequality reduces to big-integer comparisons
 per grid cell.  Each suite computes only the integers its verdict
-reads: `upper` decides most cells on two terms of the spectral sum,
-which are >= 0, and sums all n terms only where those two fall short;
-lemma 3.5 orders its ratio chains in small integers
+reads: lemma 3.5 orders its ratio chains in small integers
 (`bounds.lemma35_ratio_chain`); lemma 4.1 scales phi_j(l) = K[j][l] /
 d_j and the linearization by one common denominator.  Unit tests pin
 the numerators to the Fraction reference `radial.power_step`, and the
 suites to their Fraction statements, on subgrids.
+
+`upper` walks the excess e in fixed point, its schemes packed end to
+end in one integer lockstep (`_fixed_point_walk`).  Each row holds
+integers c at scale 2**S and one integer E with sum_l |e_l - c_l 2**S|
+<= E 2**S.  A step sets c <- Mc and E <- d E (M >= 0 and each of its
+columns sums to d = n(q-1)).  A row whose sum|c| passes 1.5 P bits is
+shifted right by s bits (floor) to P bits, and E <- ceil(E / 2**s) +
+n + 1, as each floor moves its entry by less than one new unit.  P
+(`_precision`) is 64 guard bits plus k_max log2(d/mu), mu = max_{j>=1}
+|d - jq|; at q = 2, where mu = d and tv**2 -> R, twice that with mu the
+largest |d - jq| below d.  A cell is proven when (sum|c| + E)**2 is at
+most q**(2n) times the spectral sum's end terms (j = 1 and j = n), kept
+at scale 4**S as floored running products, or else times the whole sum
+floored alike.  Every other cell, a possible violation or an exact tie
+such as H(2, 2), goes to its scheme's exact `kstep_excess` walk, which
+decides it.
 
 The majorant and minorant suites take no backend option: each builds
 its whole grid of schemes first and makes one float
@@ -32,7 +46,8 @@ as out of a theorem's scope.
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import gt, lt, mul
+from itertools import accumulate, compress, count
+from operator import add, gt, lt, mul, ne
 from typing import Optional, Sequence
 
 import numpy as np
@@ -69,6 +84,56 @@ class SuiteReport:
         return not self.violations
 
 
+def _packed_step(c, stay, up, down):
+    """`radial.int_power_step` on every row packed end to end in c: three
+    products and two sums over object arrays of Python integers, each
+    one C-level loop.  up and down are 0 at a row's last class, so
+    nothing crosses between rows."""
+    out = c * stay
+    out[1:] += c[:-1] * up[:-1]
+    out[:-1] += c[1:] * down[:-1]
+    return out
+
+
+def _precision(params, k_max: int) -> int:
+    """The bits P a fixed-point row keeps (module docstring); the guard
+    bits alone at the exact ties H(1, 2) and H(2, 2), where mu = 0."""
+    d, q = params.degree, params.q
+    mods = [0, *sorted({abs(d - j * q) for j in range(1, params.n + 1)})]
+    times = 1 + (mods[-1] == d)  # q = 2
+    mu = mods[-times]
+    return 64 + (math.ceil(times * k_max * math.log2(d / mu)) if mu else 0)
+
+
+def _fixed_point_walk(schemes: list, k_max: int):
+    """Yield (k, t, err, scale), per scheme t = sum|c|, E and S of its
+    fixed-point excess (module docstring) from c = e_0, E = S = 0: the
+    exact sum|e| lies in [(t - E) 2**S, (t + E) 2**S]."""
+    classes = [(p, l) for p in schemes for l in range(p.n + 1)]
+    stay = np.array([l * (p.q - 2) for p, l in classes], dtype=object)
+    up = np.array([(p.n - l) * (p.q - 1) for p, l in classes], dtype=object)
+    down = np.array([(l + 1) * (l < p.n) for p, l in classes], dtype=object)
+    widths = [p.n + 1 for p in schemes]
+    offs = list(accumulate(widths, initial=0))
+    c = np.array([-w for p in schemes for w in class_weights(p).w], dtype=object)
+    c[offs[:-1]] += [p.size for p in schemes]
+    degrees = [p.degree for p in schemes]
+    precision = [_precision(p, k_max) for p in schemes]
+    err, scale = [0] * len(schemes), [0] * len(schemes)
+    for k in range(k_max + 1 if schemes else 0):
+        if k:
+            c = _packed_step(c, stay, up, down)
+            err = list(map(mul, err, degrees))
+        t = np.add.reduceat(np.abs(c), offs[:-1]).tolist()
+        yield k, t, err[:], scale[:]
+        for r, b, p in zip(count(), map(int.bit_length, t), precision):
+            if 2 * b > 3 * p:
+                s = b - p
+                c[offs[r]:offs[r + 1]] >>= s
+                err[r] = -(-err[r] >> s) + widths[r]
+                scale[r] += s
+
+
 def verify_upper(
     n_max: int = 30,
     q_values: Sequence[int] = (2, 3, 4, 5, 6),
@@ -77,17 +142,15 @@ def verify_upper(
     """tv**2 <= (1/4) sum_{j>=1} d_j lam[j]**(2k) over the whole grid, as
     t**2 <= q**(2n) s, s = sum_{j>=1} d_j (n(q-1) - jq)**(2k), in
     integers: t = sum|e| over `radial.kstep_excess`, s from eigenvalue
-    powers alone.  Every term of s is >= 0, so its two end terms (j = 1
-    and j = n, kept as running products) prove most cells; only where
-    they fall short is s summed in full and the cell decided on it.
-    Violations report both sides correctly rounded.
+    powers alone, most cells proven in fixed point (module docstring).
+    Violations come in (q, n, k) order, both sides correctly rounded.
 
     The grid is planned before its first step: `ResourceBudgetError`
     when its largest walk (n_max, max q, k_max) may pass
     `radial.DEFAULT_BIT_BUDGET`, by the bound (n+1)(n log2 q + k log2
-    n(q-1) + 1) on e's bits (|e_l| <= q**n (n(q-1))**k), or when its
-    class-steps, k_max (n+1) per walk, fail `radial._check_plan`.  Within
-    that bound no walk needs a bit count."""
+    n(q-1) + 1) on e's bits (|e_l| <= q**n (n(q-1))**k), which an exact
+    walk holds, or when its class-steps, k_max (n+1) per walk, fail
+    `radial._check_plan`.  Within that bound no walk needs a bit count."""
     if n_max >= 1 and q_values:
         q = max(make_scheme(n_max, v).q for v in q_values)  # a bad q is a usage error
         bits = (n_max + 1) * (n_max * math.log2(q) + k_max * math.log2(n_max * (q - 1)) + 1)
@@ -98,26 +161,42 @@ def verify_upper(
             )
         _check_plan("verify upper", len(q_values) * k_max * n_max * (n_max + 3) // 2, k_max)
     report = SuiteReport("upper")
-    for q in q_values:
-        for n in range(1, n_max + 1):
-            params = make_scheme(n, q)
-            d = params.degree
-            q_sq = params.size ** 2
-            mult = spectrum(params).mult
-            # the end terms d_j (n(q-1) - jq)**(2k) of s, at j = 1 and j = n
-            terms, lam_sq = zip(*((mult[j], (d - j * q) ** 2) for j in {1, n}))
-            for k, e in kstep_excess(params, range(k_max + 1), math.inf):
-                t = sum(map(abs, e))  # 2 tv q**n (n(q-1))**k
-                report.checked += 1
-                if t * t > sum(terms) * q_sq:
-                    s = sum(mult[j] * (d - j * q) ** (2 * k) for j in range(1, n + 1))
-                    if t * t > s * q_sq:
-                        scale = 4 * d ** (2 * k)
-                        report.violations.append(Violation(
-                            "upper-lemma", n, q, k, None,
-                            float(Fraction(t * t, scale * q_sq)), float(Fraction(s, scale)),
-                        ))
-                terms = list(map(mul, terms, lam_sq))
+    schemes = [make_scheme(n, q) for q in q_values for n in range(1, n_max + 1)]
+    mults = [spectrum(p).mult for p in schemes]
+
+    def scaled_sum(r, k):  # q**(2n) s of row r, exact
+        p, mult = schemes[r], mults[r]
+        return p.size ** 2 * sum(mult[j] * (p.degree - j * p.q) ** (2 * k)
+                                 for j in range(1, p.n + 1))
+
+    # q**(2n) times the end terms of s, j = 1 and j = n, at scale 4**S
+    lo = [math.floor(p.size ** 2 * m[1]) for p, m in zip(schemes, mults)]
+    hi = [math.floor(p.size ** 2 * m[p.n]) * (p.n > 1) for p, m in zip(schemes, mults)]
+    lo_sq = [(p.degree - p.q) ** 2 for p in schemes]
+    hi_sq = [(p.degree - p.n * p.q) ** 2 for p in schemes]
+    pending, last = [[] for _ in schemes], None  # the ks each row leaves to its exact walk
+    for k, t, err, scale in _fixed_point_walk(schemes, k_max):
+        if k:  # a row that shifted floors its end terms alike; then a step
+            for r in compress(count(), map(ne, scale, last)):
+                s = 2 * (scale[r] - last[r])
+                lo[r], hi[r] = lo[r] >> s, hi[r] >> s
+            lo, hi = list(map(mul, lo, lo_sq)), list(map(mul, hi, hi_sq))
+        last = scale
+        bound = list(map(add, t, err))
+        squares = list(map(mul, bound, bound))
+        for r in compress(count(), map(gt, squares, map(add, lo, hi))):
+            if squares[r] > math.floor(scaled_sum(r, k)) >> 2 * scale[r]:
+                pending[r].append(k)
+    report.checked = len(schemes) * len(range(k_max + 1))
+    for r, (params, ks) in enumerate(zip(schemes, pending)):
+        for k, e in kstep_excess(params, ks, math.inf):
+            t, s = sum(map(abs, e)), scaled_sum(r, k)
+            if t * t > s:
+                denom = 4 * params.degree ** (2 * k) * params.size ** 2
+                report.violations.append(Violation(
+                    "upper-lemma", params.n, params.q, k, None,
+                    float(Fraction(t * t, denom)), float(Fraction(s, denom)),
+                ))
     return report
 
 

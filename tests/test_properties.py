@@ -1,5 +1,11 @@
 """Property tests: the engines agree on random small schemes."""
 
+import contextlib
+import dataclasses
+import math
+from fractions import Fraction
+from unittest import mock
+
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -13,9 +19,12 @@ from hamming_cutoff import (
     point_mass,
     power_step,
     radial_matrix,
+    spectrum,
     tv_distance,
     uniform,
 )
+from hamming_cutoff import verify
+from hamming_cutoff.radial import kstep_excess
 
 small_n = st.integers(1, 8)
 small_k = st.integers(0, 40)
@@ -51,3 +60,66 @@ def test_float_tv_non_increasing_in_k(n, q):
     uni = uniform(p, "float")
     tvs = [tv_distance(d, uni) for _, d in kstep_trajectory(p, range(41), "float")]
     assert all(b <= a + 1e-12 for a, b in zip(tvs, tvs[1:]))
+
+
+# a precision of a few bits makes a row shift at nearly every step; None
+# keeps the suite's own
+low_precision = st.one_of(st.none(), st.integers(0, 4))
+
+
+def _precision_patch(low):
+    if low is None:
+        return contextlib.nullcontext()
+    return mock.patch.object(verify, "_precision", lambda p, k_max: low)
+
+
+@properties
+@given(st.lists(st.tuples(st.integers(1, 12), st.integers(2, 6)), min_size=1, max_size=3),
+       st.integers(0, 80), low_precision)
+def test_fixed_point_walk_brackets_the_exact_excess(rows, k_max, low):
+    # at every cell [(t - E) 2**S, (t + E) 2**S] holds the exact sum|e|,
+    # whatever the rows packed beside it
+    schemes = [make_scheme(n, q) for n, q in rows]
+    exact = [[sum(map(abs, e)) for _, e in kstep_excess(p, range(k_max + 1), math.inf)]
+             for p in schemes]
+    with _precision_patch(low):
+        cells = list(verify._fixed_point_walk(schemes, k_max))
+    assert [k for k, *_ in cells] == list(range(k_max + 1))
+    for k, t, err, scale in cells:
+        for r, s in enumerate(scale):
+            assert (t[r] - err[r]) << s <= exact[r][k] <= (t[r] + err[r]) << s
+    # and E follows its rule from one cell to the next: ceil(E / 2**s) +
+    # n + 1 where the row shifted by s bits, then d E.  The bracket alone
+    # does not see E floored: the bound keeps more slack than that loses
+    for (_, _, err0, scale0), (_, _, err1, scale1) in zip(cells, cells[1:]):
+        for p, e0, s0, e1, s1 in zip(schemes, err0, scale0, err1, scale1):
+            assert e1 == p.degree * (-(-e0 >> (s1 - s0)) + p.n + 1 if s1 > s0 else e0)
+
+
+@properties
+@given(st.integers(1, 12), st.lists(st.integers(2, 6), min_size=1, max_size=2, unique=True),
+       st.integers(0, 80), low_precision, st.sampled_from((1, 2, 4, 16)))
+def test_verify_upper_verdicts_equal_the_exact_statement(n_max, q_values, k_max, low, shrink):
+    # every multiplicity divided by `shrink` makes the bound fail on some
+    # cells; the suite must report exactly the cells where the exact
+    # statement t**2 <= q**(2n) s fails, with both sides rounded
+    def shrunk(p):
+        s = spectrum(p)
+        return dataclasses.replace(s, mult=tuple(Fraction(m, shrink) for m in s.mult))
+
+    expect = []
+    for q in q_values:
+        for n in range(1, n_max + 1):
+            p = make_scheme(n, q)
+            d, mult = p.degree, shrunk(p).mult
+            for k, e in kstep_excess(p, range(k_max + 1), math.inf):
+                t = sum(map(abs, e))
+                s = sum(mult[j] * (d - j * q) ** (2 * k) for j in range(1, n + 1))
+                if t * t > p.size ** 2 * s:
+                    lhs, rhs = Fraction(t * t, p.size ** 2), s
+                    expect.append((n, q, k, float(lhs / (4 * d ** (2 * k))),
+                                   float(rhs / (4 * d ** (2 * k)))))
+    with _precision_patch(low), mock.patch.object(verify, "spectrum", shrunk):
+        report = verify.verify_upper(n_max=n_max, q_values=q_values, k_max=k_max)
+    assert report.checked == len(q_values) * n_max * (k_max + 1)
+    assert [(v.n, v.q, v.k, v.lhs, v.rhs) for v in report.violations] == expect

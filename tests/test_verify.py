@@ -20,7 +20,7 @@ from hamming_cutoff import (
     variance_phi1_kstep,
 )
 from hamming_cutoff import bounds, radial, verify
-from hamming_cutoff.radial import int_power_step
+from hamming_cutoff.radial import int_power_step, kstep_excess
 from hamming_cutoff.scheme import RadialDistribution, ResourceBudgetError
 from hamming_cutoff.verify import (
     default_sweep_grid,
@@ -69,6 +69,8 @@ def test_verify_upper_small():
 
 
 def test_verify_upper_plans_its_grid_before_its_first_step(monkeypatch):
+    # neither the fixed-point walk nor an exact walk may take a step
+    monkeypatch.setattr(verify, "_packed_step", lambda *a: pytest.fail("stepped"))
     monkeypatch.setattr(radial, "int_power_step", lambda *a: pytest.fail("stepped"))
     # the largest walk's excess bound (n+1)(n log2 q + k log2 n(q-1) + 1)
     with pytest.raises(ResourceBudgetError, match=r"n=2, q=3, k=1000000 may hold ~6e\+06 bits"):
@@ -92,13 +94,38 @@ def test_verify_upper_default_grid_fits_the_bit_budget(monkeypatch):
     def past_the_plan(*a):
         raise LookupError("past the plan")
 
-    monkeypatch.setattr(radial, "int_power_step", past_the_plan)
+    monkeypatch.setattr(verify, "_packed_step", past_the_plan)  # the suite's first step
     monkeypatch.setattr(verify, "DEFAULT_BIT_BUDGET", 69_700)
     with pytest.raises(LookupError):
         verify_upper()
     monkeypatch.setattr(verify, "DEFAULT_BIT_BUDGET", 69_600)
     with pytest.raises(ResourceBudgetError, match="n=30, q=6, k=300 may hold ~6.97e\\+04 bits"):
         verify_upper()
+
+
+def test_verify_upper_sends_a_tie_row_to_its_exact_walk(monkeypatch):
+    # H(2, 2) has tv**2 = R = 1/4 at every k >= 1, which no error bound
+    # E > 0 proves: once its row has shifted (its sum|e| = 2**(k+2) passes
+    # 1.5 times its 64 guard bits at k = 94) each of its cells must go to
+    # its exact walk and hold there
+    calls = []
+
+    def recorded(params, ks, bit_budget):
+        if ks:
+            calls.append((params.n, params.q, list(ks)))
+        return kstep_excess(params, ks, bit_budget)
+
+    monkeypatch.setattr(verify, "kstep_excess", recorded)
+    report = verify_upper(n_max=2, q_values=(2,), k_max=120)
+    assert (report.checked, report.violations) == (2 * 121, [])
+    assert calls == [(2, 2, list(range(95, 121)))]
+    # with a precision of 0 bits both rows shift at once, H(1, 2) too, and
+    # every cell from k = 1 is decided by its exact walk
+    calls.clear()
+    monkeypatch.setattr(verify, "_precision", lambda params, k_max: 0)
+    report = verify_upper(n_max=2, q_values=(2,), k_max=20)
+    assert (report.checked, report.violations) == (2 * 21, [])
+    assert calls == [(1, 2, list(range(1, 21))), (2, 2, list(range(1, 21)))]
 
 
 def test_verify_upper_reports_every_violation_of_a_shrunk_bound(monkeypatch):
