@@ -13,21 +13,37 @@ d_j and the linearization by one common denominator.  Unit tests pin
 the numerators to the Fraction reference `radial.power_step`, and the
 suites to their Fraction statements, on subgrids.
 
-`upper` walks the excess e in fixed point, its schemes packed end to
-end in one integer lockstep (`_fixed_point_walk`).  Each row holds
-integers c at scale 2**S and one integer E with sum_l |e_l - c_l 2**S|
-<= E 2**S.  A step sets c <- Mc and E <- d E (M >= 0 and each of its
-columns sums to d = n(q-1)).  A row whose sum|c| passes 1.5 P bits is
-shifted right by s bits (floor) to P bits, and E <- ceil(E / 2**s) +
-n + 1, as each floor moves its entry by less than one new unit.  P
-(`_precision`) is 64 guard bits plus k_max log2(d/mu), mu = max_{j>=1}
-|d - jq|; at q = 2, where mu = d and tv**2 -> R, twice that with mu the
-largest |d - jq| below d.  A cell is proven when (sum|c| + E)**2 is at
-most q**(2n) times the spectral sum's end terms (j = 1 and j = n), kept
-at scale 4**S as floored running products, or else times the whole sum
-floored alike.  Every other cell, a possible violation or an exact tie
-such as H(2, 2), goes to its scheme's exact `kstep_excess` walk, which
-decides it.
+`upper` proves its cells in three tiers.  First, before any step, it
+finds each scheme's tail start k0 <= k_max + 1 (`_tail_start`), from
+which the spectral sum alone proves every cell.  The excess is e_l = w_l
+sum_{j>=1} K_j(l) (d - jq)**k, d = n(q-1), and sum_l w_l K_j(l)**2 =
+q**n d_j, so the triangle inequality and Cauchy-Schwarz give t = sum|e_l|
+<= sum_j a_j |d - jq|**k (`_excess_bound`): a_1 = sum_l w_l |d - ql|
+exactly, a_j = q**n ceil(sqrt(d_j)) for j >= 2.  Let mu = max_{j>=1} |d
+- jq|, attained at one index j* in {1, n} (a scheme where two indices
+tie takes no tail).  A cell is proven when that bound squared is at most
+q**(2n) d_j* mu**(2k), one term of q**(2n) s; divided by mu**(2k) the
+left side does not increase with k and the right side is constant, so
+one integer check at k0, found by bisection, proves every k >= k0.  At
+q = 2 the bound is tight (|K_n| is constant), so those rows take no tail
+past n = 2; H(2, 2), whose tie tv**2 = R holds with equality, takes it
+from k = 1.
+
+Below k0 each scheme walks the excess in fixed point, the schemes packed
+end to end in one integer lockstep (`_fixed_point_walk`) that a row
+leaves once its walk reaches its k0.  Each row holds integers c at scale
+2**S and one integer E with sum_l |e_l - c_l 2**S| <= E 2**S.  A step
+sets c <- Mc and E <- d E (M >= 0 and each of its columns sums to d).  A
+row whose sum|c| passes 1.5 P bits is shifted right by s bits (floor) to
+P bits, and E <- ceil(E / 2**s) + n + 1, as each floor moves its entry
+by less than one new unit.  P (`_precision`) is 64 guard bits plus k'
+log2(d/mu), k' the row's last walked k; at q = 2, where mu = d and tv**2
+-> R, twice that with mu the largest |d - jq| below d.  A cell is proven
+when (sum|c| + E)**2 is at most q**(2n) times the spectral sum's end
+terms (j = 1 and j = n), kept at scale 4**S as floored running products,
+or else times the whole sum floored alike.  Every other cell, a possible
+violation, goes to its scheme's exact `kstep_excess` walk, which decides
+it.
 
 The majorant and minorant suites take no backend option: each builds
 its whole grid of schemes first and makes one float
@@ -44,6 +60,7 @@ as out of a theorem's scope.
 """
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, compress, count
@@ -56,7 +73,7 @@ from . import bounds
 from .krawtchouk import scaled_rows
 from .radial import DEFAULT_BIT_BUDGET, _check_plan, kstep_excess, kstep_numerators
 from .scheme import ResourceBudgetError, class_weights, make_scheme
-from .spectral import linearization_phi1_squared, spectrum
+from .spectral import linearization_phi1_squared
 
 
 @dataclass(frozen=True)
@@ -96,8 +113,9 @@ def _packed_step(c, stay, up, down):
 
 
 def _precision(params, k_max: int) -> int:
-    """The bits P a fixed-point row keeps (module docstring); the guard
-    bits alone at the exact ties H(1, 2) and H(2, 2), where mu = 0."""
+    """The bits P a fixed-point row walked to k_max keeps (module
+    docstring); the guard bits alone at the exact ties H(1, 2) and H(2,
+    2), where mu = 0."""
     d, q = params.degree, params.q
     mods = [0, *sorted({abs(d - j * q) for j in range(1, params.n + 1)})]
     times = 1 + (mods[-1] == d)  # q = 2
@@ -105,10 +123,13 @@ def _precision(params, k_max: int) -> int:
     return 64 + (math.ceil(times * k_max * math.log2(d / mu)) if mu else 0)
 
 
-def _fixed_point_walk(schemes: list, k_max: int):
-    """Yield (k, t, err, scale), per scheme t = sum|c|, E and S of its
+def _fixed_point_walk(schemes: list, ends: list):
+    """Yield (k, t, err, scale), per live row t = sum|c|, E and S of its
     fixed-point excess (module docstring) from c = e_0, E = S = 0: the
-    exact sum|e| lies in [(t - E) 2**S, (t + E) 2**S]."""
+    exact sum|e| lies in [(t - E) 2**S, (t + E) 2**S].  Row r walks the
+    ks below ends[r], each >= 1 and ascending, so rows leave the lockstep
+    as a prefix when their walks end, and each cell's lists hold the
+    rows schemes[len(schemes) - len(t):]."""
     classes = [(p, l) for p in schemes for l in range(p.n + 1)]
     stay = np.array([l * (p.q - 2) for p, l in classes], dtype=object)
     up = np.array([(p.n - l) * (p.q - 1) for p, l in classes], dtype=object)
@@ -118,20 +139,70 @@ def _fixed_point_walk(schemes: list, k_max: int):
     c = np.array([-w for p in schemes for w in class_weights(p).w], dtype=object)
     c[offs[:-1]] += [p.size for p in schemes]
     degrees = [p.degree for p in schemes]
-    precision = [_precision(p, k_max) for p in schemes]
+    precision = [_precision(p, end - 1) for p, end in zip(schemes, ends)]
     err, scale = [0] * len(schemes), [0] * len(schemes)
-    for k in range(k_max + 1 if schemes else 0):
+    first = 0  # schemes[:first] have left; c holds the classes from offs[first]
+    for k in range(ends[-1] if schemes else 0):
+        if ends[first] <= k:
+            a, first = offs[first], bisect_right(ends, k)
+            c = c[offs[first] - a:]
+        a = offs[first]
         if k:
-            c = _packed_step(c, stay, up, down)
-            err = list(map(mul, err, degrees))
-        t = np.add.reduceat(np.abs(c), offs[:-1]).tolist()
-        yield k, t, err[:], scale[:]
-        for r, b, p in zip(count(), map(int.bit_length, t), precision):
-            if 2 * b > 3 * p:
-                s = b - p
-                c[offs[r]:offs[r + 1]] >>= s
+            c = _packed_step(c, stay[a:], up[a:], down[a:])
+            err[first:] = map(mul, err[first:], degrees[first:])
+        t = np.add.reduceat(np.abs(c), [o - a for o in offs[first:-1]]).tolist()
+        yield k, t, err[first:], scale[first:]
+        for r, b in zip(count(first), map(int.bit_length, t)):
+            if 2 * b > 3 * precision[r]:
+                s = b - precision[r]
+                c[offs[r] - a:offs[r + 1] - a] >>= s
                 err[r] = -(-err[r] >> s) + widths[r]
                 scale[r] += s
+
+
+def _multiplicities(params) -> tuple:
+    """The spectral multiplicities d_j = (q-1)**j C(n, j), j = 0..n: the
+    class sizes w[j], which the suites' statements read through here."""
+    return class_weights(params).w
+
+
+def _excess_bound(params) -> list:
+    """Pairs (a_j, |d - jq|), j = 1..n, d = n(q-1), with sum|e| <= sum_j
+    a_j |d - jq|**k at every k, from the true class weights: by the
+    triangle inequality a_j need only bound sum_l w_l |K_j(l)|, which is
+    sum_l w_l |d - ql| at j = 1 and at most q**n ceil(sqrt(d_j)) by
+    Cauchy-Schwarz."""
+    n, q, d = params.n, params.q, params.degree
+    w, size = class_weights(params).w, params.size
+    coefs = [size * (math.isqrt(dj - 1) + 1) for dj in w[1:]]
+    coefs[0] = sum(wl * abs(d - q * l) for l, wl in enumerate(w))
+    return [(a, abs(d - j * q)) for j, a in enumerate(coefs, 1)]
+
+
+def _tail_start(params, mult: tuple, k_max: int) -> int:
+    """The least k0 <= k_max from which `_excess_bound` squared is at most
+    q**(2n) mult[j*] mu**(2k), so every cell k >= k0 holds (module
+    docstring), or k_max + 1 where k_max fails or two indices tie for
+    mu.  Only that right side reads the statement's `mult`."""
+    terms = _excess_bound(params)
+    bases = [b for _, b in terms]
+    mu = max(bases)
+    if bases.count(mu) > 1:
+        return k_max + 1
+    right = params.size ** 2 * mult[bases.index(mu) + 1]
+
+    def proven(k):
+        bound = sum(a * b ** k for a, b in terms)
+        return bound * bound <= right * mu ** (2 * k)
+
+    lo, hi = 0, k_max + 1  # not proven below lo; proven from hi, taking k_max + 1 as given
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if proven(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def verify_upper(
@@ -142,14 +213,16 @@ def verify_upper(
     """tv**2 <= (1/4) sum_{j>=1} d_j lam[j]**(2k) over the whole grid, as
     t**2 <= q**(2n) s, s = sum_{j>=1} d_j (n(q-1) - jq)**(2k), in
     integers: t = sum|e| over `radial.kstep_excess`, s from eigenvalue
-    powers alone, most cells proven in fixed point (module docstring).
+    powers alone.  Each scheme's cells from its tail start k0 on are
+    proven by the spectral bound alone, those below it on a fixed-point
+    walk, and what that leaves by the exact walk (module docstring).
     Violations come in (q, n, k) order, both sides correctly rounded.
 
-    The grid is planned before its first step: `ResourceBudgetError`
-    when its largest walk (n_max, max q, k_max) may pass
-    `radial.DEFAULT_BIT_BUDGET`, by the bound (n+1)(n log2 q + k log2
-    n(q-1) + 1) on e's bits (|e_l| <= q**n (n(q-1))**k), which an exact
-    walk holds, or when its class-steps, k_max (n+1) per walk, fail
+    The grid is planned before its tail search and its first step:
+    `ResourceBudgetError` when its largest walk (n_max, max q, k_max) may
+    pass `radial.DEFAULT_BIT_BUDGET`, by the bound (n+1)(n log2 q + k
+    log2 n(q-1) + 1) on e's bits (|e_l| <= q**n (n(q-1))**k), which an
+    exact walk holds, or when its class-steps, k_max (n+1) per walk, fail
     `radial._check_plan`.  Within that bound no walk needs a bit count."""
     if n_max >= 1 and q_values:
         q = max(make_scheme(n_max, v).q for v in q_values)  # a bad q is a usage error
@@ -162,31 +235,39 @@ def verify_upper(
         _check_plan("verify upper", len(q_values) * k_max * n_max * (n_max + 3) // 2, k_max)
     report = SuiteReport("upper")
     schemes = [make_scheme(n, q) for q in q_values for n in range(1, n_max + 1)]
-    mults = [spectrum(p).mult for p in schemes]
+    mults = [_multiplicities(p) for p in schemes]
+    starts = [_tail_start(p, m, k_max) for p, m in zip(schemes, mults)]
 
     def scaled_sum(r, k):  # q**(2n) s of row r, exact
         p, mult = schemes[r], mults[r]
         return p.size ** 2 * sum(mult[j] * (p.degree - j * p.q) ** (2 * k)
                                  for j in range(1, p.n + 1))
 
-    # q**(2n) times the end terms of s, j = 1 and j = n, at scale 4**S
-    lo = [math.floor(p.size ** 2 * m[1]) for p, m in zip(schemes, mults)]
-    hi = [math.floor(p.size ** 2 * m[p.n]) * (p.n > 1) for p, m in zip(schemes, mults)]
-    lo_sq = [(p.degree - p.q) ** 2 for p in schemes]
-    hi_sq = [(p.degree - p.n * p.q) ** 2 for p in schemes]
-    pending, last = [[] for _ in schemes], None  # the ks each row leaves to its exact walk
-    for k, t, err, scale in _fixed_point_walk(schemes, k_max):
+    # the rows with cells below their tail starts, in the walk's order (by
+    # k0); per row q**(2n) times the end terms of s, j = 1 and j = n, at
+    # scale 4**S
+    walked = sorted(compress(range(len(schemes)), starts), key=starts.__getitem__)
+    rows = [schemes[r] for r in walked]
+    lo = [math.floor(p.size ** 2 * mults[r][1]) for p, r in zip(rows, walked)]
+    hi = [math.floor(p.size ** 2 * mults[r][p.n]) * (p.n > 1) for p, r in zip(rows, walked)]
+    lo_sq = [(p.degree - p.q) ** 2 for p in rows]
+    hi_sq = [(p.degree - p.n * p.q) ** 2 for p in rows]
+    pending = [[] for _ in schemes]  # the ks each row leaves to its exact walk
+    last = [0] * len(walked)
+    for k, t, err, scale in _fixed_point_walk(rows, [starts[r] for r in walked]):
+        gone = len(walked) - len(t)  # rows whose walks have ended
+        del walked[:gone], lo[:gone], hi[:gone], lo_sq[:gone], hi_sq[:gone], last[:gone]
         if k:  # a row that shifted floors its end terms alike; then a step
-            for r in compress(count(), map(ne, scale, last)):
-                s = 2 * (scale[r] - last[r])
-                lo[r], hi[r] = lo[r] >> s, hi[r] >> s
+            for i in compress(count(), map(ne, scale, last)):
+                s = 2 * (scale[i] - last[i])
+                lo[i], hi[i] = lo[i] >> s, hi[i] >> s
             lo, hi = list(map(mul, lo, lo_sq)), list(map(mul, hi, hi_sq))
         last = scale
         bound = list(map(add, t, err))
         squares = list(map(mul, bound, bound))
-        for r in compress(count(), map(gt, squares, map(add, lo, hi))):
-            if squares[r] > math.floor(scaled_sum(r, k)) >> 2 * scale[r]:
-                pending[r].append(k)
+        for i in compress(count(), map(gt, squares, map(add, lo, hi))):
+            if squares[i] > math.floor(scaled_sum(walked[i], k)) >> 2 * scale[i]:
+                pending[walked[i]].append(k)
     report.checked = len(schemes) * len(range(k_max + 1))
     for r, (params, ks) in enumerate(zip(schemes, pending)):
         for k, e in kstep_excess(params, ks, math.inf):
@@ -444,7 +525,7 @@ def verify_lemma43_moments(
             params = make_scheme(n, q)
             d = params.degree
             rows = scaled_rows(params)
-            moments = spectrum(params).mult  # d_j (n(q-1) - jq)**k, running in k
+            moments = _multiplicities(params)  # d_j (n(q-1) - jq)**k, running in k
             lam_num = [d - j * q for j in range(n + 1)]
             for k, num in kstep_numerators(params, range(k_max + 1), math.inf):
                 for j, (row, expect) in enumerate(zip(rows, moments)):

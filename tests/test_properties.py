@@ -83,7 +83,7 @@ def test_fixed_point_walk_brackets_the_exact_excess(rows, k_max, low):
     exact = [[sum(map(abs, e)) for _, e in kstep_excess(p, range(k_max + 1), math.inf)]
              for p in schemes]
     with _precision_patch(low):
-        cells = list(verify._fixed_point_walk(schemes, k_max))
+        cells = list(verify._fixed_point_walk(schemes, [k_max + 1] * len(schemes)))
     assert [k for k, *_ in cells] == list(range(k_max + 1))
     for k, t, err, scale in cells:
         for r, s in enumerate(scale):
@@ -94,6 +94,26 @@ def test_fixed_point_walk_brackets_the_exact_excess(rows, k_max, low):
     for (_, _, err0, scale0), (_, _, err1, scale1) in zip(cells, cells[1:]):
         for p, e0, s0, e1, s1 in zip(schemes, err0, scale0, err1, scale1):
             assert e1 == p.degree * (-(-e0 >> (s1 - s0)) + p.n + 1 if s1 > s0 else e0)
+
+
+@properties
+@given(st.lists(st.tuples(st.integers(1, 12), st.integers(2, 6), st.integers(1, 81)),
+                min_size=1, max_size=4), low_precision)
+def test_fixed_point_walk_rows_leave_at_their_ends(rows, low):
+    # row r yields the ks below its own end and then leaves the lockstep;
+    # the rows left beside it keep their brackets
+    rows.sort(key=lambda row: row[2])
+    schemes, ends = [make_scheme(n, q) for n, q, _ in rows], [end for *_, end in rows]
+    exact = [[sum(map(abs, e)) for _, e in kstep_excess(p, range(end), math.inf)]
+             for p, end in zip(schemes, ends)]
+    with _precision_patch(low):
+        cells = list(verify._fixed_point_walk(schemes, ends))
+    assert [k for k, *_ in cells] == list(range(ends[-1]))
+    for k, t, err, scale in cells:
+        live = [r for r, end in enumerate(ends) if end > k]
+        assert live == list(range(len(schemes) - len(t), len(schemes)))
+        for r, tr, er, s in zip(live, t, err, scale):
+            assert (tr - er) << s <= exact[r][k] <= (tr + er) << s
 
 
 @properties
@@ -119,7 +139,8 @@ def test_verify_upper_verdicts_equal_the_exact_statement(n_max, q_values, k_max,
                     lhs, rhs = Fraction(t * t, p.size ** 2), s
                     expect.append((n, q, k, float(lhs / (4 * d ** (2 * k))),
                                    float(rhs / (4 * d ** (2 * k)))))
-    with _precision_patch(low), mock.patch.object(verify, "spectrum", shrunk):
+    with _precision_patch(low), \
+            mock.patch.object(verify, "_multiplicities", lambda p: shrunk(p).mult):
         report = verify.verify_upper(n_max=n_max, q_values=q_values, k_max=k_max)
     assert report.checked == len(q_values) * n_max * (k_max + 1)
     assert [(v.n, v.q, v.k, v.lhs, v.rhs) for v in report.violations] == expect

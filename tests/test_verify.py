@@ -69,7 +69,9 @@ def test_verify_upper_small():
 
 
 def test_verify_upper_plans_its_grid_before_its_first_step(monkeypatch):
-    # neither the fixed-point walk nor an exact walk may take a step
+    # neither the tail search, the fixed-point walk nor an exact walk may
+    # start
+    monkeypatch.setattr(verify, "_tail_start", lambda *a: pytest.fail("searched"))
     monkeypatch.setattr(verify, "_packed_step", lambda *a: pytest.fail("stepped"))
     monkeypatch.setattr(radial, "int_power_step", lambda *a: pytest.fail("stepped"))
     # the largest walk's excess bound (n+1)(n log2 q + k log2 n(q-1) + 1)
@@ -104,10 +106,10 @@ def test_verify_upper_default_grid_fits_the_bit_budget(monkeypatch):
 
 
 def test_verify_upper_sends_a_tie_row_to_its_exact_walk(monkeypatch):
-    # H(2, 2) has tv**2 = R = 1/4 at every k >= 1, which no error bound
-    # E > 0 proves: once its row has shifted (its sum|e| = 2**(k+2) passes
-    # 1.5 times its 64 guard bits at k = 94) each of its cells must go to
-    # its exact walk and hold there
+    # H(2, 2) has tv**2 = R = 1/4 at every k >= 1.  Its spectral bound 4
+    # 2**k is attained from k = 1 on, and H(1, 2)'s (n = 1) at every k,
+    # so the tail proves both rows' cells there and none reaches an exact
+    # walk
     calls = []
 
     def recorded(params, ks, bit_budget):
@@ -116,6 +118,13 @@ def test_verify_upper_sends_a_tie_row_to_its_exact_walk(monkeypatch):
         return kstep_excess(params, ks, bit_budget)
 
     monkeypatch.setattr(verify, "kstep_excess", recorded)
+    report = verify_upper(n_max=2, q_values=(2,), k_max=120)
+    assert (report.checked, report.violations, calls) == (2 * 121, [], [])
+    # without a tail no error bound E > 0 proves the tie: once H(2, 2)'s
+    # row has shifted (its sum|e| = 2**(k+2) passes 1.5 times its 64
+    # guard bits at k = 94) each of its cells must go to its exact walk
+    # and hold there
+    monkeypatch.setattr(verify, "_tail_start", lambda params, mult, k_max: k_max + 1)
     report = verify_upper(n_max=2, q_values=(2,), k_max=120)
     assert (report.checked, report.violations) == (2 * 121, [])
     assert calls == [(2, 2, list(range(95, 121)))]
@@ -140,7 +149,7 @@ def test_verify_upper_reports_every_violation_of_a_shrunk_bound(monkeypatch):
         s = spectrum(p)
         return dataclasses.replace(s, mult=tuple(Fraction(m, 4) for m in s.mult))
 
-    monkeypatch.setattr(verify_mod, "spectrum", quartered)
+    monkeypatch.setattr(verify_mod, "_multiplicities", lambda p: quartered(p).mult)
     q_values, n_max, k_max = (2, 3, 5), 8, 40
     expect = []
     for q in q_values:
@@ -178,7 +187,7 @@ def test_verify_upper_decides_on_the_full_sum_where_the_end_terms_fall_short(mon
             mult[j] = Fraction(mult[j], 10 ** 6)
         return dataclasses.replace(s, mult=tuple(mult))
 
-    monkeypatch.setattr(verify_mod, "spectrum", shrunk)
+    monkeypatch.setattr(verify_mod, "_multiplicities", lambda p: shrunk(p).mult)
     q_values, n_max, k_max = (3, 4, 5), 8, 12
     expect, by_ends = [], 0
     for q in q_values:
@@ -194,6 +203,78 @@ def test_verify_upper_decides_on_the_full_sum_where_the_end_terms_fall_short(mon
     assert report.checked == len(q_values) * n_max * (k_max + 1)
     assert by_ends == 0 and 0 < len(expect) < report.checked
     assert [(v.n, v.q, v.k, v.lhs, v.rhs) for v in report.violations] == expect
+
+
+def _uncovered(excess_bound):
+    # the cells n <= 10, q = 2..6, k <= 80 where sum_j a_j |d - jq|**k
+    # falls below the exact sum|e|
+    cells = []
+    for q in range(2, 7):
+        for n in range(1, 11):
+            p = make_scheme(n, q)
+            terms = excess_bound(p)
+            for k, e in kstep_excess(p, range(81), math.inf):
+                if sum(a * b ** k for a, b in terms) < sum(map(abs, e)):
+                    cells.append((n, q, k))
+    return cells
+
+
+def test_excess_bound_covers_the_exact_excess():
+    assert _uncovered(verify._excess_bound) == []
+    for n, q in [(1, 2), (1, 5)]:  # one term: the bound is the exact sum|e|
+        p = make_scheme(n, q)
+        (a, b), = verify._excess_bound(p)
+        assert all(a * b ** k == sum(map(abs, e))
+                   for k, e in kstep_excess(p, range(20), math.inf))
+
+    # a mutant that keeps only the dominant term |d - jq| = mu undershoots
+    def dominant_only(p):
+        terms = verify._excess_bound(p)
+        mu = max(b for _, b in terms)
+        return [(a, b) for a, b in terms if b == mu]
+
+    assert _uncovered(dominant_only)
+
+
+def _default_grid_tails():
+    schemes = [make_scheme(n, q) for q in (2, 3, 4, 5, 6) for n in range(1, 31)]
+    return [(p, verify._tail_start(p, verify._multiplicities(p), 300)) for p in schemes]
+
+
+def test_tail_start_is_the_least_k_its_proof_holds_from():
+    # the proof at k: (sum_j a_j |d - jq|**k)**2 <= q**(2n) d_j* mu**(2k),
+    # checked at every k of the default grid, k <= 300
+    ties = []
+    for p, k0 in _default_grid_tails():
+        terms = verify._excess_bound(p)
+        bases = [b for _, b in terms]
+        mu = max(bases)
+        if bases.count(mu) > 1:
+            ties.append((p.n, p.q))
+            assert k0 == 301
+            continue
+        right = p.size ** 2 * verify._multiplicities(p)[bases.index(mu) + 1]
+        proven = [sum(a * b ** k for a, b in terms) ** 2 <= right * mu ** (2 * k)
+                  for k in range(301)]
+        assert proven[k0:] == [True] * (301 - k0) and not any(proven[:k0])
+    assert ties == [(3, 3), (2, 4)]
+
+
+def test_tail_start_bounds_the_walked_class_steps(monkeypatch):
+    # the default grid's fixed-point walk steps each row only below its
+    # tail start: 245,238 class-steps, where walking every row to k = 300
+    # takes 742,500.  The guard allows 10 % more
+    planned = sum((p.n + 1) * max(k0 - 1, 0) for p, k0 in _default_grid_tails())
+    assert planned <= 269_761
+    stepped, packed_step = [], verify._packed_step
+
+    def counted(c, *arrays):
+        stepped.append(len(c))
+        return packed_step(c, *arrays)
+
+    monkeypatch.setattr(verify, "_packed_step", counted)
+    assert verify_upper().ok
+    assert sum(stepped) == planned
 
 
 def test_verify_majorant_small_and_skips():
