@@ -13,37 +13,37 @@ d_j and the linearization by one common denominator.  Unit tests pin
 the numerators to the Fraction reference `radial.power_step`, and the
 suites to their Fraction statements, on subgrids.
 
-`upper` proves its cells in three tiers.  First, before any step, it
-finds each scheme's tail start k0 <= k_max + 1 (`_tail_start`), from
-which the spectral sum alone proves every cell.  The excess is e_l = w_l
-sum_{j>=1} K_j(l) (d - jq)**k, d = n(q-1), and sum_l w_l K_j(l)**2 =
-q**n d_j, so the triangle inequality and Cauchy-Schwarz give t = sum|e_l|
-<= sum_j a_j |d - jq|**k (`_excess_bound`): a_1 = sum_l w_l |d - ql|
-exactly, a_j = q**n ceil(sqrt(d_j)) for j >= 2.  Let mu = max_{j>=1} |d
-- jq|, attained at one index j* in {1, n} (a scheme where two indices
-tie takes no tail).  A cell is proven when that bound squared is at most
-q**(2n) d_j* mu**(2k), one term of q**(2n) s; divided by mu**(2k) the
-left side does not increase with k and the right side is constant, so
-one integer check at k0, found by bisection, proves every k >= k0.  At
-q = 2 the bound is tight (|K_n| is constant), so those rows take no tail
-past n = 2; H(2, 2), whose tie tv**2 = R holds with equality, takes it
-from k = 1.
+`upper` proves each scheme's cells from a tail start k0 <= k_max + 1
+on by the spectral sum alone (`_tail_start`), and walks the cells below
+k0 exactly.  With d = n(q-1) the excess is e_l = w_l sum_{j>=1} K_j(l)
+(d - jq)**k, and each tail is one integer check at k0, found by
+bisection, from which the proof holds at every larger k.  There are two
+tails.
 
-Below k0 each scheme walks the excess in fixed point, the schemes packed
-end to end in one integer lockstep (`_fixed_point_walk`) that a row
-leaves once its walk reaches its k0.  Each row holds integers c at scale
-2**S and one integer E with sum_l |e_l - c_l 2**S| <= E 2**S.  A step
-sets c <- Mc and E <- d E (M >= 0 and each of its columns sums to d).  A
-row whose sum|c| passes 1.5 P bits is shifted right by s bits (floor) to
-P bits, and E <- ceil(E / 2**s) + n + 1, as each floor moves its entry
-by less than one new unit.  P (`_precision`) is 64 guard bits plus k'
-log2(d/mu), k' the row's last walked k; at q = 2, where mu = d and tv**2
--> R, twice that with mu the largest |d - jq| below d.  A cell is proven
-when (sum|c| + E)**2 is at most q**(2n) times the spectral sum's end
-terms (j = 1 and j = n), kept at scale 4**S as floored running products,
-or else times the whole sum floored alike.  Every other cell, a possible
-violation, goes to its scheme's exact `kstep_excess` walk, which decides
-it.
+- q >= 3, the dominant term.  sum_l w_l K_j(l)**2 = q**n d_j, so the
+  triangle inequality and Cauchy-Schwarz give t = sum|e_l| <= sum_j a_j
+  |d - jq|**k (`_excess_bound`): a_j = sum_l w_l |K_j(l)| exactly at j =
+  1 (K_1(l) = d - ql) and j = n (K_n(l) = (-1)**l (q-1)**(n-l), so a_n
+  = (2(q-1))**n), and a_j = q**n ceil(sqrt(d_j)) between.  Let mu =
+  max_{j>=1} |d - jq|, attained at one index j* in {1, n} (a scheme
+  where two indices tie takes no tail).  A cell is proven when that
+  bound squared is at most q**(2n) d_j* mu**(2k), one term of q**(2n) s;
+  divided by mu**(2k) the left side does not increase with k and the
+  right side is constant.
+- q = 2, parity.  Here d = n and the step is bipartite: K_{n-j}(l) =
+  (-1)**l K_j(l) and (n - 2(n-j))**k = (-1)**k (n - 2j)**k, so at k >= 1
+  the terms j and n - j cancel where l and k differ in parity, leaving
+  e_l = -w_l n**k, and add where they agree, giving e_l = w_l (n**k + 2
+  sum_{1<=j<n/2} K_j(l) (n - 2j)**k).  As |K_j(l)| <= C(n, j), e_l >= 0
+  on that parity too once 2 sum_{1<=j<n/2} C(n, j) (n - 2j)**k <= n**k,
+  which, divided by n**k, does not increase with k.  Then sum_l e_l = 0
+  gives t = 2**n n**k exactly, and t**2 = 4**n d_n n**(2k) is the j = n
+  term of q**(2n) s.
+
+Below k0 each scheme walks its excess exactly (`radial.kstep_excess`).
+A cell holds when t**2 is at most q**(2n) times the end terms of s (j =
+1 and j = n), kept as exact running products, and is otherwise decided
+on the whole of s.
 
 The majorant and minorant suites take no backend option: each builds
 its whole grid of schemes first and makes one float
@@ -60,11 +60,9 @@ as out of a theorem's scope.
 """
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, compress, count
-from operator import add, gt, lt, mul, ne
+from operator import gt, lt, mul
 from typing import Optional, Sequence
 
 import numpy as np
@@ -101,65 +99,6 @@ class SuiteReport:
         return not self.violations
 
 
-def _packed_step(c, stay, up, down):
-    """`radial.int_power_step` on every row packed end to end in c: three
-    products and two sums over object arrays of Python integers, each
-    one C-level loop.  up and down are 0 at a row's last class, so
-    nothing crosses between rows."""
-    out = c * stay
-    out[1:] += c[:-1] * up[:-1]
-    out[:-1] += c[1:] * down[:-1]
-    return out
-
-
-def _precision(params, k_max: int) -> int:
-    """The bits P a fixed-point row walked to k_max keeps (module
-    docstring); the guard bits alone at the exact ties H(1, 2) and H(2,
-    2), where mu = 0."""
-    d, q = params.degree, params.q
-    mods = [0, *sorted({abs(d - j * q) for j in range(1, params.n + 1)})]
-    times = 1 + (mods[-1] == d)  # q = 2
-    mu = mods[-times]
-    return 64 + (math.ceil(times * k_max * math.log2(d / mu)) if mu else 0)
-
-
-def _fixed_point_walk(schemes: list, ends: list):
-    """Yield (k, t, err, scale), per live row t = sum|c|, E and S of its
-    fixed-point excess (module docstring) from c = e_0, E = S = 0: the
-    exact sum|e| lies in [(t - E) 2**S, (t + E) 2**S].  Row r walks the
-    ks below ends[r], each >= 1 and ascending, so rows leave the lockstep
-    as a prefix when their walks end, and each cell's lists hold the
-    rows schemes[len(schemes) - len(t):]."""
-    classes = [(p, l) for p in schemes for l in range(p.n + 1)]
-    stay = np.array([l * (p.q - 2) for p, l in classes], dtype=object)
-    up = np.array([(p.n - l) * (p.q - 1) for p, l in classes], dtype=object)
-    down = np.array([(l + 1) * (l < p.n) for p, l in classes], dtype=object)
-    widths = [p.n + 1 for p in schemes]
-    offs = list(accumulate(widths, initial=0))
-    c = np.array([-w for p in schemes for w in class_weights(p).w], dtype=object)
-    c[offs[:-1]] += [p.size for p in schemes]
-    degrees = [p.degree for p in schemes]
-    precision = [_precision(p, end - 1) for p, end in zip(schemes, ends)]
-    err, scale = [0] * len(schemes), [0] * len(schemes)
-    first = 0  # schemes[:first] have left; c holds the classes from offs[first]
-    for k in range(ends[-1] if schemes else 0):
-        if ends[first] <= k:
-            a, first = offs[first], bisect_right(ends, k)
-            c = c[offs[first] - a:]
-        a = offs[first]
-        if k:
-            c = _packed_step(c, stay[a:], up[a:], down[a:])
-            err[first:] = map(mul, err[first:], degrees[first:])
-        t = np.add.reduceat(np.abs(c), [o - a for o in offs[first:-1]]).tolist()
-        yield k, t, err[first:], scale[first:]
-        for r, b in zip(count(first), map(int.bit_length, t)):
-            if 2 * b > 3 * precision[r]:
-                s = b - precision[r]
-                c[offs[r] - a:offs[r + 1] - a] >>= s
-                err[r] = -(-err[r] >> s) + widths[r]
-                scale[r] += s
-
-
 def _multiplicities(params) -> tuple:
     """The spectral multiplicities d_j = (q-1)**j C(n, j), j = 0..n: the
     class sizes w[j], which the suites' statements read through here."""
@@ -170,30 +109,44 @@ def _excess_bound(params) -> list:
     """Pairs (a_j, |d - jq|), j = 1..n, d = n(q-1), with sum|e| <= sum_j
     a_j |d - jq|**k at every k, from the true class weights: by the
     triangle inequality a_j need only bound sum_l w_l |K_j(l)|, which is
-    sum_l w_l |d - ql| at j = 1 and at most q**n ceil(sqrt(d_j)) by
-    Cauchy-Schwarz."""
+    sum_l w_l |d - ql| at j = 1, (2(q-1))**n at j = n and at most q**n
+    ceil(sqrt(d_j)) by Cauchy-Schwarz between."""
     n, q, d = params.n, params.q, params.degree
     w, size = class_weights(params).w, params.size
     coefs = [size * (math.isqrt(dj - 1) + 1) for dj in w[1:]]
+    coefs[-1] = (2 * (q - 1)) ** n
     coefs[0] = sum(wl * abs(d - q * l) for l, wl in enumerate(w))
     return [(a, abs(d - j * q)) for j, a in enumerate(coefs, 1)]
 
 
 def _tail_start(params, mult: tuple, k_max: int) -> int:
-    """The least k0 <= k_max from which `_excess_bound` squared is at most
-    q**(2n) mult[j*] mu**(2k), so every cell k >= k0 holds (module
-    docstring), or k_max + 1 where k_max fails or two indices tie for
-    mu.  Only that right side reads the statement's `mult`."""
-    terms = _excess_bound(params)
-    bases = [b for _, b in terms]
-    mu = max(bases)
-    if bases.count(mu) > 1:
-        return k_max + 1
-    right = params.size ** 2 * mult[bases.index(mu) + 1]
+    """The least k0 <= k_max from which every cell k >= k0 holds by the
+    spectral sum alone (module docstring), or k_max + 1 where k_max is
+    not proven or the scheme takes no tail.  At q >= 3 the proof at k is
+    `_excess_bound` squared <= q**(2n) mult[j*] mu**(2k), and a scheme
+    where two indices tie for mu takes no tail; at q = 2 it is k >= 1
+    and 2 sum_{1<=j<n/2} C(n, j) (n - 2j)**k <= n**k, and the tail needs
+    mult[n] >= 1.  Only mult[j*] and mult[n] read the statement's
+    `mult`."""
+    n = params.n
+    if params.q == 2:
+        if mult[n] < 1:
+            return k_max + 1
+        terms = [(2 * math.comb(n, j), n - 2 * j) for j in range(1, (n + 1) // 2)]
 
-    def proven(k):
-        bound = sum(a * b ** k for a, b in terms)
-        return bound * bound <= right * mu ** (2 * k)
+        def proven(k):
+            return k > 0 and sum(a * b ** k for a, b in terms) <= n ** k
+    else:
+        terms = _excess_bound(params)
+        bases = [b for _, b in terms]
+        mu = max(bases)
+        if bases.count(mu) > 1:
+            return k_max + 1
+        right = params.size ** 2 * mult[bases.index(mu) + 1]
+
+        def proven(k):
+            bound = sum(a * b ** k for a, b in terms)
+            return bound * bound <= right * mu ** (2 * k)
 
     lo, hi = 0, k_max + 1  # not proven below lo; proven from hi, taking k_max + 1 as given
     while lo < hi:
@@ -214,16 +167,17 @@ def verify_upper(
     t**2 <= q**(2n) s, s = sum_{j>=1} d_j (n(q-1) - jq)**(2k), in
     integers: t = sum|e| over `radial.kstep_excess`, s from eigenvalue
     powers alone.  Each scheme's cells from its tail start k0 on are
-    proven by the spectral bound alone, those below it on a fixed-point
-    walk, and what that leaves by the exact walk (module docstring).
-    Violations come in (q, n, k) order, both sides correctly rounded.
+    proven by the spectral sum alone, by the dominant term at q >= 3 and
+    by parity at q = 2, and those below k0 on its exact walk (module
+    docstring).  Violations come in (q, n, k) order, both sides
+    correctly rounded.
 
     The grid is planned before its tail search and its first step:
     `ResourceBudgetError` when its largest walk (n_max, max q, k_max) may
     pass `radial.DEFAULT_BIT_BUDGET`, by the bound (n+1)(n log2 q + k
-    log2 n(q-1) + 1) on e's bits (|e_l| <= q**n (n(q-1))**k), which an
-    exact walk holds, or when its class-steps, k_max (n+1) per walk, fail
-    `radial._check_plan`.  Within that bound no walk needs a bit count."""
+    log2 n(q-1) + 1) on e's bits (|e_l| <= q**n (n(q-1))**k), or when its
+    class-steps, k_max (n+1) per walk, fail `radial._check_plan`.  Within
+    that bound no walk needs a bit count."""
     if n_max >= 1 and q_values:
         q = max(make_scheme(n_max, v).q for v in q_values)  # a bad q is a usage error
         bits = (n_max + 1) * (n_max * math.log2(q) + k_max * math.log2(n_max * (q - 1)) + 1)
@@ -235,49 +189,23 @@ def verify_upper(
         _check_plan("verify upper", len(q_values) * k_max * n_max * (n_max + 3) // 2, k_max)
     report = SuiteReport("upper")
     schemes = [make_scheme(n, q) for q in q_values for n in range(1, n_max + 1)]
-    mults = [_multiplicities(p) for p in schemes]
-    starts = [_tail_start(p, m, k_max) for p, m in zip(schemes, mults)]
-
-    def scaled_sum(r, k):  # q**(2n) s of row r, exact
-        p, mult = schemes[r], mults[r]
-        return p.size ** 2 * sum(mult[j] * (p.degree - j * p.q) ** (2 * k)
-                                 for j in range(1, p.n + 1))
-
-    # the rows with cells below their tail starts, in the walk's order (by
-    # k0); per row q**(2n) times the end terms of s, j = 1 and j = n, at
-    # scale 4**S
-    walked = sorted(compress(range(len(schemes)), starts), key=starts.__getitem__)
-    rows = [schemes[r] for r in walked]
-    lo = [math.floor(p.size ** 2 * mults[r][1]) for p, r in zip(rows, walked)]
-    hi = [math.floor(p.size ** 2 * mults[r][p.n]) * (p.n > 1) for p, r in zip(rows, walked)]
-    lo_sq = [(p.degree - p.q) ** 2 for p in rows]
-    hi_sq = [(p.degree - p.n * p.q) ** 2 for p in rows]
-    pending = [[] for _ in schemes]  # the ks each row leaves to its exact walk
-    last = [0] * len(walked)
-    for k, t, err, scale in _fixed_point_walk(rows, [starts[r] for r in walked]):
-        gone = len(walked) - len(t)  # rows whose walks have ended
-        del walked[:gone], lo[:gone], hi[:gone], lo_sq[:gone], hi_sq[:gone], last[:gone]
-        if k:  # a row that shifted floors its end terms alike; then a step
-            for i in compress(count(), map(ne, scale, last)):
-                s = 2 * (scale[i] - last[i])
-                lo[i], hi[i] = lo[i] >> s, hi[i] >> s
-            lo, hi = list(map(mul, lo, lo_sq)), list(map(mul, hi, hi_sq))
-        last = scale
-        bound = list(map(add, t, err))
-        squares = list(map(mul, bound, bound))
-        for i in compress(count(), map(gt, squares, map(add, lo, hi))):
-            if squares[i] > math.floor(scaled_sum(walked[i], k)) >> 2 * scale[i]:
-                pending[walked[i]].append(k)
     report.checked = len(schemes) * len(range(k_max + 1))
-    for r, (params, ks) in enumerate(zip(schemes, pending)):
-        for k, e in kstep_excess(params, ks, math.inf):
-            t, s = sum(map(abs, e)), scaled_sum(r, k)
-            if t * t > s:
-                denom = 4 * params.degree ** (2 * k) * params.size ** 2
-                report.violations.append(Violation(
-                    "upper-lemma", params.n, params.q, k, None,
-                    float(Fraction(t * t, denom)), float(Fraction(s, denom)),
-                ))
+    for params in schemes:
+        n, q, d, square = params.n, params.q, params.degree, params.size ** 2
+        mult = _multiplicities(params)
+        # q**(2n) times the end terms of s, j = 1 and j = n, running in k
+        lo, hi = square * mult[1], square * mult[n] * (n > 1)
+        for k, e in kstep_excess(params, range(_tail_start(params, mult, k_max)), math.inf):
+            t = sum(map(abs, e))
+            if t * t > lo + hi:
+                s = square * sum(mult[j] * (d - j * q) ** (2 * k) for j in range(1, n + 1))
+                if t * t > s:
+                    denom = 4 * d ** (2 * k) * square
+                    report.violations.append(Violation(
+                        "upper-lemma", n, q, k, None,
+                        float(Fraction(t * t, denom)), float(Fraction(s, denom)),
+                    ))
+            lo, hi = lo * (d - q) ** 2, hi * (d - n * q) ** 2
     return report
 
 

@@ -445,7 +445,7 @@ def test_verify_flag_the_suite_does_not_read_usage_error(args, flag, capsys):
 def test_verify_upper_past_the_bit_budget_exits_3_before_its_first_step(argv, monkeypatch,
                                                                        capsys):
     # both used to run until killed
-    monkeypatch.setattr(verify, "_packed_step", lambda *a: pytest.fail("stepped"))
+    monkeypatch.setattr(verify, "kstep_excess", lambda *a: pytest.fail("walked"))
     monkeypatch.setattr(radial, "int_power_step", lambda *a: pytest.fail("stepped"))
     t0 = time.perf_counter()
     code, out, err = run(["verify", "upper", *argv], capsys)

@@ -1,6 +1,5 @@
 """Property tests: the engines agree on random small schemes."""
 
-import contextlib
 import dataclasses
 import math
 from fractions import Fraction
@@ -62,64 +61,10 @@ def test_float_tv_non_increasing_in_k(n, q):
     assert all(b <= a + 1e-12 for a, b in zip(tvs, tvs[1:]))
 
 
-# a precision of a few bits makes a row shift at nearly every step; None
-# keeps the suite's own
-low_precision = st.one_of(st.none(), st.integers(0, 4))
-
-
-def _precision_patch(low):
-    if low is None:
-        return contextlib.nullcontext()
-    return mock.patch.object(verify, "_precision", lambda p, k_max: low)
-
-
-@properties
-@given(st.lists(st.tuples(st.integers(1, 12), st.integers(2, 6)), min_size=1, max_size=3),
-       st.integers(0, 80), low_precision)
-def test_fixed_point_walk_brackets_the_exact_excess(rows, k_max, low):
-    # at every cell [(t - E) 2**S, (t + E) 2**S] holds the exact sum|e|,
-    # whatever the rows packed beside it
-    schemes = [make_scheme(n, q) for n, q in rows]
-    exact = [[sum(map(abs, e)) for _, e in kstep_excess(p, range(k_max + 1), math.inf)]
-             for p in schemes]
-    with _precision_patch(low):
-        cells = list(verify._fixed_point_walk(schemes, [k_max + 1] * len(schemes)))
-    assert [k for k, *_ in cells] == list(range(k_max + 1))
-    for k, t, err, scale in cells:
-        for r, s in enumerate(scale):
-            assert (t[r] - err[r]) << s <= exact[r][k] <= (t[r] + err[r]) << s
-    # and E follows its rule from one cell to the next: ceil(E / 2**s) +
-    # n + 1 where the row shifted by s bits, then d E.  The bracket alone
-    # does not see E floored: the bound keeps more slack than that loses
-    for (_, _, err0, scale0), (_, _, err1, scale1) in zip(cells, cells[1:]):
-        for p, e0, s0, e1, s1 in zip(schemes, err0, scale0, err1, scale1):
-            assert e1 == p.degree * (-(-e0 >> (s1 - s0)) + p.n + 1 if s1 > s0 else e0)
-
-
-@properties
-@given(st.lists(st.tuples(st.integers(1, 12), st.integers(2, 6), st.integers(1, 81)),
-                min_size=1, max_size=4), low_precision)
-def test_fixed_point_walk_rows_leave_at_their_ends(rows, low):
-    # row r yields the ks below its own end and then leaves the lockstep;
-    # the rows left beside it keep their brackets
-    rows.sort(key=lambda row: row[2])
-    schemes, ends = [make_scheme(n, q) for n, q, _ in rows], [end for *_, end in rows]
-    exact = [[sum(map(abs, e)) for _, e in kstep_excess(p, range(end), math.inf)]
-             for p, end in zip(schemes, ends)]
-    with _precision_patch(low):
-        cells = list(verify._fixed_point_walk(schemes, ends))
-    assert [k for k, *_ in cells] == list(range(ends[-1]))
-    for k, t, err, scale in cells:
-        live = [r for r, end in enumerate(ends) if end > k]
-        assert live == list(range(len(schemes) - len(t), len(schemes)))
-        for r, tr, er, s in zip(live, t, err, scale):
-            assert (tr - er) << s <= exact[r][k] <= (tr + er) << s
-
-
 @properties
 @given(st.integers(1, 12), st.lists(st.integers(2, 6), min_size=1, max_size=2, unique=True),
-       st.integers(0, 80), low_precision, st.sampled_from((1, 2, 4, 16)))
-def test_verify_upper_verdicts_equal_the_exact_statement(n_max, q_values, k_max, low, shrink):
+       st.integers(0, 80), st.sampled_from((1, 2, 4, 16)))
+def test_verify_upper_verdicts_equal_the_exact_statement(n_max, q_values, k_max, shrink):
     # every multiplicity divided by `shrink` makes the bound fail on some
     # cells; the suite must report exactly the cells where the exact
     # statement t**2 <= q**(2n) s fails, with both sides rounded
@@ -139,8 +84,7 @@ def test_verify_upper_verdicts_equal_the_exact_statement(n_max, q_values, k_max,
                     lhs, rhs = Fraction(t * t, p.size ** 2), s
                     expect.append((n, q, k, float(lhs / (4 * d ** (2 * k))),
                                    float(rhs / (4 * d ** (2 * k)))))
-    with _precision_patch(low), \
-            mock.patch.object(verify, "_multiplicities", lambda p: shrunk(p).mult):
+    with mock.patch.object(verify, "_multiplicities", lambda p: shrunk(p).mult):
         report = verify.verify_upper(n_max=n_max, q_values=q_values, k_max=k_max)
     assert report.checked == len(q_values) * n_max * (k_max + 1)
     assert [(v.n, v.q, v.k, v.lhs, v.rhs) for v in report.violations] == expect

@@ -20,6 +20,7 @@ from hamming_cutoff import (
     variance_phi1_kstep,
 )
 from hamming_cutoff import bounds, radial, verify
+from hamming_cutoff.krawtchouk import scaled_rows
 from hamming_cutoff.radial import int_power_step, kstep_excess
 from hamming_cutoff.scheme import RadialDistribution, ResourceBudgetError
 from hamming_cutoff.verify import (
@@ -69,10 +70,9 @@ def test_verify_upper_small():
 
 
 def test_verify_upper_plans_its_grid_before_its_first_step(monkeypatch):
-    # neither the tail search, the fixed-point walk nor an exact walk may
-    # start
+    # neither the tail search nor a walk may start
     monkeypatch.setattr(verify, "_tail_start", lambda *a: pytest.fail("searched"))
-    monkeypatch.setattr(verify, "_packed_step", lambda *a: pytest.fail("stepped"))
+    monkeypatch.setattr(verify, "kstep_excess", lambda *a: pytest.fail("walked"))
     monkeypatch.setattr(radial, "int_power_step", lambda *a: pytest.fail("stepped"))
     # the largest walk's excess bound (n+1)(n log2 q + k log2 n(q-1) + 1)
     with pytest.raises(ResourceBudgetError, match=r"n=2, q=3, k=1000000 may hold ~6e\+06 bits"):
@@ -96,7 +96,7 @@ def test_verify_upper_default_grid_fits_the_bit_budget(monkeypatch):
     def past_the_plan(*a):
         raise LookupError("past the plan")
 
-    monkeypatch.setattr(verify, "_packed_step", past_the_plan)  # the suite's first step
+    monkeypatch.setattr(verify, "kstep_excess", past_the_plan)  # the suite's first walk
     monkeypatch.setattr(verify, "DEFAULT_BIT_BUDGET", 69_700)
     with pytest.raises(LookupError):
         verify_upper()
@@ -106,35 +106,25 @@ def test_verify_upper_default_grid_fits_the_bit_budget(monkeypatch):
 
 
 def test_verify_upper_sends_a_tie_row_to_its_exact_walk(monkeypatch):
-    # H(2, 2) has tv**2 = R = 1/4 at every k >= 1.  Its spectral bound 4
-    # 2**k is attained from k = 1 on, and H(1, 2)'s (n = 1) at every k,
-    # so the tail proves both rows' cells there and none reaches an exact
-    # walk
+    # H(2, 2) has tv**2 = R = 1/4 at every k >= 1, and H(1, 2)'s bound is
+    # attained at every k too.  The parity tail proves both rows' cells
+    # from k = 1, so each walks only k = 0
     calls = []
 
     def recorded(params, ks, bit_budget):
-        if ks:
-            calls.append((params.n, params.q, list(ks)))
+        calls.append((params.n, params.q, list(ks)))
         return kstep_excess(params, ks, bit_budget)
 
     monkeypatch.setattr(verify, "kstep_excess", recorded)
     report = verify_upper(n_max=2, q_values=(2,), k_max=120)
-    assert (report.checked, report.violations, calls) == (2 * 121, [], [])
-    # without a tail no error bound E > 0 proves the tie: once H(2, 2)'s
-    # row has shifted (its sum|e| = 2**(k+2) passes 1.5 times its 64
-    # guard bits at k = 94) each of its cells must go to its exact walk
-    # and hold there
+    assert (report.checked, report.violations) == (2 * 121, [])
+    assert calls == [(1, 2, [0]), (2, 2, [0])]
+    # without a tail every cell goes to its exact walk and holds there
+    calls.clear()
     monkeypatch.setattr(verify, "_tail_start", lambda params, mult, k_max: k_max + 1)
     report = verify_upper(n_max=2, q_values=(2,), k_max=120)
     assert (report.checked, report.violations) == (2 * 121, [])
-    assert calls == [(2, 2, list(range(95, 121)))]
-    # with a precision of 0 bits both rows shift at once, H(1, 2) too, and
-    # every cell from k = 1 is decided by its exact walk
-    calls.clear()
-    monkeypatch.setattr(verify, "_precision", lambda params, k_max: 0)
-    report = verify_upper(n_max=2, q_values=(2,), k_max=20)
-    assert (report.checked, report.violations) == (2 * 21, [])
-    assert calls == [(1, 2, list(range(1, 21))), (2, 2, list(range(1, 21)))]
+    assert calls == [(1, 2, list(range(121))), (2, 2, list(range(121)))]
 
 
 def test_verify_upper_reports_every_violation_of_a_shrunk_bound(monkeypatch):
@@ -236,16 +226,48 @@ def test_excess_bound_covers_the_exact_excess():
     assert _uncovered(dominant_only)
 
 
+def test_excess_bound_takes_its_end_coefficients_exactly():
+    # a_1 and a_n are sum_l w_l |K_j(l)| itself, from the Krawtchouk rows
+    for q in range(2, 7):
+        for n in range(1, 13):
+            p = make_scheme(n, q)
+            terms, rows = verify._excess_bound(p), scaled_rows(p)
+            w = verify._multiplicities(p)
+            for j in (1, n):
+                assert terms[j - 1][0] == sum(wl * abs(K) for wl, K in zip(w, rows[j]))
+
+
+def _parity_holds(n, k):
+    # the parity tail's condition at k >= 1 on H(n, 2)
+    return sum(2 * math.comb(n, j) * (n - 2 * j) ** k for j in range(1, (n + 1) // 2)) <= n ** k
+
+
+def test_parity_tail_makes_the_excess_exact():
+    # on H(n, 2) from k0 on, e_l >= 0 wherever l and k share a parity, so
+    # sum|e| = q**n d**k exactly; k0 is the least k >= 1 where that holds
+    for n in range(1, 17):
+        p = make_scheme(n, 2)
+        k0 = verify._tail_start(p, verify._multiplicities(p), 300)
+        assert k0 == 1 or not _parity_holds(n, k0 - 1)
+        for k, e in kstep_excess(p, range(k0, k0 + 41), math.inf):
+            assert sum(map(abs, e)) == 2 ** n * n ** k
+
+
 def _default_grid_tails():
     schemes = [make_scheme(n, q) for q in (2, 3, 4, 5, 6) for n in range(1, 31)]
     return [(p, verify._tail_start(p, verify._multiplicities(p), 300)) for p in schemes]
 
 
 def test_tail_start_is_the_least_k_its_proof_holds_from():
-    # the proof at k: (sum_j a_j |d - jq|**k)**2 <= q**(2n) d_j* mu**(2k),
-    # checked at every k of the default grid, k <= 300
+    # the proof at k: (sum_j a_j |d - jq|**k)**2 <= q**(2n) d_j* mu**(2k)
+    # at q >= 3, the parity condition at q = 2, checked at every k of the
+    # default grid, k <= 300
     ties = []
     for p, k0 in _default_grid_tails():
+        if p.q == 2:
+            proven = [k > 0 and _parity_holds(p.n, k) for k in range(301)]
+            assert proven[k0:] == [True] * (301 - k0) and not any(proven[:k0])
+            continue
         terms = verify._excess_bound(p)
         bases = [b for _, b in terms]
         mu = max(bases)
@@ -261,18 +283,18 @@ def test_tail_start_is_the_least_k_its_proof_holds_from():
 
 
 def test_tail_start_bounds_the_walked_class_steps(monkeypatch):
-    # the default grid's fixed-point walk steps each row only below its
-    # tail start: 245,238 class-steps, where walking every row to k = 300
-    # takes 742,500.  The guard allows 10 % more
+    # the default grid's exact walks step each row only below its tail
+    # start: 115,470 class-steps, where walking every row to k = 300 takes
+    # 742,500.  The guard allows 10 % more
     planned = sum((p.n + 1) * max(k0 - 1, 0) for p, k0 in _default_grid_tails())
-    assert planned <= 269_761
-    stepped, packed_step = [], verify._packed_step
+    assert planned <= 127_017
+    stepped, step = [], radial.int_power_step
 
-    def counted(c, *arrays):
-        stepped.append(len(c))
-        return packed_step(c, *arrays)
+    def counted(num, n, q):
+        stepped.append(n + 1)
+        return step(num, n, q)
 
-    monkeypatch.setattr(verify, "_packed_step", counted)
+    monkeypatch.setattr(radial, "int_power_step", counted)
     assert verify_upper().ok
     assert sum(stepped) == planned
 
