@@ -39,7 +39,9 @@ import numpy as np
 
 from .radial import (
     DEFAULT_BIT_BUDGET,
+    _check_bits,
     _check_plan,
+    _excess_start,
     float_lockstep,
     kstep_trajectory,
     kstep_tv,
@@ -273,8 +275,9 @@ def _bound_reports(jobs, backend: str, on_law=None):
     lies on one side of the bound; every other cell is undecided, and so
     is every cell of an exact job, which takes no step in the pass.  One
     exact `radial.kstep_tv` walk per job, scheme by scheme, decides its
-    undecided cells: unbudgeted for an exact job, within the default bit
-    budget for a float one (`ResourceBudgetError` past it).
+    undecided cells: unbudgeted for an exact job, while every float job's
+    walk is priced (`radial.bit_price`) before any job walks, and one past
+    the default bit budget raises `ResourceBudgetError` before any step.
     """
     bes = [resolve_backend(params, backend) for params, _, _ in jobs]
     tvs, pis = [{} for _ in jobs], [None] * len(jobs)
@@ -286,15 +289,20 @@ def _bound_reports(jobs, backend: str, on_law=None):
         tvs[i][k] = tv_of_gaps(np.abs(mass - pis[i]))
         if on_law is not None:
             on_law(i, k, RadialDistribution(steps[i][0], mass, "float"))
+    plans = []  # per job: its cells' float verdicts and its undecided ks
     for (params, which, cells), be, tv in zip(jobs, bes, tvs):
-        lower = which == "minorant"
         verdicts = [None if be == "exact" else
-                    _float_verdict(tv[k], float_tv_error(params.n, k), bound, lower)
+                    _float_verdict(tv[k], float_tv_error(params.n, k), bound, which == "minorant")
                     for k, _, bound in cells]
-        undecided = {k for (k, _, _), v in zip(cells, verdicts) if v is None}
-        if undecided:  # the exact chain's setup is O(n) big integers
-            budget = math.inf if be == "exact" else DEFAULT_BIT_BUDGET
-            tv.update(kstep_tv(params, sorted(undecided), "exact", budget))
+        ks = sorted({k for (k, _, _), v in zip(cells, verdicts) if v is None})
+        if be == "float" and ks:
+            _check_bits("exact excess walk", params, _excess_start(params), ks[-1],
+                        DEFAULT_BIT_BUDGET)
+        plans.append((verdicts, ks))
+    for (params, which, cells), (verdicts, ks), tv in zip(jobs, plans, tvs):
+        lower = which == "minorant"
+        if ks:  # the exact chain's setup is O(n) big integers
+            tv.update(kstep_tv(params, ks, "exact", math.inf))
         yield [
             BoundReport(which, k, c, float(tv[k]), bound,
                         (tv[k] >= bound if lower else tv[k] * tv[k] <= bound)
@@ -407,15 +415,12 @@ def minorant(q: int, b: float, c: float) -> float:
     return minorant_value(q, b, c)
 
 
-def _minorant_job(params: SchemeParams, b: float, c_values):
-    """(params, "minorant", cells) of tv >= minorant(q, b, c) per c."""
-    log_d = math.log(params.degree)
-    cells = []
-    for c in c_values:
-        if not 0 <= c <= log_d:  # NaN fails too
-            raise ParameterError("need 0 <= c <= log n(q-1) for the minorant schedule")
-        cells.append((math.floor(schedule_step(params, -c)), c, minorant(params.q, b, c)))
-    return params, "minorant", cells
+def _minorant_job(params: SchemeParams, b: float, c: float):
+    """(params, "minorant", cells) of tv >= minorant(q, b, c), one cell."""
+    if not 0 <= c <= math.log(params.degree):  # NaN fails too
+        raise ParameterError("need 0 <= c <= log n(q-1) for the minorant schedule")
+    k = math.floor(schedule_step(params, -c))
+    return params, "minorant", [(k, c, minorant(params.q, b, c))]
 
 
 def minorant_grid(schemes, b: float, c: float):
@@ -424,7 +429,7 @@ def minorant_grid(schemes, b: float, c: float):
     `minorant_diagnostics` at its k with nu_k read from the same lockstep
     float pass.
     """
-    jobs = [_minorant_job(p, b, (c,)) for p in schemes]
+    jobs = [_minorant_job(p, b, c) for p in schemes]
     diags = {}
 
     def diagnose(i, k, walk):
@@ -454,7 +459,7 @@ def check_minorant(
     """
     if not c <= c0:
         raise ParameterError("need c <= c0 for the minorant schedule")
-    return next(_bound_reports([_minorant_job(params, b, (c,))], backend))[0]
+    return next(_bound_reports([_minorant_job(params, b, c)], backend))[0]
 
 
 @dataclass(frozen=True)

@@ -100,8 +100,8 @@ def cmd_profile(args) -> int:
     rows = (_profile_row(params, k, float(tv), args.b)
             for k, tv in itertools.chain((first,), tvs))
     head = {"n": params.n, "q": params.q, "backend": backend, "b": args.b}
-    # each row is written as it is computed; a walk that passes its bit
-    # budget partway keeps the rows before it (exit 3)
+    # each row is written as it is computed; a walk whose bit price
+    # passes its budget partway keeps the rows before it (exit 3)
     with _open(args.out) as fh:
         for text in _profile_text(rows, args.format, head):
             fh.write(text)
@@ -251,8 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="-")
     p.add_argument("--b", type=float, default=1.0, help="minorant offset parameter")
     p.add_argument("--bit-budget", dest="bit_budget", type=int, default=DEFAULT_BIT_BUDGET,
-                   help="exact backend: cap on the total bits of the integer excess "
-                   "num*q**n - w*(n(q-1))**k over uniform (>= 0; exit 3 past it)")
+                   help="exact backend: cap on the priced bits of the integer excess num*q**n "
+                   "- w*(n(q-1))**k, checked before each k is walked (>= 0; exit 3 past it)")
     p.set_defaults(func=cmd_profile)
 
     v = sub.add_parser("verify", help="run a bound/lemma verification suite")

@@ -16,20 +16,19 @@ Exact powering keeps integer numerators over the common denominator
 and `power_step` are the Fraction reference for one step.  The uniform
 law is stationary, so the excess e = num q**n - w (n(q-1))**k of the
 k-step law over it obeys the same integer step (`kstep_excess`); both
-walk one loop, which counts their bits as it steps
-(`spectral.kstep_rounded` plans a law's bits in integers before it
-takes either exact engine).  Float powering has one loop too,
-`float_lockstep`: it packs the schemes of a whole grid end to end in one
-array, steps them all with one `float_power_step` call per step, each
-row resuming from the latest state an earlier float trajectory on its
-scheme yielded, and yields the masses.  Elementwise IEEE arithmetic
-rounds the same at any array layout and a neighbouring row adds exact
-zeros, so a row's masses are bit for bit those of its scheme walked
-alone.  Both loops yield states, not distances, and plan before they
-build or step anything (`_check_plan`): a pass or walk past
-`FLOAT_STEP_BUDGET` class-steps or `STEP_CALL_BUDGET` steps raises
-`ResourceBudgetError`.  `kstep_tv` turns the exact excess, or the float
-masses, into the distance to uniform.
+walk one loop, which prices each requested k's bits before it steps
+toward it (`bit_price`, the one price every reader of an exact walk's
+bits calls).  Float powering has one loop too, `float_lockstep`: it
+packs the schemes of a whole grid end to end in one array, steps them
+all with one `float_power_step` call per step, each row resuming from
+the latest state an earlier float trajectory on its scheme yielded, and
+yields the masses.  Elementwise IEEE arithmetic rounds the same at any
+array layout and a neighbouring row adds exact zeros, so a row's masses
+are bit for bit those of its scheme walked alone.  Both loops yield
+states, not distances, and plan before they build or step anything
+(`_check_plan`): a pass or walk past `FLOAT_STEP_BUDGET` class-steps or
+`STEP_CALL_BUDGET` steps raises `ResourceBudgetError`.  `kstep_tv` turns
+the exact excess, or the float masses, into the distance to uniform.
 """
 
 import heapq
@@ -186,40 +185,60 @@ def _check_bit_budget(bit_budget) -> None:
         raise ParameterError(f"bit budget must be >= 0, got {bit_budget}")
 
 
+def bit_price(params: SchemeParams, start: list, k: int) -> int:
+    """At least sum_l bitlen(v[l]), v the state k `int_power_step`s from
+    `start`: each column of the step is nonnegative and sums to d =
+    n(q-1), and a step widens the support by at most one class, so this
+    is (min(n, top + k) + 1)(k bitlen(d) + bitlen(||start||_1)), top the
+    last nonzero class of `start`.  The one price of an exact walk's bits."""
+    top = next((l for l in range(len(start) - 1, -1, -1) if start[l]), 0)
+    norm = sum(map(abs, start))
+    return (min(params.n, top + k) + 1) * (k * params.degree.bit_length() + norm.bit_length())
+
+
+def _check_bits(what: str, params: SchemeParams, start: list, k: int, bit_budget) -> None:
+    """`ResourceBudgetError` when `bit_price` passes `bit_budget`."""
+    price = bit_price(params, start, k)
+    if price > bit_budget:
+        raise ResourceBudgetError(f"{what} at n={params.n}, q={params.q}, k={k} may hold "
+                                  f"{price} bits, past the budget {bit_budget}")
+
+
 def _int_chain(params: SchemeParams, vec: list, ks, bit_budget, what: str):
     """The package's one exact k-step loop: yield (k, vec after k steps)
     for sorted, distinct ks, max(ks) `int_power_step`s in all.
 
     Before any step: a negative `bit_budget` is a `ParameterError`, and
     a walk past `_check_plan`'s budgets (max(ks)(n+1) class-steps, max(ks)
-    steps) a `ResourceBudgetError`.  Past a step, `ResourceBudgetError`
-    once the sum of the bit lengths of the integers in vec exceeds
-    `bit_budget` (`math.inf`: no bound).
+    steps) a `ResourceBudgetError`.  Before any step toward each k > 0,
+    so after every earlier k is served: `ResourceBudgetError` when the
+    `bit_price` of k steps from vec passes a finite `bit_budget`.
     """
     _check_bit_budget(bit_budget)
     n, q = params.n, params.q
     ks = _sorted_steps(ks)
     if not ks:
         return
-    _check_plan(f"exact {what} walk", ks[-1] * (n + 1), ks[-1])
-    bounded = bit_budget < math.inf  # the bit count costs ~5 % of a step
-    done = 0
+    _check_plan(what, ks[-1] * (n + 1), ks[-1])
+    start, done = vec, 0
     for k in ks:
-        for step in range(done + 1, k + 1):
+        if k and bit_budget < math.inf:
+            _check_bits(what, params, start, k, bit_budget)
+        for _ in range(k - done):
             vec = int_power_step(vec, n, q)
-            if bounded and sum(map(int.bit_length, vec)) > bit_budget:
-                raise ResourceBudgetError(
-                    f"exact {what} exceeded {bit_budget} bits at n={n}, k={step}"
-                )
         done = k
         yield k, vec
 
 
 def kstep_numerators(params: SchemeParams, ks, bit_budget=DEFAULT_BIT_BUDGET):
     """Yield (k, num) for sorted, distinct ks; num[l] = mass[l] (n(q-1))**k.
-    `_int_chain` from the point mass; `bit_budget` caps num's bits as it
-    steps (`spectral.kstep_rounded` plans a law's bits before any step)."""
-    return _int_chain(params, [1] + [0] * params.n, ks, bit_budget, "numerators")
+    `_int_chain` from the point mass, priced against `bit_budget`."""
+    return _int_chain(params, [1] + [0] * params.n, ks, bit_budget, "exact numerators walk")
+
+
+def _excess_start(params: SchemeParams) -> list:
+    """q**n delta_0 - w, `kstep_excess`'s state at k = 0."""
+    return [params.size * (l == 0) - v for l, v in enumerate(class_weights(params).w)]
 
 
 def kstep_excess(params: SchemeParams, ks, bit_budget=DEFAULT_BIT_BUDGET):
@@ -227,12 +246,10 @@ def kstep_excess(params: SchemeParams, ks, bit_budget=DEFAULT_BIT_BUDGET):
     D = (n(q-1))**k: the excess over uniform, in integers over q**n D.
 
     `int_power_step` maps w D**k to w D**(k+1) (the uniform law is
-    stationary), so `_int_chain` walks e from q**n delta_0 - w;
-    `bit_budget` caps e's bits.  sum(map(abs, e)) = 2 tv q**n D.
+    stationary), so `_int_chain` walks e from `_excess_start`, priced
+    against `bit_budget`.  sum(map(abs, e)) = 2 tv q**n D.
     """
-    e = [-v for v in class_weights(params).w]
-    e[0] += params.size
-    return _int_chain(params, e, ks, bit_budget, "excess")
+    return _int_chain(params, _excess_start(params), ks, bit_budget, "exact excess walk")
 
 
 _MARKS_LOCK = threading.Lock()  # guards every `_float_marks` holder
@@ -257,7 +274,7 @@ def kstep_trajectory(
 ):
     """Yield (k, distribution) for sorted, distinct ks in one pass.
 
-    Exact: Fractions over `kstep_numerators`, bounded by `bit_budget`.
+    Exact: Fractions over `kstep_numerators`, priced against `bit_budget`.
     Float: the one-row case of `float_lockstep`: O(n (max(ks) - k0)) work
     from the scheme's latest checkpoint k0 when 0 < k0 <= min(ks), else
     from k0 = 0, with the masses bit for bit those of a walk from k = 0.
@@ -351,7 +368,7 @@ def kstep_tv(params: SchemeParams, ks, backend: Backend, bit_budget=DEFAULT_BIT_
     tv = (1/2) sum_l |mass[l] - w[l]/q**n|, both laws being constant on
     classes (Levin-Peres-Wilmer, *Markov Chains and Mixing Times*, Prop.
     4.2).  Exact: the Fraction sum(map(abs, e)) / (2 q**n (n(q-1))**k)
-    over `kstep_excess` (`bit_budget` caps e's bits); no distribution is
+    over `kstep_excess`, priced against `bit_budget`; no distribution is
     built.  Float: `scheme.tv_of_gaps` of |mass - pi| over the one-row
     `float_lockstep` pass, pi the float uniform law fetched after its plan:
     bit for bit `scheme.tv_distance`; no distribution is built.

@@ -107,18 +107,16 @@ def kstep_rounded(params: SchemeParams, k: int):
     step, float pass or power.
 
     With d = n(q-1): the chain's numerators (`radial.kstep_numerators`,
-    over den = d**k) when (min(n, k) + 1) k bitlen(d) fits, which bounds
-    their bits at every step s <= k (num[l] <= d**s, and num[l] = 0 for
-    l > s), so the walk counts no bits; else the spectral sum when its
-    powers' bits, sum_j k bitlen|d - jq|, fit; else None.  Each mass is
-    one correctly rounded int division num[l] / den, so both engines
-    give the float of the same rational.
+    over den = d**k, walked unpriced) when their `radial.bit_price` fits;
+    else the spectral sum when its powers' bits, sum_j k bitlen|d - jq|,
+    fit; else None.  Each mass is one correctly rounded int division
+    num[l] / den, so both engines give the float of the same rational.
     """
     if k < 0:
         raise ParameterError("step count k must be >= 0")
     n, q, d = params.n, params.q, params.degree
     budget = radial.DEFAULT_BIT_BUDGET
-    if (min(n, k) + 1) * k * d.bit_length() <= budget:
+    if radial.bit_price(params, [1] + [0] * n, k) <= budget:
         num, den = next(radial.kstep_numerators(params, (k,), math.inf))[1], d ** k
     elif sum(k * abs(d - j * q).bit_length() for j in range(n + 1)) <= budget:
         num, den = _spectral_numerators(params, k)

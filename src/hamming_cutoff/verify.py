@@ -69,8 +69,9 @@ import numpy as np
 
 from . import bounds
 from .krawtchouk import scaled_rows
-from .radial import DEFAULT_BIT_BUDGET, _check_plan, kstep_excess, kstep_numerators
-from .scheme import ResourceBudgetError, class_weights, make_scheme
+from .radial import (DEFAULT_BIT_BUDGET, _check_bits, _check_plan, _excess_start,
+                     kstep_excess, kstep_numerators)
+from .scheme import class_weights, make_scheme
 from .spectral import linearization_phi1_squared
 
 
@@ -173,19 +174,15 @@ def verify_upper(
     correctly rounded.
 
     The grid is planned before its tail search and its first step:
-    `ResourceBudgetError` when its largest walk (n_max, max q, k_max) may
-    pass `radial.DEFAULT_BIT_BUDGET`, by the bound (n+1)(n log2 q + k
-    log2 n(q-1) + 1) on e's bits (|e_l| <= q**n (n(q-1))**k), or when its
-    class-steps, k_max (n+1) per walk, fail `radial._check_plan`.  Within
-    that bound no walk needs a bit count."""
+    `ResourceBudgetError` when the `radial.bit_price` of its largest walk,
+    (n_max, max q, k_max), passes `radial.DEFAULT_BIT_BUDGET` (so no walk
+    is priced again; every walk stops below its tail start, yet the plan
+    prices k_max), or when its class-steps, k_max (n+1) per walk, fail
+    `radial._check_plan`."""
     if n_max >= 1 and q_values:
-        q = max(make_scheme(n_max, v).q for v in q_values)  # a bad q is a usage error
-        bits = (n_max + 1) * (n_max * math.log2(q) + k_max * math.log2(n_max * (q - 1)) + 1)
-        if bits > DEFAULT_BIT_BUDGET:
-            raise ResourceBudgetError(
-                f"verify upper at n={n_max}, q={q}, k={k_max} may hold ~{bits:.3g} "
-                f"bits, past the budget {DEFAULT_BIT_BUDGET}"
-            )
+        # a bad q is a usage error
+        largest = max((make_scheme(n_max, v) for v in q_values), key=lambda p: p.q)
+        _check_bits("verify upper", largest, _excess_start(largest), k_max, DEFAULT_BIT_BUDGET)
         _check_plan("verify upper", len(q_values) * k_max * n_max * (n_max + 3) // 2, k_max)
     report = SuiteReport("upper")
     schemes = [make_scheme(n, q) for q in q_values for n in range(1, n_max + 1)]

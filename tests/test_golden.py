@@ -34,6 +34,9 @@ COMMANDS = {
     "verify-upper": ["verify", "upper"],
     "verify-majorant": ["verify", "majorant"],
     "verify-majorant-exact": ["verify", "majorant", "--rounding", "exact"],
+    # every cell past the roundoff floor: the exact rechecks are priced
+    # before any walk, and the first one past the bit budget is q = 3, n = 27
+    "verify-majorant-c700": ["verify", "majorant", "--c", "700"],
     "verify-minorant": ["verify", "minorant"],
     # the README's four empirical minorant thresholds
     "verify-minorant-q3-b1": ["verify", "minorant", "--q", "3", "--b", "1.0",

@@ -23,7 +23,7 @@ from hamming_cutoff import (
     uniform,
 )
 from hamming_cutoff import verify
-from hamming_cutoff.radial import kstep_excess
+from hamming_cutoff.radial import _excess_start, bit_price, kstep_excess, kstep_numerators
 
 small_n = st.integers(1, 8)
 small_k = st.integers(0, 40)
@@ -88,3 +88,16 @@ def test_verify_upper_verdicts_equal_the_exact_statement(n_max, q_values, k_max,
         report = verify.verify_upper(n_max=n_max, q_values=q_values, k_max=k_max)
     assert report.checked == len(q_values) * n_max * (k_max + 1)
     assert [(v.n, v.q, v.k, v.lhs, v.rhs) for v in report.violations] == expect
+
+
+@properties
+@given(st.integers(1, 30), st.sampled_from((2, 3, 4, 5, 6, 9)), st.booleans())
+def test_every_exact_state_fits_its_bit_price(n, q, excess):
+    # no state either exact walk yields at k <= 300, from its own start,
+    # holds more bits than `bit_price` of that k (the price sat 1-12 %
+    # above these bits on the walks it was measured on)
+    p = make_scheme(n, q)
+    walk, start = ((kstep_excess, _excess_start(p)) if excess
+                   else (kstep_numerators, [1] + [0] * n))
+    for k, v in walk(p, range(301), math.inf):
+        assert sum(map(int.bit_length, v)) <= bit_price(p, start, k), k

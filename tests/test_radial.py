@@ -232,43 +232,60 @@ def test_kstep_tv_matches_tv_of_the_trajectory():
         list(kstep_tv(p, (1,), "decimal"))
 
 
-def test_bit_budget_trips_exactly_past_the_numerator_bits():
+def _counted_steps(monkeypatch):
+    """A list that grows by one at each `radial.int_power_step` call."""
+    calls, step = [], radial.int_power_step
+
+    def counting_step(*args):
+        calls.append(1)
+        return step(*args)
+
+    monkeypatch.setattr(radial, "int_power_step", counting_step)
+    return calls
+
+
+def test_bit_budget_trips_exactly_past_the_numerator_bits(monkeypatch):
+    # the price (min(n, k) + 1)(k bitlen(d) + 1) from the point mass, d =
+    # 27: a budget equal to it is served, one bit less is refused before
+    # any step toward k
     p = make_scheme(9, 4)
-    bits = [sum(v.bit_length() for v in num)
-            for _, num in kstep_numerators(p, range(41), math.inf)]
     m = radial_matrix(p)
     ref = [point_mass(p)]  # the Fraction reference, one power_step per k
     for _ in range(40):
         ref.append(power_step(ref[-1], m))
-    for k in (1, 17, 40):
-        peak = max(bits[1:k + 1])
-        first = bits.index(peak, 1)
-        assert kstep_oracle(p, k, bit_budget=peak).mass == ref[k].mass
-        with pytest.raises(ResourceBudgetError, match=f"k={first}$"):
-            kstep_oracle(p, k, bit_budget=peak - 1)
+    steps = _counted_steps(monkeypatch)
+    for k, price in ((1, 12), (17, 860), (40, 2010)):
+        assert kstep_oracle(p, k, bit_budget=price).mass == ref[k].mass
+        steps.clear()
+        with pytest.raises(ResourceBudgetError, match=f"^exact numerators walk at n=9, q=4, "
+                           f"k={k} may hold {price} bits, past the budget {price - 1}$"):
+            kstep_oracle(p, k, bit_budget=price - 1)
+        assert steps == []
     # k = 0 takes no step, so no budget applies
     assert kstep_oracle(p, 0, bit_budget=0).mass == point_mass(p).mass
 
 
-def test_numerator_walks_trip_where_their_own_bits_say():
-    # the exact chain counts its bits as it steps: the simulate walks at
-    # n = 300 serve their first k and pass the default budget at k = 351
-    # (q = 4) and k = 372 (q = 3), and a walk whose budget binds only past
-    # its first k serves that k
-    for q, k, trip in ((4, 600, 351), (3, 400, 372)):
+def test_numerator_walks_trip_where_their_own_bits_say(monkeypatch):
+    # each k is priced before the walk steps toward it: the simulate walks
+    # at n = 300 serve k = 1 and refuse their second k after that one
+    # step, and a walk whose budget binds only past its first k serves
+    # that k
+    steps = _counted_steps(monkeypatch)
+    for q, k, price in ((4, 600, 1806301), (3, 400, 1204301)):
+        steps.clear()
         walk = kstep_numerators(make_scheme(300, q), (1, k))
         assert next(walk)[0] == 1
-        with pytest.raises(ResourceBudgetError, match=f"1000000 bits at n=300, k={trip}$"):
+        with pytest.raises(ResourceBudgetError, match=f"at n=300, q={q}, k={k} may hold "
+                           f"{price} bits, past the budget 1000000$"):
             next(walk)
+        assert len(steps) == 1
     p = make_scheme(9, 4)
-    bits = [sum(v.bit_length() for v in num)
-            for _, num in kstep_numerators(p, range(41), math.inf)]
-    budget = max(bits[1:41]) // 2
-    walk = kstep_numerators(p, (1, 40), budget)
+    steps.clear()
+    walk = kstep_numerators(p, (1, 40), 2010 // 2)
     assert next(walk)[0] == 1
-    first = next(s for s, b in enumerate(bits) if b > budget)
-    with pytest.raises(ResourceBudgetError, match=f"exceeded {budget} bits at n=9, k={first}$"):
+    with pytest.raises(ResourceBudgetError, match="k=40 may hold 2010 bits, past the budget 1005$"):
         next(walk)
+    assert len(steps) == 1
 
 
 def test_a_range_of_steps_is_checked_without_being_built():
@@ -327,21 +344,24 @@ def test_excess_chain_is_numerators_minus_uniform():
                 assert e == [v * big_q - wl * d ** k for v, wl in zip(num, w)], (n, q, k)
 
 
-def test_excess_bit_budget_trips_exactly_past_the_excess_bits():
+def test_excess_bit_budget_trips_exactly_past_the_excess_bits(monkeypatch):
+    # the price (n + 1)(k bitlen(d) + bitlen(2(q**n - 1))) from the excess
+    # start, d = 27 and 2(4**9 - 1) of 19 bits: a budget equal to it is
+    # served, one bit less is refused before any step toward k
     p = make_scheme(9, 4)
-    bits = [sum(v.bit_length() for v in e)
-            for _, e in kstep_excess(p, range(41), math.inf)]
-    for k in (1, 17, 40):
-        peak = max(bits[1:k + 1])
-        first = bits.index(peak, 1)
+    steps = _counted_steps(monkeypatch)
+    for k, price in ((1, 240), (17, 1040), (40, 2190)):
         ref = next(kstep_excess(p, (k,), math.inf))[1]
-        assert next(kstep_excess(p, (k,), peak))[1] == ref
-        assert next(kstep_tv(p, (k,), "exact", peak))[1] == tv_distance(
+        assert next(kstep_excess(p, (k,), price))[1] == ref
+        assert next(kstep_tv(p, (k,), "exact", price))[1] == tv_distance(
             kstep_oracle(p, k), uniform(p))
-        with pytest.raises(ResourceBudgetError, match=f"excess exceeded {peak - 1} bits.*k={first}$"):
-            list(kstep_excess(p, (k,), peak - 1))
-        with pytest.raises(ResourceBudgetError, match=f"k={first}$"):
-            list(kstep_tv(p, (k,), "exact", peak - 1))
+        steps.clear()
+        with pytest.raises(ResourceBudgetError, match=f"^exact excess walk at n=9, q=4, k={k} "
+                           f"may hold {price} bits, past the budget {price - 1}$"):
+            list(kstep_excess(p, (k,), price - 1))
+        with pytest.raises(ResourceBudgetError, match=f"k={k} may hold {price} bits"):
+            list(kstep_tv(p, (k,), "exact", price - 1))
+        assert steps == []
     # k = 0 takes no step, so no budget applies
     assert next(kstep_tv(p, (0,), "exact", 0))[1] == 1 - Fraction(1, p.size)
 

@@ -158,15 +158,19 @@ def test_rounded_law_is_refused_before_any_step(monkeypatch):
 
 def test_oracle_is_the_chain_alone(monkeypatch):
     # the oracle never falls back to the spectral sum: it walks, and
-    # past its bit budget it raises
+    # past its bit price it raises before any step
     monkeypatch.setattr(spectral, "_spectral_numerators", _refuse("the spectral sum"))
     monkeypatch.setattr(spectral, "kstep_distribution", _refuse("the spectral sum"))
     p = make_scheme(9, 4)
     assert kstep_oracle(p, 17).mass == radial.kstep_oracle(p, 17, math.inf).mass
-    with pytest.raises(ResourceBudgetError, match="exceeded 100 bits"):
-        kstep_oracle(p, 40, bit_budget=100)
-    with pytest.raises(ResourceBudgetError, match="at n=300, k=372$"):
+    assert kstep_oracle(p, 40, bit_budget=2010).mass == radial.kstep_oracle(p, 40, math.inf).mass
+    steps, step = [], radial.int_power_step
+    monkeypatch.setattr(radial, "int_power_step", lambda *a: steps.append(1) or step(*a))
+    with pytest.raises(ResourceBudgetError, match="k=40 may hold 2010 bits, past the budget 2009$"):
+        kstep_oracle(p, 40, bit_budget=2009)
+    with pytest.raises(ResourceBudgetError, match="at n=300, q=3, k=400 may hold 1204301 bits"):
         kstep_oracle(make_scheme(300, 3), 400)
+    assert steps == []
 
 
 def test_float_backend_close_to_exact():

@@ -74,10 +74,10 @@ def test_verify_upper_plans_its_grid_before_its_first_step(monkeypatch):
     monkeypatch.setattr(verify, "_tail_start", lambda *a: pytest.fail("searched"))
     monkeypatch.setattr(verify, "kstep_excess", lambda *a: pytest.fail("walked"))
     monkeypatch.setattr(radial, "int_power_step", lambda *a: pytest.fail("stepped"))
-    # the largest walk's excess bound (n+1)(n log2 q + k log2 n(q-1) + 1)
-    with pytest.raises(ResourceBudgetError, match=r"n=2, q=3, k=1000000 may hold ~6e\+06 bits"):
+    # the largest walk's `bit_price` from the excess start
+    with pytest.raises(ResourceBudgetError, match="n=2, q=3, k=1000000 may hold 9000015 bits"):
         verify_upper(n_max=2, q_values=(3,), k_max=10 ** 6)
-    with pytest.raises(ResourceBudgetError, match=r"n=3000, q=3, k=3 may hold ~1\.44e\+07 bits"):
+    with pytest.raises(ResourceBudgetError, match="n=3000, q=3, k=3 may hold 14389795 bits"):
         verify_upper(n_max=3000, q_values=(3,), k_max=3)
     with pytest.raises(ResourceBudgetError, match="q=7, k=1100"):  # its largest q: q = 2 fits
         verify_upper(n_max=100, q_values=(2, 7), k_max=1100)
@@ -92,16 +92,18 @@ def test_verify_upper_plans_its_grid_before_its_first_step(monkeypatch):
 
 
 def test_verify_upper_default_grid_fits_the_bit_budget(monkeypatch):
-    # the default grid's largest walk, q = 6, n = 30, k = 300, bounds at ~6.97e4 bits
+    # the default grid's largest walk, q = 6, n = 30, k = 300, is priced at 76,849 bits
     def past_the_plan(*a):
         raise LookupError("past the plan")
 
     monkeypatch.setattr(verify, "kstep_excess", past_the_plan)  # the suite's first walk
-    monkeypatch.setattr(verify, "DEFAULT_BIT_BUDGET", 69_700)
+    monkeypatch.setattr(radial, "int_power_step", lambda *a: pytest.fail("stepped"))
+    monkeypatch.setattr(verify, "DEFAULT_BIT_BUDGET", 76_849)
     with pytest.raises(LookupError):
         verify_upper()
-    monkeypatch.setattr(verify, "DEFAULT_BIT_BUDGET", 69_600)
-    with pytest.raises(ResourceBudgetError, match="n=30, q=6, k=300 may hold ~6.97e\\+04 bits"):
+    monkeypatch.setattr(verify, "DEFAULT_BIT_BUDGET", 76_848)
+    with pytest.raises(ResourceBudgetError,
+                       match="n=30, q=6, k=300 may hold 76849 bits, past the budget 76848$"):
         verify_upper()
 
 
