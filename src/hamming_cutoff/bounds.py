@@ -23,9 +23,10 @@ satisfied-vacuously rather than dropped, so grids stay informative.
 Every majorant and minorant verdict (`check_majorant`, `check_minorant`
 and the `verify` grids, through `majorant_grid` and `minorant_grid`)
 takes one schedule rule and one formula per bound, then one shared
-decision path, `_bound_reports` (one lockstep float pass over every
-scheme, float verdicts certified by an a-priori roundoff bound, else
-exact, scheme by scheme).
+decision path, `_bound_reports`: one lockstep float pass over every
+scheme, float verdicts certified by an a-priori roundoff bound; then,
+for a float majorant cell that band leaves undecided, the spectral tail
+certificate (`spectral.tail`) in integers; else exact, scheme by scheme.
 """
 
 import math
@@ -39,9 +40,7 @@ import numpy as np
 
 from .radial import (
     DEFAULT_BIT_BUDGET,
-    _check_bits,
     _check_plan,
-    _excess_start,
     float_lockstep,
     kstep_trajectory,
     kstep_tv,
@@ -55,7 +54,7 @@ from .scheme import (
     tv_of_gaps,
     uniform,
 )
-from .spectral import spectrum
+from .spectral import spectrum, tail
 
 EXACT_BACKEND_MAX_N = 30
 
@@ -106,6 +105,10 @@ class BoundReport:
     For the upper-bound family (`which` in upper-lemma/thm-*) the claim is
     tv_exact**2 <= bound_value; for `minorant` it is tv_exact >= bound_value.
     `vacuous` marks bounds that hold for free (majorant > 1, minorant < 0).
+    `tv_exact` is the tv the cell was decided on: exact, or float where
+    the float band decided it, or, for a cell the tail certificate proved,
+    the certificate's bound U / (2 q**n d**k) >= tv (`_bound_reports`),
+    within 2 rho / (1 - rho) of tv, relatively.
     """
 
     which: str
@@ -273,11 +276,25 @@ def _bound_reports(jobs, backend: str, on_law=None):
     one; its tv is `tv_distance` to pi, the job's float uniform law.
     A float cell is decided in float only when tv +- `float_tv_error`
     lies on one side of the bound; every other cell is undecided, and so
-    is every cell of an exact job, which takes no step in the pass.  One
-    exact `radial.kstep_tv` walk per job, scheme by scheme, decides its
-    undecided cells: unbudgeted for an exact job, while every float job's
-    walk is priced (`radial.bit_price`) before any job walks, and one past
-    the default bit budget raises `ResourceBudgetError` before any step.
+    is every cell of an exact job, which takes no step in the pass.
+
+    An undecided tv**2 <= bound cell of a float job then tries the tail
+    certificate before any exact walk.  With (mu, _, coefs, rest) =
+    `spectral.tail` and d = n(q-1), U = coefs[k % 2] mu**k + sum a b**k
+    bounds 2 q**n d**k tv, so the cell holds when U**2 den <= (2 q**n
+    d**k)**2 num, bound = num/den exactly: no float rounding enters.  Its
+    report's tv is U / (2 q**n d**k), correctly rounded; as the group's
+    part of U is exact, that lies above tv by a relative error of at most
+    2 rho / (1 - rho), rho = sum a b**k / (coefs[k % 2] mu**k).  A cell
+    is tried only where k bitlen(mu), about the bits of each of U's n
+    powers, fits the default bit budget; past it the cell goes to the
+    exact walk, whose price (n+1)(k bitlen(d) + ...) is larger still, so
+    that budget refuses it before any step toward its k.
+
+    One exact `radial.kstep_tv` walk per job, scheme by scheme, decides
+    the cells left: unbudgeted for an exact job, under the default bit
+    budget for a float job, whose walk raises `ResourceBudgetError`
+    before any step toward a k past it.
     """
     bes = [resolve_backend(params, backend) for params, _, _ in jobs]
     tvs, pis = [{} for _ in jobs], [None] * len(jobs)
@@ -289,26 +306,31 @@ def _bound_reports(jobs, backend: str, on_law=None):
         tvs[i][k] = tv_of_gaps(np.abs(mass - pis[i]))
         if on_law is not None:
             on_law(i, k, RadialDistribution(steps[i][0], mass, "float"))
-    plans = []  # per job: its cells' float verdicts and its undecided ks
     for (params, which, cells), be, tv in zip(jobs, bes, tvs):
-        verdicts = [None if be == "exact" else
-                    _float_verdict(tv[k], float_tv_error(params.n, k), bound, which == "minorant")
-                    for k, _, bound in cells]
-        ks = sorted({k for (k, _, _), v in zip(cells, verdicts) if v is None})
-        if be == "float" and ks:
-            _check_bits("exact excess walk", params, _excess_start(params), ks[-1],
-                        DEFAULT_BIT_BUDGET)
-        plans.append((verdicts, ks))
-    for (params, which, cells), (verdicts, ks), tv in zip(jobs, plans, tvs):
         lower = which == "minorant"
+        verdicts = [None if be == "exact" else
+                    _float_verdict(tv[k], float_tv_error(params.n, k), bound, lower)
+                    for k, _, bound in cells]
+        proofs = {}  # cell index -> the tv its tail proof reports
+        if be == "float" and not lower and None in verdicts:
+            mu, _, coefs, rest = tail(params)
+            for i in [i for i, v in enumerate(verdicts)  # each power in U: ~k bitlen(mu) bits
+                      if v is None and cells[i][0] * mu.bit_length() <= DEFAULT_BIT_BUDGET]:
+                k, _, bound = cells[i]
+                u = coefs[k % 2] * mu ** k + sum(a * b ** k for a, b in rest)
+                scale, (num, den) = 2 * params.size * params.degree ** k, bound.as_integer_ratio()
+                if u * u * den <= scale * scale * num:
+                    verdicts[i], proofs[i] = True, u / scale
+        ks = sorted({k for (k, _, _), v in zip(cells, verdicts) if v is None})
         if ks:  # the exact chain's setup is O(n) big integers
-            tv.update(kstep_tv(params, ks, "exact", math.inf))
+            tv.update(kstep_tv(params, ks, "exact",
+                               DEFAULT_BIT_BUDGET if be == "float" else math.inf))
         yield [
-            BoundReport(which, k, c, float(tv[k]), bound,
+            BoundReport(which, k, c, proofs.get(i, float(tv[k])), bound,
                         (tv[k] >= bound if lower else tv[k] * tv[k] <= bound)
                         if v is None else v,
                         bound < 0 if lower else bound >= 1.0)
-            for (k, c, bound), v in zip(cells, verdicts)
+            for i, ((k, c, bound), v) in enumerate(zip(cells, verdicts))
         ]
 
 
@@ -346,7 +368,8 @@ def majorant_grid(
     theorem, at every integer k with `offset_from_step(k)` in [min c,
     max c] (schedule within 1e-9); none is a usage error.  The cells are
     decided on the path `minorant_grid` shares: float verdicts certified
-    by `float_tv_error`, else exact.
+    by `float_tv_error`, else, on the float backend, the spectral tail
+    certificate, else exact.
 
     The pass is planned cold before any cell is built: `_check_plan` on
     sum (n+1) k_last and max k_last over the float schemes, k_last the
@@ -379,8 +402,13 @@ def check_majorant(
     rounding needs an integer schedule value (within 1e-9), checking the
     literal theorem.
 
-    Float calls resume from the scheme's float checkpoint, so a run of
-    one-c calls in ascending c takes max k steps in all, not their sum.
+    On the float backend a cell below the float tv's roundoff floor is
+    proven by the spectral tail certificate where it can be, and its
+    report's tv is then the certificate's bound (`BoundReport`); only
+    the cells it cannot prove take the exact walk, under the default
+    bit budget.  Float calls resume from the scheme's float checkpoint,
+    so a run of one-c calls in ascending c takes max k steps in all, not
+    their sum.
     """
     return next(majorant_grid((params,), (c,), rounding, backend))[0]
 

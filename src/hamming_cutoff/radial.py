@@ -212,7 +212,9 @@ def _int_chain(params: SchemeParams, vec: list, ks, bit_budget, what: str):
     a walk past `_check_plan`'s budgets (max(ks)(n+1) class-steps, max(ks)
     steps) a `ResourceBudgetError`.  Before any step toward each k > 0,
     so after every earlier k is served: `ResourceBudgetError` when the
-    `bit_price` of k steps from vec passes a finite `bit_budget`.
+    `bit_price` of k steps from vec passes a finite `bit_budget`.  The
+    price rises with k, so the walk prices max(ks) once, and each k only
+    when that price is past the budget.
     """
     _check_bit_budget(bit_budget)
     n, q = params.n, params.q
@@ -221,8 +223,9 @@ def _int_chain(params: SchemeParams, vec: list, ks, bit_budget, what: str):
         return
     _check_plan(what, ks[-1] * (n + 1), ks[-1])
     start, done = vec, 0
+    tight = bit_budget < math.inf and bit_price(params, start, ks[-1]) > bit_budget
     for k in ks:
-        if k and bit_budget < math.inf:
+        if k and tight:
             _check_bits(what, params, start, k, bit_budget)
         for _ in range(k - done):
             vec = int_power_step(vec, n, q)

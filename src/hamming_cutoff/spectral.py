@@ -22,6 +22,18 @@ k-step laws come from powering the distance chain
 (`radial.kstep_trajectory`), whose steps add only nonnegative products and
 so stay at roundoff level for every (n, k).
 
+The same sum bounds the distance to uniform at every k (`tail`, the
+package's one tail certificate).  The excess over uniform is e_l = w_l
+sum_{j>=1} K_j(l) (d - jq)**k, so t = sum_l |e_l| <= sum_j a_j |d -
+jq|**k for any a_j >= sum_l w_l |K_j(l)|: that sum itself at j = 1,
+sum_l w_l |d - ql|, and at j = n, (2(q-1))**n as K_n(l) = (-1)**l
+(q-1)**(n-l), and q**n ceil(sqrt(d_j)) between, by Cauchy-Schwarz and
+sum_l w_l K_j(l)**2 = q**n d_j (Diaconis 1988, Ch. 3; Levin-Peres-Wilmer
+§12.1).  mu = max_{j>=1} |d - jq| is attained at j = 1 or j = n, or at
+both in the two ties H(3, 3) and H(2, 4), where d - q = mu = nq - d;
+a tie groups the two terms exactly, as sum_l w_l |K_1(l) + (-1)**k
+K_n(l)| mu**k.
+
 The second half of the module carries the moment identities of the
 distance-1 spherical function phi_1: its square linearizes as
 
@@ -123,6 +135,32 @@ def kstep_rounded(params: SchemeParams, k: int):
     else:
         return None
     return tuple(v / den for v in num)
+
+
+def tail(params: SchemeParams):
+    """(mu, group, coefs, rest) with t = sum_l |e_l| <= coefs[k % 2]
+    mu**k + sum(a b**k for a, b in rest) at every k >= 0 (module
+    docstring): mu = max_{j>=1} |d - jq|, d = n(q-1); `group` the indices
+    attaining it, (1,), (n,) or, at a tie, (1, n); `coefs` the group's
+    coefficient per parity of k, sum_l w_l |K_1(l) + (-1)**k K_n(l)| at a
+    tie, else a_1 or a_n; `rest` the pairs (a_j, |d - jq|) of the other
+    j >= 1, in order.  The group's part of t is exactly coefs[k % 2]
+    mu**k, so t >= coefs[k % 2] mu**k - sum(a b**k) too."""
+    n, q, d = params.n, params.q, params.degree
+    w = class_weights(params).w
+    coefs = [params.size * (math.isqrt(dj - 1) + 1) for dj in w]  # a_j at j = 0..n
+    coefs[n] = (2 * (q - 1)) ** n
+    coefs[1] = sum(wl * abs(d - q * l) for l, wl in enumerate(w))
+    bases = [abs(d - j * q) for j in range(n + 1)]
+    mu = max(bases[1:])
+    group = tuple(j for j in sorted({1, n}) if bases[j] == mu)
+    if len(group) > 1:  # (-1)**k K_n(l) = K_n(l) (d - nq)**k / mu**k
+        rows = scaled_rows(params)
+        grouped = tuple(sum(wl * abs(k1 + s * kn) for wl, k1, kn in zip(w, rows[1], rows[n]))
+                        for s in (1, -1))
+    else:
+        grouped = (coefs[group[0]],) * 2
+    return mu, group, grouped, [(coefs[j], bases[j]) for j in range(1, n + 1) if j not in group]
 
 
 def expectation_phi(params: SchemeParams, j: int, k: int) -> Fraction:

@@ -17,19 +17,20 @@ suites to their Fraction statements, on subgrids.
 on by the spectral sum alone (`_tail_start`), and walks the cells below
 k0 exactly.  With d = n(q-1) the excess is e_l = w_l sum_{j>=1} K_j(l)
 (d - jq)**k, and each tail is one integer check at k0, found by
-bisection, from which the proof holds at every larger k.  There are two
-tails.
+doubling and bisection, from which the proof holds at every larger k.
+There are two tails.
 
-- q >= 3, the dominant term.  sum_l w_l K_j(l)**2 = q**n d_j, so the
-  triangle inequality and Cauchy-Schwarz give t = sum|e_l| <= sum_j a_j
-  |d - jq|**k (`_excess_bound`): a_j = sum_l w_l |K_j(l)| exactly at j =
-  1 (K_1(l) = d - ql) and j = n (K_n(l) = (-1)**l (q-1)**(n-l), so a_n
-  = (2(q-1))**n), and a_j = q**n ceil(sqrt(d_j)) between.  Let mu =
-  max_{j>=1} |d - jq|, attained at one index j* in {1, n} (a scheme
-  where two indices tie takes no tail).  A cell is proven when that
-  bound squared is at most q**(2n) d_j* mu**(2k), one term of q**(2n) s;
-  divided by mu**(2k) the left side does not increase with k and the
-  right side is constant.
+- q >= 3, the dominant group.  `spectral.tail` bounds t = sum|e_l| by
+  coefs[k % 2] mu**k + sum_rest a_j |d - jq|**k, with mu = max_{j>=1}
+  |d - jq| attained on its group, j = 1, j = n, or both at the ties
+  H(3, 3) and H(2, 4).  A cell is proven when that bound, with
+  max(coefs) for coefs[k % 2], squared is at most q**(2n) (sum of d_j
+  over the group) mu**(2k), the group's terms of q**(2n) s; divided by
+  mu**(2k) the left side does not increase with k and the right side is
+  constant.  By Cauchy-Schwarz and the orthogonality of K_1 and K_n,
+  max(coefs)**2 <= q**(2n) (d_1 + d_n) at a tie, and a_j**2 <= q**(2n)
+  d_j otherwise; the rest shrinks geometrically, so a tail exists where
+  that holds strictly.
 - q = 2, parity.  Here d = n and the step is bipartite: K_{n-j}(l) =
   (-1)**l K_j(l) and (n - 2(n-j))**k = (-1)**k (n - 2j)**k, so at k >= 1
   the terms j and n - j cancel where l and k differ in parity, leaving
@@ -49,7 +50,9 @@ The majorant and minorant suites take no backend option: each builds
 its whole grid of schemes first and makes one float
 `bounds.majorant_grid` or `bounds.minorant_grid` call, the decision path
 `check_majorant` and `check_minorant` use, whose one lockstep float pass
-steps every scheme.  That path decides every bound.  `minorant_sweep`
+steps every scheme, and whose spectral tail certificate
+(`spectral.tail`, the one `upper` reads) proves the majorant cells that
+pass leaves undecided.  That path decides every bound.  `minorant_sweep`
 decides only the proof diagnostics itself, in float with a 1e-12 slack
 each: Markov pi(B) >= its lower bound, the event bound tv >= pi(B) -
 nu_k(B) and, where it applies, Chebyshev nu_k(B) <= 1/beta**2.
@@ -60,6 +63,7 @@ as out of a theorem's scope.
 """
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import gt, lt, mul
@@ -72,7 +76,7 @@ from .krawtchouk import scaled_rows
 from .radial import (DEFAULT_BIT_BUDGET, _check_bits, _check_plan, _excess_start,
                      kstep_excess, kstep_numerators)
 from .scheme import class_weights, make_scheme
-from .spectral import linearization_phi1_squared
+from .spectral import linearization_phi1_squared, tail
 
 
 @dataclass(frozen=True)
@@ -106,29 +110,16 @@ def _multiplicities(params) -> tuple:
     return class_weights(params).w
 
 
-def _excess_bound(params) -> list:
-    """Pairs (a_j, |d - jq|), j = 1..n, d = n(q-1), with sum|e| <= sum_j
-    a_j |d - jq|**k at every k, from the true class weights: by the
-    triangle inequality a_j need only bound sum_l w_l |K_j(l)|, which is
-    sum_l w_l |d - ql| at j = 1, (2(q-1))**n at j = n and at most q**n
-    ceil(sqrt(d_j)) by Cauchy-Schwarz between."""
-    n, q, d = params.n, params.q, params.degree
-    w, size = class_weights(params).w, params.size
-    coefs = [size * (math.isqrt(dj - 1) + 1) for dj in w[1:]]
-    coefs[-1] = (2 * (q - 1)) ** n
-    coefs[0] = sum(wl * abs(d - q * l) for l, wl in enumerate(w))
-    return [(a, abs(d - j * q)) for j, a in enumerate(coefs, 1)]
-
-
 def _tail_start(params, mult: tuple, k_max: int) -> int:
     """The least k0 <= k_max from which every cell k >= k0 holds by the
     spectral sum alone (module docstring), or k_max + 1 where k_max is
-    not proven or the scheme takes no tail.  At q >= 3 the proof at k is
-    `_excess_bound` squared <= q**(2n) mult[j*] mu**(2k), and a scheme
-    where two indices tie for mu takes no tail; at q = 2 it is k >= 1
-    and 2 sum_{1<=j<n/2} C(n, j) (n - 2j)**k <= n**k, and the tail needs
-    mult[n] >= 1.  Only mult[j*] and mult[n] read the statement's
-    `mult`."""
+    not proven.  At q >= 3 the proof at k is (max(coefs) mu**k + sum_rest
+    a b**k)**2 <= q**(2n) (sum of mult[j] over the group) mu**(2k), with
+    `spectral.tail`'s terms; at q = 2 it is k >= 1 and 2 sum_{1<=j<n/2}
+    C(n, j) (n - 2j)**k <= n**k, and the tail needs mult[n] >= 1.  Only
+    the group's mult[j] and mult[n] read the statement's `mult`.  The
+    search probes k = 1, 2, 4, ... up to k_max, then bisects, so its
+    cost follows k0, not k_max."""
     n = params.n
     if params.q == 2:
         if mult[n] < 1:
@@ -138,25 +129,17 @@ def _tail_start(params, mult: tuple, k_max: int) -> int:
         def proven(k):
             return k > 0 and sum(a * b ** k for a, b in terms) <= n ** k
     else:
-        terms = _excess_bound(params)
-        bases = [b for _, b in terms]
-        mu = max(bases)
-        if bases.count(mu) > 1:
-            return k_max + 1
-        right = params.size ** 2 * mult[bases.index(mu) + 1]
+        mu, group, coefs, rest = tail(params)
+        top, right = max(coefs), params.size ** 2 * sum(mult[j] for j in group)
 
         def proven(k):
-            bound = sum(a * b ** k for a, b in terms)
+            bound = top * mu ** k + sum(a * b ** k for a, b in rest)
             return bound * bound <= right * mu ** (2 * k)
 
-    lo, hi = 0, k_max + 1  # not proven below lo; proven from hi, taking k_max + 1 as given
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if proven(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    lo, hi = 0, 1  # not proven below lo; proven at hi, taking k_max + 1 as given
+    while hi <= k_max and not proven(hi):
+        lo, hi = hi + 1, 2 * hi
+    return lo + bisect_left(range(lo, min(hi, k_max + 1)), True, key=proven)
 
 
 def verify_upper(
@@ -168,10 +151,10 @@ def verify_upper(
     t**2 <= q**(2n) s, s = sum_{j>=1} d_j (n(q-1) - jq)**(2k), in
     integers: t = sum|e| over `radial.kstep_excess`, s from eigenvalue
     powers alone.  Each scheme's cells from its tail start k0 on are
-    proven by the spectral sum alone, by the dominant term at q >= 3 and
-    by parity at q = 2, and those below k0 on its exact walk (module
-    docstring).  Violations come in (q, n, k) order, both sides
-    correctly rounded.
+    proven by the spectral sum alone, by the dominant group of
+    `spectral.tail` at q >= 3, ties included, and by parity at q = 2,
+    and those below k0 on its exact walk (module docstring).  Violations
+    come in (q, n, k) order, both sides correctly rounded.
 
     The grid is planned before its tail search and its first step:
     `ResourceBudgetError` when the `radial.bit_price` of its largest walk,
@@ -215,9 +198,11 @@ def verify_majorant(
     """tv**2 <= regime majorant at scheduled k, over an (q, n, c) grid.
 
     Every (q, n) in the theorems' scope goes into one float
-    `bounds.majorant_grid` call (exact recheck past the default bit
-    budget: `ResourceBudgetError`); the others are recorded as skipped,
-    not checked.
+    `bounds.majorant_grid` call, where the spectral tail certificate
+    proves the cells below the float roundoff floor, at c = 100 and c =
+    700 every one (an exact recheck past the default bit budget:
+    `ResourceBudgetError`); the others are recorded as skipped, not
+    checked.
     """
     for q in q_values:  # q >= 3 and 0 < c < inf, or a usage error
         for c in c_values:

@@ -570,6 +570,53 @@ def test_check_majorant_float_decides_below_the_roundoff_floor(monkeypatch):
     assert not r.satisfied and r.tv_exact ** 2 > r.bound_value
 
 
+def test_tail_decided_majorant_cells_report_the_certificate_near_the_exact_tv(monkeypatch):
+    # a float cell the roundoff band cannot decide is proven by the tail
+    # certificate with no exact walk; its tv, the certificate's bound,
+    # lies within 1e-12 relative of the exact tv and its square below the
+    # bound
+    real_tail, calls = bounds.tail, []
+
+    def counted(params):
+        calls.append(params)
+        return real_tail(params)
+
+    monkeypatch.setattr(bounds, "tail", counted)
+    monkeypatch.setattr(bounds, "kstep_tv", lambda *a: pytest.fail("walked exactly"))
+    decided = {}
+    for q in range(3, 9):
+        for n in range(1, 15):
+            p = make_scheme(n, q)
+            if not bounds.majorant_in_scope(p):
+                continue
+            for c in (60.0, 100.0, 300.0):
+                calls.clear()
+                r = check_majorant(p, c, backend="float")
+                if calls:
+                    decided.setdefault(p, []).append(r)
+    assert {r.c for rs in decided.values() for r in rs} == {60.0, 100.0, 300.0}
+    for p, reports in decided.items():
+        exact = dict(radial.kstep_tv(p, sorted({r.k for r in reports}), "exact", math.inf))
+        for r in reports:
+            assert r.satisfied and r.tv_exact ** 2 <= r.bound_value
+            assert abs(Fraction(r.tv_exact) / exact[r.k] - 1) <= 1e-12, (p, r.c)
+
+
+def test_tail_powers_past_the_bit_budget_leave_the_cell_to_the_priced_recheck(monkeypatch):
+    # H(10, 5) at c = 100: k = 415 and mu = 35, so each of the tail's
+    # powers holds about 415 * 6 = 2490 bits.  At that budget the tail
+    # proves the cell; one bit less and the cell goes to the exact
+    # recheck, whose price refuses it before any step
+    p = make_scheme(10, 5)
+    monkeypatch.setattr(radial, "int_power_step", lambda *a: pytest.fail("stepped"))
+    monkeypatch.setattr(bounds, "DEFAULT_BIT_BUDGET", 2490)
+    r = check_majorant(p, 100.0, backend="float")
+    assert (r.k, r.satisfied) == (415, True)
+    monkeypatch.setattr(bounds, "DEFAULT_BIT_BUDGET", 2489)
+    with pytest.raises(ResourceBudgetError, match="n=10, q=5, k=415 may hold 27665 bits"):
+        check_majorant(p, 100.0, backend="float")
+
+
 def test_minorant_event_b_matches_fraction_comparison():
     for n, q in [(3, 3), (10, 4), (57, 3), (120, 5)]:
         p = make_scheme(n, q)

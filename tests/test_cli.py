@@ -398,6 +398,8 @@ def test_verify_majorant_genuine_violations_still_reported(monkeypatch, capsys):
 
 
 def test_verify_majorant_recheck_past_the_bit_budget_exits_3(monkeypatch, capsys):
+    from fractions import Fraction
+
     import hamming_cutoff.bounds as bounds_mod
 
     real = bounds_mod.kstep_tv
@@ -405,6 +407,9 @@ def test_verify_majorant_recheck_past_the_bit_budget_exits_3(monkeypatch, capsys
     def tight(params, ks, backend, bit_budget=10 ** 6):
         return real(params, ks, backend, 64 if backend == "exact" else bit_budget)
 
+    # at c = 100 the tail certificate proves every cell of the true
+    # majorant; a constant of 10**-80 leaves them all to the exact recheck
+    monkeypatch.setattr(bounds_mod, "majorant_constant", lambda q: Fraction(1, 10 ** 80))
     monkeypatch.setattr(bounds_mod, "kstep_tv", tight)
     code, out, err = run(["verify", "majorant", "--n-max", "12", "--c", "100"], capsys)
     assert code == 3

@@ -34,8 +34,8 @@ COMMANDS = {
     "verify-upper": ["verify", "upper"],
     "verify-majorant": ["verify", "majorant"],
     "verify-majorant-exact": ["verify", "majorant", "--rounding", "exact"],
-    # every cell past the roundoff floor: the exact rechecks are priced
-    # before any walk, and the first one past the bit budget is q = 3, n = 27
+    # every cell past the roundoff floor, each proven by the spectral tail
+    # certificate with no exact walk
     "verify-majorant-c700": ["verify", "majorant", "--c", "700"],
     "verify-minorant": ["verify", "minorant"],
     # the README's four empirical minorant thresholds

@@ -8,7 +8,7 @@ from unittest import mock
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hamming_cutoff import (
     kstep_distribution,
@@ -22,7 +22,7 @@ from hamming_cutoff import (
     tv_distance,
     uniform,
 )
-from hamming_cutoff import verify
+from hamming_cutoff import spectral, verify
 from hamming_cutoff.radial import _excess_start, bit_price, kstep_excess, kstep_numerators
 
 small_n = st.integers(1, 8)
@@ -101,3 +101,22 @@ def test_every_exact_state_fits_its_bit_price(n, q, excess):
                    else (kstep_numerators, [1] + [0] * n))
     for k, v in walk(p, range(301), math.inf):
         assert sum(map(int.bit_length, v)) <= bit_price(p, start, k), k
+
+
+@properties
+@given(st.integers(1, 30), st.integers(3, 9))
+@example(3, 3)
+@example(2, 4)
+def test_spectral_tail_bounds_the_exact_excess(n, q):
+    # coefs[k % 2] mu**k + sum_rest a b**k >= sum|e| at every k <= 300,
+    # both parities; the ties H(3, 3) (k >= 1) and H(2, 4), where the
+    # group is every term that does not vanish, meet it exactly
+    p = make_scheme(n, q)
+    mu, group, coefs, rest = spectral.tail(p)
+    tie = (n, q) in ((3, 3), (2, 4))
+    assert (len(group) > 1) == tie
+    for k, e in kstep_excess(p, range(301), math.inf):
+        t, bound = sum(map(abs, e)), coefs[k % 2] * mu ** k + sum(a * b ** k for a, b in rest)
+        assert bound >= t, k
+        if tie and (k or n == 2):
+            assert bound == t, k

@@ -19,7 +19,7 @@ from hamming_cutoff import (
     upper_bound_lemma_rhs,
     variance_phi1_kstep,
 )
-from hamming_cutoff import bounds, radial, verify
+from hamming_cutoff import bounds, radial, spectral, verify
 from hamming_cutoff.krawtchouk import scaled_rows
 from hamming_cutoff.radial import int_power_step, kstep_excess
 from hamming_cutoff.scheme import RadialDistribution, ResourceBudgetError
@@ -197,44 +197,58 @@ def test_verify_upper_decides_on_the_full_sum_where_the_end_terms_fall_short(mon
     assert [(v.n, v.q, v.k, v.lhs, v.rhs) for v in report.violations] == expect
 
 
-def _uncovered(excess_bound):
-    # the cells n <= 10, q = 2..6, k <= 80 where sum_j a_j |d - jq|**k
-    # falls below the exact sum|e|
+def _tail_bound(tail, k):
+    # `spectral.tail`'s bound on sum|e| at k
+    mu, _, coefs, rest = tail
+    return coefs[k % 2] * mu ** k + sum(a * b ** k for a, b in rest)
+
+
+def _uncovered(tail_of):
+    # the cells n <= 10, q = 2..6, k <= 80 where the tail's bound falls
+    # below the exact sum|e|
     cells = []
     for q in range(2, 7):
         for n in range(1, 11):
             p = make_scheme(n, q)
-            terms = excess_bound(p)
+            tail = tail_of(p)
             for k, e in kstep_excess(p, range(81), math.inf):
-                if sum(a * b ** k for a, b in terms) < sum(map(abs, e)):
+                if _tail_bound(tail, k) < sum(map(abs, e)):
                     cells.append((n, q, k))
     return cells
 
 
 def test_excess_bound_covers_the_exact_excess():
-    assert _uncovered(verify._excess_bound) == []
+    assert _uncovered(spectral.tail) == []
     for n, q in [(1, 2), (1, 5)]:  # one term: the bound is the exact sum|e|
         p = make_scheme(n, q)
-        (a, b), = verify._excess_bound(p)
-        assert all(a * b ** k == sum(map(abs, e))
+        assert spectral.tail(p)[3] == []
+        assert all(_tail_bound(spectral.tail(p), k) == sum(map(abs, e))
                    for k, e in kstep_excess(p, range(20), math.inf))
 
-    # a mutant that keeps only the dominant term |d - jq| = mu undershoots
+    # a mutant that keeps only the dominant group, |d - jq| = mu, undershoots
     def dominant_only(p):
-        terms = verify._excess_bound(p)
-        mu = max(b for _, b in terms)
-        return [(a, b) for a, b in terms if b == mu]
+        return (*spectral.tail(p)[:3], [])
 
     assert _uncovered(dominant_only)
 
 
 def test_excess_bound_takes_its_end_coefficients_exactly():
-    # a_1 and a_n are sum_l w_l |K_j(l)| itself, from the Krawtchouk rows
+    # a_1 and a_n are sum_l w_l |K_j(l)| itself, from the Krawtchouk rows;
+    # a tie's group coefficient is sum_l w_l |K_1(l) (d - q)**k + K_n(l)
+    # (d - nq)**k| / mu**k at either parity of k
     for q in range(2, 7):
         for n in range(1, 13):
             p = make_scheme(n, q)
-            terms, rows = verify._excess_bound(p), scaled_rows(p)
-            w = verify._multiplicities(p)
+            mu, group, coefs, rest = spectral.tail(p)
+            rows, w, d = scaled_rows(p), verify._multiplicities(p), p.degree
+            if len(group) > 1:
+                assert [coefs[k % 2] * mu ** k for k in (2, 3)] == [
+                    sum(wl * abs(a * (d - q) ** k + b * (d - n * q) ** k)
+                        for wl, a, b in zip(w, rows[1], rows[n])) for k in (2, 3)]
+                continue
+            assert coefs[0] == coefs[1]
+            terms = list(rest)
+            terms.insert(group[0] - 1, (coefs[0], mu))
             for j in (1, n):
                 assert terms[j - 1][0] == sum(wl * abs(K) for wl, K in zip(w, rows[j]))
 
@@ -261,27 +275,26 @@ def _default_grid_tails():
 
 
 def test_tail_start_is_the_least_k_its_proof_holds_from():
-    # the proof at k: (sum_j a_j |d - jq|**k)**2 <= q**(2n) d_j* mu**(2k)
-    # at q >= 3, the parity condition at q = 2, checked at every k of the
-    # default grid, k <= 300
+    # the proof at k: (max(coefs) mu**k + sum_rest a b**k)**2 <= q**(2n)
+    # (sum of d_j over the group) mu**(2k) at q >= 3, ties included, the
+    # parity condition at q = 2, checked at every k of the default grid,
+    # k <= 300; a search up to k_max = 10**5 finds the same k0
     ties = []
     for p, k0 in _default_grid_tails():
+        mult = verify._multiplicities(p)
+        assert verify._tail_start(p, mult, 10 ** 5) == k0
         if p.q == 2:
             proven = [k > 0 and _parity_holds(p.n, k) for k in range(301)]
             assert proven[k0:] == [True] * (301 - k0) and not any(proven[:k0])
             continue
-        terms = verify._excess_bound(p)
-        bases = [b for _, b in terms]
-        mu = max(bases)
-        if bases.count(mu) > 1:
-            ties.append((p.n, p.q))
-            assert k0 == 301
-            continue
-        right = p.size ** 2 * verify._multiplicities(p)[bases.index(mu) + 1]
-        proven = [sum(a * b ** k for a, b in terms) ** 2 <= right * mu ** (2 * k)
-                  for k in range(301)]
+        mu, group, coefs, rest = spectral.tail(p)
+        if len(group) > 1:
+            ties.append((p.n, p.q, k0))
+        right = p.size ** 2 * sum(mult[j] for j in group)
+        proven = [(max(coefs) * mu ** k + sum(a * b ** k for a, b in rest)) ** 2
+                  <= right * mu ** (2 * k) for k in range(301)]
         assert proven[k0:] == [True] * (301 - k0) and not any(proven[:k0])
-    assert ties == [(3, 3), (2, 4)]
+    assert ties == [(3, 3, 1), (2, 4, 0)]
 
 
 def test_tail_start_bounds_the_walked_class_steps(monkeypatch):
