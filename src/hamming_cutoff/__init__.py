@@ -3,7 +3,9 @@
 The package computes k-step transition distributions radially (one mass
 per distance class), total-variation distances to uniform, the full
 closed-form spectrum, and every majorant/minorant bound of the cutoff
-window, in exact rational arithmetic with a float64 fast path.
+window, in exact rational arithmetic with a float64 fast path.  numpy
+loads at the first float operation, not at import, so the integer-only
+paths never load it.
 """
 
 from .bounds import (

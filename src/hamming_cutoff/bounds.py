@@ -36,8 +36,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Literal
 
-import numpy as np
-
+from ._numpy import np
 from .radial import (
     DEFAULT_BIT_BUDGET,
     _check_plan,

@@ -38,6 +38,8 @@ the entries known exactly.  At n <= 2 there is nothing to splice (at
 exact rows there, and psi follows from it.
 """
 
+from __future__ import annotations
+
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,8 +47,7 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Union
 
-import numpy as np
-
+from ._numpy import np
 from .scheme import (
     Backend,
     ParameterError,

@@ -27,10 +27,11 @@ and k steps within `STEP_CALL_BUDGET`.  `simulate_literal` refuses
 q**n past `LITERAL_STATE_BUDGET` vertices.
 """
 
+from __future__ import annotations
+
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .radial import _check_plan
 from .scheme import (
     ParameterError,

@@ -31,6 +31,8 @@ states, not distances, and plan before they build or step anything
 the exact excess, or the float masses, into the distance to uniform.
 """
 
+from __future__ import annotations
+
 import heapq
 import math
 import threading
@@ -39,8 +41,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 
-import numpy as np
-
+from ._numpy import np
 from .scheme import (
     Backend,
     ParameterError,

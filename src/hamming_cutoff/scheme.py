@@ -12,17 +12,19 @@ Two arithmetic backends coexist.  ``exact`` keeps every mass a
 numpy float64 vector (the fast path for n in the hundreds or thousands).
 """
 
+from __future__ import annotations
+
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Literal, Union
 
-import numpy as np
+from ._numpy import np
 
 Backend = Literal["exact", "float"]
 
-MassVector = Union[tuple, np.ndarray]
+MassVector = Union[tuple, "np.ndarray"]
 
 
 class ParameterError(ValueError):

@@ -69,9 +69,8 @@ from fractions import Fraction
 from operator import gt, lt, mul
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import bounds
+from ._numpy import np
 from .krawtchouk import scaled_rows
 from .radial import (DEFAULT_BIT_BUDGET, _check_bits, _check_plan, _excess_start,
                      kstep_excess, kstep_numerators)
