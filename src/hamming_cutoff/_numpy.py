@@ -3,8 +3,9 @@
 numpy's import takes longer than the rest of the package's, and the
 integer paths (`verify upper`, exact tables, `--help`, usage errors and
 refusals planned before any array) never touch it.  Every module binds
-``np`` from here: numpy itself when the process has already imported it,
-else a stand-in whose first attribute lookup imports numpy.  A second
+``np`` from here: a stand-in whose first lookup of each attribute runs
+``import numpy`` (just a ``sys.modules`` lookup once numpy is loaded) and
+keeps the attribute, so later lookups cost what a module's do.  A second
 thread that looks up an attribute meanwhile waits in that same import for
 numpy's ``__init__`` to finish (the import system locks each module while
 it executes), so no caller sees numpy half initialised.
@@ -12,8 +13,6 @@ it executes), so no caller sees numpy half initialised.
 threads that touch its module while another runs numpy's ``__init__``
 find attributes missing (``module 'numpy' has no attribute 'zeros'``).
 """
-
-import sys
 
 
 class _Deferred:
@@ -27,4 +26,4 @@ class _Deferred:
         return value
 
 
-np = sys.modules.get("numpy") or _Deferred()
+np = _Deferred()

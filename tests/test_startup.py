@@ -33,7 +33,7 @@ FLOAT_PROFILE = ["profile", "--n", "3", "--q", "3", "--k-max", "5", "--backend",
 _RUN_COMMANDS = """
 import contextlib, io, json, sys
 from hamming_cutoff import cli
-imported = "numpy._core" in sys.modules
+imported = "numpy" in sys.modules
 runs = []
 for argv in json.loads(sys.argv[1]):
     out = io.StringIO()
@@ -42,7 +42,7 @@ for argv in json.loads(sys.argv[1]):
             code = cli.main(argv)
         except SystemExit as exc:
             code = exc.code
-    runs.append([code, out.getvalue(), "numpy._core" in sys.modules])
+    runs.append([code, out.getvalue(), "numpy" in sys.modules])
 print(json.dumps([imported, runs]))
 """
 
@@ -53,7 +53,7 @@ _RACE = """
 import json, sys, threading
 from hamming_cutoff import make_scheme, radial
 schemes = [make_scheme(*nq) for nq in json.loads(sys.argv[1])]
-loaded = "numpy._core" in sys.modules
+loaded = "numpy" in sys.modules
 start = threading.Barrier(len(schemes))
 results = [None] * len(schemes)
 def run(i):
